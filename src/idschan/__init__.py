@@ -9,6 +9,7 @@ from .pathdata import (
     Condition,
     Interaction,
     MultipathComponent,
+    PathTable,
     Provenance,
     RxRecord,
     ScenarioDataset,
@@ -49,6 +50,7 @@ __all__ = [
     "Condition",
     "Interaction",
     "MultipathComponent",
+    "PathTable",
     "Provenance",
     "RxRecord",
     "ScenarioDataset",

@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import extract, genchan, linksim, params, pathdata, tracer
+from .pathdata import format_float
 
 DEFAULT_SEED = 12345
 
@@ -45,10 +46,6 @@ def _parse_ebn0(text: str) -> list[float]:
         n = int((stop - start) / step + 1e-9) + 1
         return [start + i * step for i in range(n)]
     return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -110,14 +107,11 @@ def cmd_gen(args) -> int:
 def cmd_rssi(args) -> int:
     ds = pathdata.load_dataset(args.infile)
     points = linksim.rssi_map(ds)
-    rows = []
-    for p in points:
-        rssi = "-INF" if p.rssi_dbm == -float("inf") else _fmt(p.rssi_dbm)
-        snr = "-INF" if p.snr_db == -float("inf") else _fmt(p.snr_db)
-        rows.append(
-            [p.rx_id, _fmt(p.position_m[0]), _fmt(p.position_m[1]), _fmt(p.position_m[2]),
-             p.condition.value, rssi, snr]
-        )
+    rows = [
+        [p.rx_id, *map(format_float, p.position_m), p.condition.value,
+         format_float(p.rssi_dbm), format_float(p.snr_db)]
+        for p in points
+    ]
     _write_csv(Path(args.out), ["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -138,7 +132,7 @@ def cmd_ber(args) -> int:
     for ps in sets:
         for pt in sweep.curves[ps.name]:
             rows.append(
-                [ps.name, cond.value, _fmt(pt.ebn0_db), _fmt(pt.ber), _fmt(pt.ci95), pt.n_bits]
+                [ps.name, cond.value, *map(format_float, (pt.ebn0_db, pt.ber, pt.ci95)), pt.n_bits]
             )
     _write_csv(Path(args.out), ["preset", "condition", "ebn0_db", "ber", "ci95", "n_bits"], rows)
     for i in range(len(sets)):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathdata import Condition, RxRecord, ScenarioDataset
+from .pathdata import Condition, Interaction, RxRecord, ScenarioDataset
 from .params import ChannelParamSet, ConditionParams
 
 
@@ -35,8 +35,6 @@ ANGLE_FIELDS = {
     "ESD": "aod_el_deg",
     "ESA": "aoa_el_deg",
 }
-
-AZIMUTH_KINDS = ("ASD", "ASA")
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,12 @@ def k_factor(record: RxRecord, method: str = "direct") -> float | None:
         raise ValueError(f"unknown k_factor method {method!r}")
     if not record.paths:
         return None
-    powers = [p.power_mw for p in record.paths]
+    powers = record.paths.power_mw.tolist()
     if method == "direct":
-        ref_idx = next((i for i, p in enumerate(record.paths) if p.is_direct()), None)
-        if ref_idx is None:
+        direct = np.flatnonzero(record.paths.interactions == Interaction.DIRECT.value)
+        if direct.size == 0:
             return None
+        ref_idx = int(direct[0])
     else:
         ref_idx = int(np.argmax(powers))
     rest = math.fsum(pw for i, pw in enumerate(powers) if i != ref_idx)
@@ -108,8 +107,8 @@ def rms_delay_spread(record: RxRecord) -> float:
     """Power-weighted RMS spread of the path delays, in ns."""
     if not record.paths:
         raise NoPathError(f"rx {record.rx_id} is in outage, delay spread undefined")
-    p = np.array([c.power_mw for c in record.paths])
-    tau = np.array([c.delay_ns for c in record.paths])
+    p = record.paths.power_mw
+    tau = record.paths.delay_ns
     psum = p.sum()
     m1 = np.sum(tau * p) / psum
     m2 = np.sum(tau**2 * p) / psum
@@ -130,8 +129,8 @@ def angular_spread(record: RxRecord, which: str) -> float:
         raise ValueError(f"which must be one of {sorted(ANGLE_FIELDS)}, got {which!r}")
     if not record.paths:
         raise NoPathError(f"rx {record.rx_id} is in outage, angular spread undefined")
-    p = np.array([c.power_mw for c in record.paths])
-    theta = np.radians(np.array([getattr(c, ANGLE_FIELDS[key]) for c in record.paths]))
+    p = record.paths.power_mw
+    theta = np.radians(getattr(record.paths, ANGLE_FIELDS[key]))
     psum = p.sum()
     nu = np.sum(theta * p) / psum
     dev = np.mod(theta - nu + np.pi, 2.0 * np.pi) - np.pi

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,42 +32,29 @@ from .params import ChannelParamSet, ConditionParams
 from .pathdata import (
     Condition,
     Interaction,
-    MultipathComponent,
+    PathTable,
     Provenance,
     ScenarioDataset,
-    make_record,
     mw_to_dbm,
+    records_from_table,
 )
 
 
-@dataclass(frozen=True)
-class Tap:
-    delay_ns: float
-    power_lin: float
-    aod_az_deg: float
-    aoa_az_deg: float
-    aod_el_deg: float
-    aoa_el_deg: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Normalized tapped profile: powers sum to 1, first tap at delay 0."""
+    """Normalized tapped profile of per-tap arrays: powers sum to 1, first tap at delay 0."""
 
     condition: Condition
-    taps: tuple[Tap, ...]
+    delays_ns: np.ndarray
+    powers_lin: np.ndarray
+    aod_az_deg: np.ndarray
+    aod_el_deg: np.ndarray
+    aoa_az_deg: np.ndarray
+    aoa_el_deg: np.ndarray
     kf_db: float | None
     sf_db: float
     target_ds_ns: float
     seed_used: int
-
-    @property
-    def delays_ns(self) -> np.ndarray:
-        return np.array([t.delay_ns for t in self.taps])
-
-    @property
-    def powers_lin(self) -> np.ndarray:
-        return np.array([t.power_lin for t in self.taps])
 
 
 def _require_finite(block: ConditionParams, names: tuple[str, ...]) -> None:
@@ -148,12 +136,9 @@ def draw_realization(
     aod_el = fold_elevation_deg(means["esd"] + rng.normal(0.0, block.mu_esd_deg, n_taps))
     aoa_el = fold_elevation_deg(means["esa"] + rng.normal(0.0, block.mu_esa_deg, n_taps))
 
-    taps = tuple(
-        Tap(float(delays[i]), float(powers[i]), float(aod_az[i]), float(aoa_az[i]),
-            float(aod_el[i]), float(aoa_el[i]))
-        for i in range(n_taps)
+    return ChannelRealization(
+        condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target, int(rng_seed)
     )
-    return ChannelRealization(condition, taps, kf_db, sf_db, ds_target, int(rng_seed))
 
 
 # --------------------------------------------------------------------------
@@ -190,29 +175,6 @@ def narrowband_gain(real: ChannelRealization, rng_seed: int = 0) -> complex:
 # --------------------------------------------------------------------------
 
 
-def realization_components(
-    real: ChannelRealization, base_delay_ns: float
-) -> list[MultipathComponent]:
-    """Taps to path components: tap 0 of LOS becomes the direct path, the
-    rest reflections; normalized linear powers map to dBm, delays get the
-    line-of-flight offset so they stay strictly positive."""
-    comps = []
-    for i, tap in enumerate(real.taps):
-        direct = real.condition is Condition.LOS and i == 0
-        comps.append(
-            MultipathComponent(
-                power_dbm=mw_to_dbm(tap.power_lin),
-                delay_ns=tap.delay_ns + base_delay_ns,
-                aod_az_deg=tap.aod_az_deg,
-                aod_el_deg=tap.aod_el_deg,
-                aoa_az_deg=tap.aoa_az_deg,
-                aoa_el_deg=tap.aoa_el_deg,
-                interactions=(Interaction.DIRECT,) if direct else (Interaction.REFLECT,),
-            )
-        )
-    return comps
-
-
 def realizations_to_dataset(
     reals: list[ChannelRealization],
     name: str,
@@ -220,11 +182,28 @@ def realizations_to_dataset(
     rx_distance_m: float = 1.0,
 ) -> ScenarioDataset:
     """Pack realizations as a dataset at a nominal TX-RX separation, so they
-    round-trip through the CSV schema and the extraction pipeline."""
+    round-trip through the CSV schema and the extraction pipeline.
+
+    Tap 0 of a LOS realization becomes the direct path, every other tap a
+    reflection; normalized linear powers map to dBm, and delays get the
+    line-of-flight offset so they stay strictly positive.
+    """
     base_delay_ns = rx_distance_m / SPEED_OF_LIGHT * 1e9
     tx = (0.0, 0.0, 0.0)
-    records = []
-    for i, real in enumerate(reals):
-        comps = realization_components(real, base_delay_ns)
-        records.append(make_record(i, (rx_distance_m, 0.0, 0.0), tx, comps))
-    return ScenarioDataset(name, tx, budget, tuple(records), Provenance.SYNTHETIC)
+    counts = [len(real.delays_ns) for real in reals]
+    owner = np.repeat(np.arange(len(reals)), counts)
+    powers, delays, *angles = (
+        np.concatenate([getattr(real, field) for real in reals] + [np.empty(0)])
+        for field in ("powers_lin", "delays_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
+    )
+    tags = [
+        (Interaction.DIRECT if real.condition is Condition.LOS and i == 0 else Interaction.REFLECT).value
+        for real in reals
+        for i in range(len(real.delays_ns))
+    ]
+    paths = PathTable([mw_to_dbm(p) for p in powers.tolist()], delays + base_delay_ns, *angles, tags,
+                      lambda k: f"rx {owner[k]}")
+    records = records_from_table(
+        range(len(reals)), repeat((rx_distance_m, 0.0, 0.0)), tx, paths, counts
+    )
+    return ScenarioDataset(name, tx, budget, records, Provenance.SYNTHETIC)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .pathdata import Condition, ScenarioDataset, mw_to_dbm
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit/receive chain parameters; defaults are the 28 GHz cabin setup."""
+    """Transmit/receive chain parameters, as finite floats; defaults are the 28 GHz cabin setup."""
 
     tx_power_dbm: float = 20.0
     gain_tx_dbi: float = 0.0
@@ -35,6 +35,11 @@ class LinkBudget:
     sensitivity_dbm: float = -120.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise ValueError(f"link budget {f.name}={value!r} is not finite")
+            object.__setattr__(self, f.name, value)
         if self.bandwidth_hz <= 0 or self.carrier_hz <= 0:
             raise ValueError("bandwidth and carrier frequency must be positive")
 
@@ -43,6 +48,8 @@ class LinkBudget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinkBudget":
+        if not isinstance(d, dict):
+            raise TypeError(f"link_budget must be a JSON object, got {d!r}")
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         return cls(**known)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .pathdata import Condition
+from .pathdata import Condition, format_float
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ PARAM_ROWS: tuple[tuple[str, str], ...] = (
 def _cell(value: float | None) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "n/a"
-    return repr(float(value))
+    return format_float(value)
 
 
 def params_table(sets: Sequence[ChannelParamSet]) -> list[list[str]]:
@@ -190,4 +190,4 @@ def write_ratios_csv(
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scenario"] + [c.value.lower() for c in conds])
         for name, ratios in ratios_by_scenario:
-            w.writerow([name] + [repr(float(ratios.get(c, 0.0))) for c in conds])
+            w.writerow([name] + [format_float(ratios.get(c, 0.0)) for c in conds])

@@ -3,7 +3,8 @@
 A dataset is a CSV with one row per (receiver, path) plus a JSON sidecar
 ``<name>.meta.json`` carrying the scenario name, TX position, link budget and
 provenance. Receivers with no paths (outage) appear as a single row with an
-empty interaction field and ``power_dbm = -INF``.
+empty interaction field and ``power_dbm = -INF``. In memory, the paths of a
+dataset are one :class:`PathTable`; each record's paths are a slice of it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .linksim import LinkBudget
@@ -49,6 +53,12 @@ class DatasetValidationError(ValueError):
     """Well-formed file whose values violate a data-model invariant."""
 
 
+def format_float(x: float) -> str:
+    """Shortest text that reads back as the same float, with "-INF" for minus
+    infinity (the outage power); every CSV writer uses it."""
+    return "-INF" if x == -math.inf else repr(float(x))
+
+
 def dbm_to_mw(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0)
 
@@ -59,14 +69,14 @@ def mw_to_dbm(p_mw: float) -> float:
     return 10.0 * math.log10(p_mw)
 
 
+def interaction_code(tags: Iterable[Interaction]) -> str:
+    """Canonical code of one path's tags: their letters joined by "+", e.g. "R+S"."""
+    return "+".join(tag.value for tag in tags)
+
+
 @dataclass(frozen=True, slots=True)
 class MultipathComponent:
-    """One ray path at a receiver.
-
-    Powers are stored in dBm; every statistic converts to linear milliwatts
-    at a single point (:func:`dbm_to_mw`). Azimuths live in (-180, 180],
-    elevations in [-90, 90], delays are strictly positive nanoseconds.
-    """
+    """One ray path at a receiver, as a plain row; checked when it joins a PathTable."""
 
     power_dbm: float
     delay_ns: float
@@ -76,55 +86,111 @@ class MultipathComponent:
     aoa_el_deg: float
     interactions: tuple[Interaction, ...]
 
-    def __post_init__(self):
-        if not math.isfinite(self.power_dbm):
-            raise DatasetValidationError(f"non-finite power_dbm {self.power_dbm!r}")
-        if not (self.delay_ns > 0.0 and math.isfinite(self.delay_ns)):
-            raise DatasetValidationError(f"delay_ns must be > 0, got {self.delay_ns!r}")
-        for name in ("aod_az_deg", "aoa_az_deg"):
-            v = getattr(self, name)
-            if not (-180.0 < v <= 180.0):
-                raise DatasetValidationError(f"{name}={v!r} outside (-180, 180]")
-        for name in ("aod_el_deg", "aoa_el_deg"):
-            v = getattr(self, name)
-            if not (-90.0 <= v <= 90.0):
-                raise DatasetValidationError(f"{name}={v!r} outside [-90, 90]")
-        if not self.interactions:
-            raise DatasetValidationError("interactions list must not be empty")
-        if Interaction.DIRECT in self.interactions and self.interactions != (Interaction.DIRECT,):
-            raise DatasetValidationError("Direct must appear alone in interactions")
 
-    @property
-    def power_mw(self) -> float:
-        return dbm_to_mw(self.power_dbm)
-
-    def is_direct(self) -> bool:
-        return self.interactions == (Interaction.DIRECT,)
+FLOAT_COLUMNS = ("power_dbm", "delay_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
+_TAG_CODES = frozenset(tag.value for tag in Interaction)
+_DIRECT = Interaction.DIRECT.value
+# 10 ** (p / 10) overflows a double above ~3082.5 dBm.
+_MAX_POWER_DBM = 3000.0
 
 
-def classify(paths: Sequence[MultipathComponent]) -> Condition:
-    """Propagation condition from interaction tags alone.
+class PathTable:
+    """Paths as read-only columns, checked once when built.
+
+    Powers are in dBm, with the linear milliwatts every statistic uses
+    computed once (``power_mw``). Azimuths live in (-180, 180], elevations
+    in [-90, 90], delays are strictly positive nanoseconds. ``interactions``
+    holds one :func:`interaction_code` per path, with "L" (direct) always alone.
+    """
+
+    __slots__ = (*FLOAT_COLUMNS, "interactions", "power_mw")
+
+    def __init__(self, power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg,
+                 interactions, where=lambda i: f"path {i}"):
+        """Check copies of the columns; tags may carry spaces around them, and
+        ``where(i)`` names row ``i`` in error messages."""
+        cols = [np.array(c, dtype=float) for c in
+                (power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg)]
+        distinct, inverse = np.unique(np.asarray(interactions, dtype=str), return_inverse=True)
+        codes = []
+        for j, code in enumerate(distinct.tolist()):
+            tags = [t.strip() for t in code.split("+")] if code.strip() else []
+            unknown = [t for t in tags if t not in _TAG_CODES]
+            if unknown or not tags or (_DIRECT in tags and tags != [_DIRECT]):
+                row = where(int(np.argmax(inverse == j)))
+                if unknown:
+                    raise DatasetFormatError(f"{row}: unknown interaction tag {unknown[0]!r}")
+                raise DatasetValidationError(f"{row}: interactions must be non-empty, Direct alone")
+            codes.append("+".join(tags))
+
+        power, delay, aod_az, aod_el, aoa_az, aoa_el = cols
+        azimuth, elevation = "in (-180, 180]", "in [-90, 90]"
+        checks = [  # (rows that pass, rule), one per float column
+            (np.isfinite(power) & (power < _MAX_POWER_DBM), "finite and below 3000 dBm"),
+            ((delay > 0.0) & np.isfinite(delay), "> 0"),
+            ((aod_az > -180.0) & (aod_az <= 180.0), azimuth),
+            ((aod_el >= -90.0) & (aod_el <= 90.0), elevation),
+            ((aoa_az > -180.0) & (aoa_az <= 180.0), azimuth),
+            ((aoa_el >= -90.0) & (aoa_el <= 90.0), elevation),
+        ]
+        good = np.logical_and.reduce([ok for ok, _ in checks])
+        if not good.all():
+            i = int(np.argmin(good))
+            k = next(k for k, (ok, _) in enumerate(checks) if not ok[i])
+            raise DatasetValidationError(
+                f"{where(i)}: {FLOAT_COLUMNS[k]}={float(cols[k][i])!r}, must be {checks[k][1]}"
+            )
+        cols.append(np.array(codes, dtype=str)[inverse])
+        cols.append(np.fromiter(map(dbm_to_mw, map(float, power)), dtype=float, count=len(power)))
+        for name, col in zip(self.__slots__, cols):
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    def __getitem__(self, rows: slice) -> PathTable:
+        """A read-only view of a slice of rows, not checked again."""
+        out = object.__new__(PathTable)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.power_dbm)
+
+    def __iter__(self):
+        columns = [getattr(self, name).tolist() for name in FLOAT_COLUMNS]
+        for *values, code in zip(*columns, self.interactions.tolist()):
+            yield MultipathComponent(*values, tuple(map(Interaction, code.split("+"))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathTable):
+            return NotImplemented
+        names = (*FLOAT_COLUMNS, "interactions")
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
+
+
+def classify(paths: PathTable) -> Condition:
+    """Propagation condition from the interaction codes alone.
 
     LOS when a pure direct path is present, DS when every path involves
     diffuse scattering, Outage when there are no paths, NLOS otherwise.
     """
     if len(paths) == 0:
         return Condition.OUTAGE
-    if any(p.is_direct() for p in paths):
+    if (paths.interactions == _DIRECT).any():
         return Condition.LOS
-    if all(Interaction.DIFFUSE_SCATTER in p.interactions for p in paths):
+    if all(Interaction.DIFFUSE_SCATTER.value in code for code in paths.interactions.tolist()):
         return Condition.DS
     return Condition.NLOS
 
 
 @dataclass(frozen=True, slots=True)
 class RxRecord:
-    """A receiver position with its path list and propagation condition."""
+    """A receiver position with its paths and propagation condition."""
 
     rx_id: int
     position_m: tuple[float, float, float]
     distance_3d_m: float
-    paths: tuple[MultipathComponent, ...]
+    paths: PathTable
     condition: Condition
 
     def __post_init__(self):
@@ -136,7 +202,7 @@ class RxRecord:
 
     @property
     def total_power_mw(self) -> float:
-        return math.fsum(p.power_mw for p in self.paths)
+        return math.fsum(self.paths.power_mw.tolist())
 
 
 def make_record(
@@ -145,11 +211,25 @@ def make_record(
     tx_position_m: Sequence[float],
     paths: Iterable[MultipathComponent],
 ) -> RxRecord:
-    """Build a record with the distance and condition derived, not trusted."""
-    pos = tuple(float(v) for v in position_m)
-    dist = math.dist(pos, tuple(float(v) for v in tx_position_m))
-    paths = tuple(paths)
-    return RxRecord(rx_id, pos, dist, paths, classify(paths))
+    """Build a record from path rows, checked as a table; the distance and
+    condition are derived, not trusted."""
+    rows = list(paths)
+    table = PathTable(*([getattr(r, name) for r in rows] for name in FLOAT_COLUMNS),
+                      [interaction_code(r.interactions) for r in rows], lambda i: f"rx {rx_id}")
+    return records_from_table([rx_id], [position_m], tx_position_m, table, [len(rows)])[0]
+
+
+def records_from_table(rx_ids, positions, tx_position_m, paths: PathTable, counts) -> tuple[RxRecord, ...]:
+    """Records whose paths are consecutive slices of one table: the first
+    ``counts[0]`` rows belong to the first record, and so on."""
+    tx = tuple(float(v) for v in tx_position_m)
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    records = []
+    for rx_id, pos, lo, hi in zip(rx_ids, positions, [0, *ends], ends):
+        pos = tuple(float(v) for v in pos)
+        view = paths[lo:hi]
+        records.append(RxRecord(rx_id, pos, math.dist(pos, tx), view, classify(view)))
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -169,7 +249,7 @@ class ScenarioDataset:
                 raise DatasetValidationError(f"duplicate rx_id {rec.rx_id}")
             seen.add(rec.rx_id)
             d = math.dist(rec.position_m, self.tx_position_m)
-            if abs(d - rec.distance_3d_m) > 1e-6:
+            if not abs(d - rec.distance_3d_m) <= 1e-6:  # also rejects a non-finite distance
                 raise DatasetValidationError(
                     f"rx {rec.rx_id}: distance_3d_m {rec.distance_3d_m} != TX-RX distance {d}"
                 )
@@ -178,33 +258,14 @@ class ScenarioDataset:
         return [r for r in self.records if r.condition is condition]
 
 
-CSV_COLUMNS = (
-    "rx_id",
-    "rx_x_m",
-    "rx_y_m",
-    "rx_z_m",
-    "power_dbm",
-    "delay_ns",
-    "aod_az_deg",
-    "aod_el_deg",
-    "aoa_az_deg",
-    "aoa_el_deg",
-    "interactions",
-)
+CSV_COLUMNS = ("rx_id", "rx_x_m", "rx_y_m", "rx_z_m", *FLOAT_COLUMNS, "interactions")
 
-_NEG_INF_TOKEN = "-INF"
+# Rows parsed at a time; bounds the CSV tokens held in memory at once.
+_CHUNK_ROWS = 2048
 
 
 def meta_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _interactions_str(path: MultipathComponent) -> str:
-    return "+".join(tag.value for tag in path.interactions)
 
 
 def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
@@ -214,26 +275,13 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for rec in ds.records:
-            x, y, z = (_fmt(v) for v in rec.position_m)
+            x, y, z = (format_float(v) for v in rec.position_m)
             if not rec.paths:
-                w.writerow([rec.rx_id, x, y, z, _NEG_INF_TOKEN, "0.0", "0.0", "0.0", "0.0", "0.0", ""])
+                w.writerow([rec.rx_id, x, y, z, format_float(-math.inf), *["0.0"] * 5, ""])
                 continue
-            for p in rec.paths:
-                w.writerow(
-                    [
-                        rec.rx_id,
-                        x,
-                        y,
-                        z,
-                        _fmt(p.power_dbm),
-                        _fmt(p.delay_ns),
-                        _fmt(p.aod_az_deg),
-                        _fmt(p.aod_el_deg),
-                        _fmt(p.aoa_az_deg),
-                        _fmt(p.aoa_el_deg),
-                        _interactions_str(p),
-                    ]
-                )
+            columns = [map(format_float, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
+            w.writerows(zip(repeat(rec.rx_id), repeat(x), repeat(y), repeat(z), *columns,
+                            rec.paths.interactions.tolist()))
     meta = {
         "scenario_name": ds.scenario_name,
         "tx_position_m": list(ds.tx_position_m),
@@ -245,33 +293,25 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    if token.strip().upper() in ("-INF", "-INFINITY"):
-        return -math.inf
+def _parse_column(tokens: Sequence[str], kind: type, name: str, lines: Sequence[int]) -> list:
+    """Parse one CSV column with ``int`` or ``float``; errors name the first bad line."""
     try:
-        return float(token)
+        return list(map(kind, tokens))
     except ValueError:
-        raise DatasetFormatError(f"line {line_no}: bad {column} value {token!r}") from None
-
-
-def _parse_interactions(token: str, line_no: int) -> tuple[Interaction, ...]:
-    token = token.strip()
-    if not token:
-        return ()
-    tags = []
-    for part in token.split("+"):
-        try:
-            tags.append(Interaction(part.strip()))
-        except ValueError:
-            raise DatasetFormatError(f"line {line_no}: unknown interaction tag {part!r}") from None
-    return tuple(tags)
+        for line, token in zip(lines, tokens):
+            try:
+                kind(token)
+            except ValueError:
+                raise DatasetFormatError(f"line {line}: bad {name} value {token!r}") from None
+        raise
 
 
 def load_dataset(path: str | Path) -> ScenarioDataset:
     """Read a dataset CSV + sidecar, recomputing every record's condition.
 
     Any condition column in third-party exports is ignored; classification is
-    always recomputed from the interaction tags.
+    always recomputed from the interaction tags. Rows of one receiver need
+    not be adjacent; its paths keep their file order.
     """
     from .linksim import LinkBudget
 
@@ -283,64 +323,89 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
         raise DatasetFormatError(f"missing sidecar {mpath.name} next to {path.name}")
     try:
         meta = json.loads(mpath.read_text())
+        if not isinstance(meta, dict):
+            raise TypeError("expected a JSON object")
         scenario_name = str(meta["scenario_name"])
         tx = tuple(float(v) for v in meta["tx_position_m"])
         budget = LinkBudget.from_dict(meta.get("link_budget", {}))
         provenance = Provenance(meta.get("provenance", "Ingested"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DatasetFormatError(f"{mpath.name}: {exc}") from None
-    if len(tx) != 3:
-        raise DatasetFormatError(f"{mpath.name}: tx_position_m must have 3 entries")
+    if len(tx) != 3 or not all(map(math.isfinite, tx)):
+        raise DatasetFormatError(f"{mpath.name}: tx_position_m must be 3 finite numbers, got {tx}")
 
-    order: list[int] = []
-    positions: dict[int, tuple[float, float, float]] = {}
-    paths_by_rx: dict[int, list[MultipathComponent]] = {}
-    outage_rx: set[int] = set()
+    ids, positions, counts, columns, where = _load_rows(path)
+    records = records_from_table(ids, positions, tx, PathTable(*columns, where), counts)
+    return ScenarioDataset(scenario_name, tx, budget, records, provenance)
 
+
+def _load_rows(path: Path):
+    """Parse and check the CSV rows, in chunks.
+
+    Returns the records' rx ids, positions and path counts, the table columns
+    with the path rows grouped by record (file order within a record), and a
+    function naming the line and rx of a table row.
+    """
+    ncol = len(CSV_COLUMNS)
+    lines, rx_ids, is_path = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
+    tags = [np.empty(0, str)]
+    numbers = [np.empty((9, 0))]  # x, y, z, power, then path fields, which outage rows leave NaN
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("line 1: empty file, expected header") from None
-        if tuple(h.strip() for h in header[: len(CSV_COLUMNS)]) != CSV_COLUMNS:
-            raise DatasetFormatError("line 1: unexpected header columns")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(CSV_COLUMNS):
-                raise DatasetFormatError(f"line {line_no}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-            try:
-                rx_id = int(row[0])
-            except ValueError:
-                raise DatasetFormatError(f"line {line_no}: bad rx_id {row[0]!r}") from None
-            pos = tuple(_parse_float(row[i], line_no, CSV_COLUMNS[i]) for i in (1, 2, 3))
-            if rx_id not in positions:
-                positions[rx_id] = pos
-                paths_by_rx[rx_id] = []
-                order.append(rx_id)
-            elif positions[rx_id] != pos:
-                raise DatasetValidationError(f"rx {rx_id}: inconsistent positions across rows")
-            power = _parse_float(row[4], line_no, "power_dbm")
-            tags = _parse_interactions(row[10], line_no)
-            if not tags:
-                if power != -math.inf:
-                    raise DatasetFormatError(
-                        f"line {line_no}: empty interactions requires power_dbm = -INF"
-                    )
-                outage_rx.add(rx_id)
-                continue
-            values = tuple(_parse_float(row[i], line_no, CSV_COLUMNS[i]) for i in range(5, 10))
-            try:
-                comp = MultipathComponent(power, *values, interactions=tags)
-            except DatasetValidationError as exc:
-                raise DatasetValidationError(f"rx {rx_id}: {exc}") from None
-            paths_by_rx[rx_id].append(comp)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetFormatError("line 1: empty file, expected header")
+            if tuple(h.strip() for h in header[:ncol]) != CSV_COLUMNS:
+                raise DatasetFormatError("line 1: unexpected header columns")
+            numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
+            while chunk := list(islice(numbered, _CHUNK_ROWS)):
+                for line, row in chunk:
+                    if len(row) < ncol:
+                        raise DatasetFormatError(f"line {line}: expected {ncol} columns, got {len(row)}")
+                chunk_lines, rows = zip(*chunk)
+                cols = list(zip(*rows))  # zip stops at the shortest row: extra columns drop out
+                rx_ids.append(np.array(_parse_column(cols[0], int, "rx_id", chunk_lines)))
+                has_path = np.array([bool(t.strip()) for t in cols[10]])
+                block = np.full((9, len(rows)), math.nan)
+                for c in range(1, 10):
+                    mask = has_path if c > 4 else np.ones(len(rows), dtype=bool)
+                    block[c - 1, mask] = _parse_column(list(compress(cols[c], mask)), float,
+                                                       CSV_COLUMNS[c], list(compress(chunk_lines, mask)))
+                numbers.append(block)
+                lines.append(np.array(chunk_lines))
+                is_path.append(has_path)
+                tags.append(np.array(cols[10], dtype=str))
+        except csv.Error as exc:
+            raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    x, y, z, power, *values = np.concatenate(numbers, axis=1)
+    del numbers
+    # rx ids too large for int64 make an object array of Python ints
+    lines, rx_ids, is_path, tags = map(np.concatenate, (lines, rx_ids, is_path, tags))
 
-    records = []
-    for rx_id in order:
-        paths = paths_by_rx[rx_id]
-        if rx_id in outage_rx and paths:
-            raise DatasetValidationError(f"rx {rx_id}: outage row mixed with path rows")
-        records.append(make_record(rx_id, positions[rx_id], tx, paths))
-    return ScenarioDataset(scenario_name, tx, budget, tuple(records), provenance)
+    def reject(bad: np.ndarray, error: type, message: str) -> None:
+        """Raise for the first flagged row, named by its line and rx id."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(f"line {lines[i]}: rx {rx_ids[i]}: {message}")
+
+    pos = np.stack([x, y, z], axis=1)
+    reject(~np.isfinite(pos).all(axis=1), DatasetValidationError, "non-finite position")
+    # records in order of first appearance; rec[i] is the record of row i
+    ids, first_row, inverse = np.unique(rx_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first_row)
+    ids, first_row, rec = ids[order].tolist(), first_row[order], np.argsort(order)[inverse]
+    reject((pos != pos[first_row][rec]).any(axis=1), DatasetValidationError,
+           "inconsistent positions across rows")
+    reject(~is_path & (power != -math.inf), DatasetFormatError,
+           "empty interactions requires power_dbm = -INF")
+    counts = np.bincount(rec[is_path], minlength=len(ids))
+    reject(~is_path & (counts[rec] > 0), DatasetValidationError, "outage row mixed with path rows")
+
+    rows = np.flatnonzero(is_path)
+    rows = rows[np.argsort(rec[rows], kind="stable")]
+    columns = [power[rows], *(v[rows] for v in values), tags[rows]]
+    return (ids, pos[first_row].tolist(), counts, columns,
+            lambda k: f"line {lines[rows[k]]}: rx {rx_ids[rows[k]]}")

@@ -34,10 +34,11 @@ from .geometry import (
 from .pathdata import (
     Interaction,
     MultipathComponent,
+    PathTable,
     Provenance,
-    RxRecord,
     ScenarioDataset,
-    classify,
+    interaction_code,
+    records_from_table,
 )
 
 
@@ -299,16 +300,28 @@ def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     return valid, lengths, points
 
 
-def _trace_batch(scene: Scene, rx: np.ndarray, budget, keep_points: bool):
-    """Trace all receivers in one pass; returns per-RX lists of path tuples."""
+def _path_table(scene: Scene, seq_idx: np.ndarray, columns, where) -> PathTable:
+    """Table of traced paths; each path's tags follow from its face sequence:
+    one reflection per face, or the direct path for the empty sequence."""
+    codes = np.array([
+        interaction_code([Interaction.REFLECT] * len(seq) or [Interaction.DIRECT])
+        for seq in reflection_sequences(scene.max_reflections)
+    ])
+    return PathTable(*columns, codes[seq_idx], where)
+
+
+def _trace_batch(scene: Scene, rx: np.ndarray, budget):
+    """Trace all receivers in one pass. Returns the receiver index, sequence
+    index and six path columns (FLOAT_COLUMNS order) of every kept path,
+    grouped by receiver and in face-sequence order within each receiver."""
     n = rx.shape[0]
     lam = scene.wavelength_m()
     base_gain = budget.tx_power_dbm + budget.gain_tx_dbi + budget.gain_rx_dbi
     box_min = np.array([b.min_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
 
-    out: list[list] = [[] for _ in range(n)]
-    for seq in reflection_sequences(scene.max_reflections):
+    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
+    for s, seq in enumerate(reflection_sequences(scene.max_reflections)):
         valid, lengths, points = _trace_sequence(scene, rx, seq)
         if not valid.any():
             continue
@@ -341,67 +354,55 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget, keep_points: bool):
         if not valid.any():
             continue
 
+        keep = np.flatnonzero(valid)
         delay_ns = lengths / SPEED_OF_LIGHT * 1e9
         aod_az, aod_el = spherical_angles_deg(points[:, 1, :] - points[:, 0, :])
         aoa_az, aoa_el = spherical_angles_deg(points[:, -2, :] - points[:, -1, :])
-        tags = (
-            (Interaction.DIRECT,) if k == 0 else tuple(Interaction.REFLECT for _ in range(k))
-        )
-        for i in np.nonzero(valid)[0]:
-            comp = MultipathComponent(
-                power_dbm=float(power_dbm[i]),
-                delay_ns=float(delay_ns[i]),
-                aod_az_deg=float(wrap_azimuth_deg(aod_az[i])),
-                aod_el_deg=float(aod_el[i]),
-                aoa_az_deg=float(wrap_azimuth_deg(aoa_az[i])),
-                aoa_el_deg=float(aoa_el[i]),
-                interactions=tags,
-            )
-            if keep_points:
-                out[i].append(TracedPath(seq, points[i].copy(), float(lengths[i]), comp))
-            else:
-                out[i].append(comp)
-    return out
-
-
-def _check_rx(scene: Scene, rx: np.ndarray) -> None:
-    scene._require_inside(rx, "RX")
+        found.append((keep, np.full(keep.size, s), power_dbm[keep], delay_ns[keep],
+                      wrap_azimuth_deg(aod_az[keep]), aod_el[keep],
+                      wrap_azimuth_deg(aoa_az[keep]), aoa_el[keep]))
+    columns = [np.concatenate(col) for col in zip(*found)]
+    order = np.argsort(columns[0], kind="stable")
+    return tuple(col[order] for col in columns)
 
 
 def trace_link(scene: Scene, rx: Sequence[float], budget) -> list[MultipathComponent]:
     """All specular multipath components reaching one receiver."""
-    rx_arr = np.asarray(rx, dtype=float)
-    _check_rx(scene, rx_arr)
-    return _trace_batch(scene, rx_arr[None, :], budget, keep_points=False)[0]
+    return [tp.component for tp in trace_link_paths(scene, rx, budget)]
 
 
 def trace_link_paths(scene: Scene, rx: Sequence[float], budget) -> list[TracedPath]:
-    """Like trace_link but retains reflection points for geometry checks."""
+    """Like trace_link but with each path's reflection points, for geometry checks."""
     rx_arr = np.asarray(rx, dtype=float)
-    _check_rx(scene, rx_arr)
-    return _trace_batch(scene, rx_arr[None, :], budget, keep_points=True)[0]
+    scene._require_inside(rx_arr, "RX")
+    _, seq_idx, *columns = _trace_batch(scene, rx_arr[None, :], budget)
+    seqs = reflection_sequences(scene.max_reflections)
+    out = []
+    paths = _path_table(scene, seq_idx, columns, lambda k: f"RX at {tuple(rx_arr.tolist())}")
+    for s, comp in zip(seq_idx.tolist(), paths):
+        _, lengths, points = _trace_sequence(scene, rx_arr[None, :], seqs[s])
+        out.append(TracedPath(seqs[s], points[0], float(lengths[0]), comp))
+    return out
 
 
 def trace_scenario(scene: Scene, budget, threads: int | None = None) -> ScenarioDataset:
     """Trace every grid receiver; deterministic, record order = grid order."""
     rx = scene.rx_grid
-    if threads is not None and threads > 1 and rx.shape[0] > 1:
-        chunks = np.array_split(np.arange(rx.shape[0]), min(threads * 4, rx.shape[0]))
+    n = rx.shape[0]
+    if threads is not None and threads > 1 and n > 1:
+        chunks = np.array_split(np.arange(n), min(threads * 4, n))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda idx: _trace_batch(scene, rx[idx], budget, False), chunks)
-            )
-        per_rx = [paths for part in parts for paths in part]
+            parts = list(pool.map(lambda idx: _trace_batch(scene, rx[idx], budget), chunks))
+        parts = [(idx[local], *rest) for idx, (local, *rest) in zip(chunks, parts)]
+        owner, seq_idx, *columns = (np.concatenate(col) for col in zip(*parts))
     else:
-        per_rx = _trace_batch(scene, rx, budget, keep_points=False)
+        owner, seq_idx, *columns = _trace_batch(scene, rx, budget)
 
+    paths = _path_table(scene, seq_idx, columns, lambda k: f"rx {owner[k]}")
     tx = tuple(float(v) for v in scene.tx_position_m)
-    records = []
-    for i, paths in enumerate(per_rx):
-        pos = tuple(float(v) for v in rx[i])
-        dist = math.dist(pos, tx)
-        records.append(RxRecord(i, pos, dist, tuple(paths), classify(paths)))
-    return ScenarioDataset(scene.name, tx, budget, tuple(records), Provenance.SYNTHETIC)
+    counts = np.bincount(owner, minlength=n)
+    records = records_from_table(range(n), rx.tolist(), tx, paths, counts)
+    return ScenarioDataset(scene.name, tx, budget, records, Provenance.SYNTHETIC)
 
 
 # --------------------------------------------------------------------------

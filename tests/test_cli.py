@@ -165,3 +165,37 @@ class TestPresets:
         main(["presets", "--out", str(a)])
         main(["presets", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestIngestSidecar:
+    HEADER = ("rx_id,rx_x_m,rx_y_m,rx_z_m,power_dbm,delay_ns,aod_az_deg,aod_el_deg,"
+              "aoa_az_deg,aoa_el_deg,interactions\n")
+    ROWS = ("0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,L\n"
+            "1,2.0,0.0,1.0,-56.0,8.0,0.0,0.0,0.0,0.0,L\n")
+
+    def write(self, tmp_path, budget, rows=ROWS):
+        p = tmp_path / "in.csv"
+        p.write_text(self.HEADER + rows)
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": budget}
+        (tmp_path / "in.meta.json").write_text(json.dumps(meta))
+        return p
+
+    def test_budget_number_as_string_extracts(self, tmp_path):
+        p = self.write(tmp_path, {"tx_power_dbm": "20"})
+        out = tmp_path / "params.csv"
+        assert main(["extract", "--in", str(p), "--out", str(out)]) == 0
+        label, a_db = read_rows(out)[1][:2]
+        assert label == "A_dB" and float(a_db) == pytest.approx(70.0)
+
+    def test_nan_bandwidth_rejected_by_rssi(self, tmp_path, capsys):
+        p = self.write(tmp_path, {"bandwidth_hz": float("nan")})
+        out = tmp_path / "rssi.csv"
+        assert main(["rssi", "--in", str(p), "--out", str(out)]) == 2
+        assert "in.meta.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_rx_coordinate_rejected_by_extract(self, tmp_path, capsys):
+        rows = self.ROWS + "2,nan,0.0,1.0,-60.0,9.0,0.0,0.0,0.0,0.0,L\n"
+        p = self.write(tmp_path, {}, rows)
+        assert main(["extract", "--in", str(p), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "line 4" in capsys.readouterr().err

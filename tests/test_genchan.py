@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,13 @@ def realized_rms_ds(real: ChannelRealization) -> float:
     return math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
+def same_realization(a: ChannelRealization, b: ChannelRealization) -> bool:
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(ChannelRealization)
+    )
+
+
 class TestRealizationInvariants:
     @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
     def test_invariants_over_seeds(self, condition):
@@ -57,18 +65,17 @@ class TestRealizationInvariants:
     def test_angles_within_domains(self):
         for seed in range(100):
             real = draw_realization(BL, Condition.LOS, rng_seed=seed)
-            for tap in real.taps:
-                assert -180.0 < tap.aod_az_deg <= 180.0
-                assert -180.0 < tap.aoa_az_deg <= 180.0
-                assert -90.0 <= tap.aod_el_deg <= 90.0
-                assert -90.0 <= tap.aoa_el_deg <= 90.0
+            for az in (real.aod_az_deg, real.aoa_az_deg):
+                assert np.all((-180.0 < az) & (az <= 180.0))
+            for el in (real.aod_el_deg, real.aoa_el_deg):
+                assert np.all((-90.0 <= el) & (el <= 90.0))
 
     def test_deterministic_given_seed(self):
         a = draw_realization(BL, Condition.LOS, n_taps=16, rng_seed=99)
         b = draw_realization(BL, Condition.LOS, n_taps=16, rng_seed=99)
-        assert a == b
+        assert same_realization(a, b)
         c = draw_realization(BL, Condition.LOS, n_taps=16, rng_seed=100)
-        assert a != c
+        assert not same_realization(a, c)
 
     def test_degenerate_sigma_ds_exact(self):
         ps = degenerate_preset(mu_ds=5.0, sigma_ds=0.0)
@@ -119,9 +126,7 @@ class TestNarrowbandGain:
     def test_infinite_kf_is_unit_magnitude(self):
         ps = degenerate_preset()
         real = draw_realization(ps, Condition.LOS, rng_seed=0)
-        real = ChannelRealization(
-            real.condition, real.taps, math.inf, real.sf_db, real.target_ds_ns, real.seed_used
-        )
+        real = dataclasses.replace(real, kf_db=math.inf)
         for seed in range(10):
             assert abs(abs(narrowband_gain(real, seed)) - 1.0) < 1e-12
 

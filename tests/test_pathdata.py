@@ -1,16 +1,21 @@
+import csv
+import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idschan.linksim import LinkBudget
 from idschan.pathdata import (
+    CSV_COLUMNS,
     Condition,
     DatasetFormatError,
     DatasetValidationError,
     Interaction,
     MultipathComponent,
+    PathTable,
     Provenance,
     RxRecord,
     ScenarioDataset,
@@ -42,18 +47,22 @@ def comp(tags, power=-50.0, delay=10.0, **kw):
     return MultipathComponent(**defaults)
 
 
+def table(*rows):
+    return make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), rows).paths
+
+
 class TestClassify:
     def test_direct_present_is_los(self):
-        assert classify([comp([L]), comp([R])]) is Condition.LOS
+        assert classify(table(comp([L]), comp([R]))) is Condition.LOS
 
     def test_no_direct_not_all_scatter_is_nlos(self):
-        assert classify([comp([R, R]), comp([D])]) is Condition.NLOS
+        assert classify(table(comp([R, R]), comp([D]))) is Condition.NLOS
 
     def test_all_paths_scattered_is_ds(self):
-        assert classify([comp([S]), comp([R, S])]) is Condition.DS
+        assert classify(table(comp([S]), comp([R, S]))) is Condition.DS
 
     def test_empty_is_outage(self):
-        assert classify([]) is Condition.OUTAGE
+        assert classify(table()) is Condition.OUTAGE
 
     @given(
         st.lists(
@@ -66,32 +75,65 @@ class TestClassify:
         paths = [comp(t) for t in tag_lists]
         shuffled = paths[:]
         rnd.shuffle(shuffled)
-        assert classify(paths) is classify(shuffled)
+        assert classify(table(*paths)) is classify(table(*shuffled))
 
 
 class TestComponentValidation:
+    """Rows are validated when they become a table, e.g. in make_record."""
+
     def test_nonpositive_delay_rejected(self):
+        with pytest.raises(DatasetValidationError, match="rx 4"):
+            make_record(4, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [comp([R], delay=-1.0)])
         with pytest.raises(DatasetValidationError):
-            comp([R], delay=-1.0)
-        with pytest.raises(DatasetValidationError):
-            comp([R], delay=0.0)
+            table(comp([R], delay=0.0))
 
     def test_azimuth_range(self):
         with pytest.raises(DatasetValidationError):
-            comp([R], aod_az_deg=-180.0)
-        assert comp([R], aod_az_deg=180.0).aod_az_deg == 180.0
+            table(comp([R], aod_az_deg=-180.0))
+        assert table(comp([R], aod_az_deg=180.0)).aod_az_deg[0] == 180.0
 
     def test_elevation_range(self):
         with pytest.raises(DatasetValidationError):
-            comp([R], aoa_el_deg=90.5)
+            table(comp([R], aoa_el_deg=90.5))
 
     def test_direct_must_be_alone(self):
         with pytest.raises(DatasetValidationError):
-            comp([L, R])
+            table(comp([L, R]))
 
     def test_empty_interactions_rejected(self):
         with pytest.raises(DatasetValidationError):
-            comp([])
+            table(comp([]))
+
+    def test_non_finite_values_rejected(self):
+        for bad in (dict(power=math.inf), dict(power=math.nan), dict(power=-math.inf),
+                    dict(delay=math.inf), dict(aoa_az_deg=math.nan), dict(aod_el_deg=math.nan)):
+            with pytest.raises(DatasetValidationError):
+                table(comp([R], **bad))
+
+    def test_power_whose_milliwatts_overflow_rejected(self):
+        with pytest.raises(DatasetValidationError, match="power_dbm"):
+            table(comp([R], power=4000.0))
+
+    def test_error_names_first_bad_row(self):
+        zeros = [0.0, 0.0, 0.0]
+        with pytest.raises(DatasetValidationError, match=r"path 1: delay_ns=-2\.0"):
+            PathTable([-50.0] * 3, [5.0, -2.0, 5.0], zeros, zeros, zeros, [0.0, 0.0, 91.0], ["R"] * 3)
+
+    def test_codes_canonical_and_rows_round_trip(self):
+        t = PathTable([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                      [0.0, 0.0], [" R + S", "L"])
+        assert t.interactions.tolist() == ["R+S", "L"]
+        assert list(t) == [comp([R, S], power=-50.0, delay=5.0, aod_az_deg=0.0, aod_el_deg=0.0,
+                                aoa_az_deg=0.0, aoa_el_deg=0.0),
+                           comp([L], power=-60.0, delay=6.0, aod_az_deg=0.0, aod_el_deg=0.0,
+                                aoa_az_deg=0.0, aoa_el_deg=0.0)]
+        assert t.power_mw.tolist() == [1e-05, 1e-06]
+
+    def test_columns_read_only(self):
+        t = table(comp([R]), comp([L]))
+        for view in (t, t[1:], t[::-1]):
+            with pytest.raises(ValueError):
+                view.delay_ns[0] = 1.0
 
 
 def small_dataset():
@@ -123,7 +165,7 @@ class TestRoundTrip:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert back.records[2].condition is Condition.OUTAGE
-        assert back.records[2].paths == ()
+        assert len(back.records[2].paths) == 0
 
     def test_empty_dataset_header_only(self, tmp_path):
         ds = ScenarioDataset("empty", (0, 0, 1), LinkBudget(), (), Provenance.SYNTHETIC)
@@ -239,6 +281,83 @@ class TestLoaderErrors:
         with pytest.raises(DatasetFormatError, match="line 2"):
             load_dataset(p)
 
+    def test_validation_error_names_line_and_rx(self, tmp_path):
+        body = (
+            "5,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+            "6,2.0,0.0,1.0,-50.0,5.0,0.0,95.0,0.0,0.0,R\n"
+        )
+        p = self.write(tmp_path, body)
+        with pytest.raises(DatasetValidationError, match="line 3: rx 6: aod_el_deg"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_rx_coordinate_names_line(self, tmp_path, token):
+        body = (
+            "0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+            f"1,{token},0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+        )
+        p = self.write(tmp_path, body)
+        with pytest.raises(DatasetValidationError, match="line 3: rx 1: non-finite position"):
+            load_dataset(p)
+
+    def test_non_finite_outage_coordinate_rejected(self, tmp_path):
+        p = self.write(tmp_path, "0,1.0,nan,1.0,-INF,0.0,0.0,0.0,0.0,0.0,\n")
+        with pytest.raises(DatasetValidationError, match="line 2"):
+            load_dataset(p)
+
+    def sidecar(self, tmp_path, meta):
+        p = self.write(tmp_path, "0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n", meta=False)
+        (tmp_path / "bad.meta.json").write_text(json.dumps(meta))
+        return p
+
+    @pytest.mark.parametrize("tx", [["inf", 1, 1], [0, float("nan"), 1], [0, 0, 1e999], [0, 0]])
+    def test_non_finite_sidecar_tx_names_sidecar(self, tmp_path, tx):
+        p = self.sidecar(tmp_path, {"scenario_name": "x", "tx_position_m": tx})
+        with pytest.raises(DatasetFormatError, match="bad.meta.json"):
+            load_dataset(p)
+
+    def test_budget_numbers_as_strings_coerced(self, tmp_path):
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1],
+                "link_budget": {"tx_power_dbm": "20", "bandwidth_hz": "1e9"}}
+        budget = load_dataset(self.sidecar(tmp_path, meta)).link_budget
+        assert budget == LinkBudget()
+        assert type(budget.tx_power_dbm) is float
+
+    @pytest.mark.parametrize("budget", [
+        {"bandwidth_hz": float("nan")},
+        {"tx_power_dbm": "abc"},
+        {"noise_figure_db": None},
+        {"gain_rx_dbi": float("inf")},
+        {"bandwidth_hz": 0},
+        [20.0],
+    ])
+    def test_bad_budget_names_sidecar(self, tmp_path, budget):
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": budget}
+        with pytest.raises(DatasetFormatError, match="bad.meta.json"):
+            load_dataset(self.sidecar(tmp_path, meta))
+
+    def test_sidecar_not_an_object(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="bad.meta.json"):
+            load_dataset(self.sidecar(tmp_path, ["x", [0, 0, 1]]))
+
+    def test_loaded_records_are_views_of_one_table(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(small_dataset(), path)
+        records = load_dataset(path).records
+        assert len({id(r.paths.delay_ns.base) for r in records if len(r.paths)}) == 1
+
+    def test_rows_of_one_rx_need_not_be_adjacent(self, tmp_path):
+        body = (
+            "4,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+            "2,2.0,0.0,1.0,-INF,0.0,0.0,0.0,0.0,0.0,\n"
+            "4,1.0,0.0,1.0,-40.0,3.0,0.0,0.0,0.0,0.0,L\n"
+        )
+        ds = load_dataset(self.write(tmp_path, body))
+        assert [r.rx_id for r in ds.records] == [4, 2]
+        assert ds.records[0].paths.power_dbm.tolist() == [-50.0, -40.0]
+        assert ds.records[0].condition is Condition.LOS
+        assert ds.records[1].condition is Condition.OUTAGE
+
 
 class TestDatasetInvariants:
     def test_duplicate_rx_id_rejected(self):
@@ -249,19 +368,19 @@ class TestDatasetInvariants:
 
     def test_distance_mismatch_rejected(self):
         tx = (0.0, 0.0, 1.0)
-        rec = RxRecord(0, (1.0, 0.0, 1.0), 2.0, (comp([R]),), Condition.NLOS)
+        rec = RxRecord(0, (1.0, 0.0, 1.0), 2.0, table(comp([R])), Condition.NLOS)
         with pytest.raises(DatasetValidationError, match="distance"):
             ScenarioDataset("d", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
 
     def test_condition_must_match_paths(self):
         with pytest.raises(DatasetValidationError, match="inconsistent"):
-            RxRecord(0, (1.0, 0.0, 1.0), 1.0, (comp([R]),), Condition.LOS)
+            RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(comp([R])), Condition.LOS)
 
     def test_outage_iff_no_paths(self):
         rec = make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [])
         assert rec.condition is Condition.OUTAGE
         with pytest.raises(DatasetValidationError):
-            RxRecord(0, (1.0, 0.0, 1.0), 1.0, (), Condition.NLOS)
+            RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(), Condition.NLOS)
 
 
 def test_power_dbm_mw_helpers():
@@ -271,3 +390,107 @@ def test_power_dbm_mw_helpers():
     assert math.isclose(dbm_to_mw(10.0), 10.0)
     assert mw_to_dbm(0.0) == -math.inf
     assert math.isclose(mw_to_dbm(dbm_to_mw(-37.25)), -37.25)
+
+
+# --------------------------------------------------------------------------
+# loader fuzz: every rejection is typed, every accepted value is finite
+# --------------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_NUMBER = st.one_of(
+    st.floats(-200.0, 200.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-INF", "1e999", "-0.0", " 1.5 ", "1_0", "", "abc", "0x10"]),
+    _TEXT,
+)
+_TAGS = st.one_of(
+    st.sampled_from(["L", "R", "R+R", "D+S", "S", " R + S ", "L+R", "R+", "Q", "l", ""]),
+    st.text(alphabet="LRDSQ+ ", max_size=6),
+)
+
+
+def _valid_row(rx, power, delay, az, el, tags):
+    # one position per rx id, so rows of an id agree unless a mutation says otherwise
+    return [str(rx), repr(1.0 + rx), "1.0", "1.0", repr(power), repr(delay),
+            repr(az), repr(el), repr(-az), repr(-el), tags]
+
+
+def _mutate(row, mutation, keep):
+    if mutation is not None:
+        index, token = mutation
+        row = row[:index] + [token] + row[index + 1:]
+    return row[:keep]
+
+
+_VALID_ROW = st.one_of(
+    st.builds(
+        _valid_row, st.integers(0, 4), st.floats(-100.0, -20.0), st.floats(0.1, 100.0),
+        st.floats(-179.0, 180.0), st.floats(-90.0, 90.0),
+        st.sampled_from(["L", "R", "R+R", "D", "D+S", "S", "S+R"]),
+    ),
+    st.integers(0, 4).map(lambda rx: [str(rx), repr(1.0 + rx), "1.0", "1.0", "-INF",
+                                      "0.0", "0.0", "0.0", "0.0", "0.0", ""]),
+)
+# a valid row with at most one token replaced, optionally cut short
+_ROW = st.builds(
+    _mutate, _VALID_ROW,
+    st.one_of(st.none(), st.tuples(st.integers(0, 12), st.one_of(_NUMBER, _TAGS))),
+    st.sampled_from([None, None, None, None, 0, 3, 10]),
+)
+_VALUE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(), _TEXT, st.none(),
+                   st.lists(st.one_of(st.floats(-5, 5), st.floats(allow_nan=True), _TEXT), max_size=4))
+_BUDGET_KEYS = ["tx_power_dbm", "bandwidth_hz", "noise_figure_db", "carrier_hz", "bogus"]
+_META = {"scenario_name": "x", "tx_position_m": [0.0, 0.0, 1.0], "provenance": "Ingested"}
+
+
+def _sidecar(mutation, keep):
+    meta = dict(_META)
+    if mutation is not None:
+        key, value = mutation
+        meta[key] = value
+    return json.dumps(meta)[:keep]
+
+
+# a valid sidecar with at most one value replaced, optionally cut short
+_SIDECAR = st.builds(
+    _sidecar,
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([*_META, "link_budget"]), _VALUE),
+        st.tuples(st.just("link_budget"),
+                  st.dictionaries(st.sampled_from(_BUDGET_KEYS), _VALUE, max_size=3)),
+    ),
+    st.sampled_from([None, None, None, None, 0, 1, 30, 60]),
+)
+
+
+def _assert_finite(ds):
+    assert all(math.isfinite(v) for v in ds.tx_position_m)
+    assert all(math.isfinite(v) for v in ds.link_budget.to_dict().values())
+    for rec in ds.records:
+        assert all(math.isfinite(v) for v in rec.position_m)
+        assert math.isfinite(rec.distance_3d_m)
+        for column in (rec.paths.power_dbm, rec.paths.delay_ns, rec.paths.aod_az_deg,
+                       rec.paths.aod_el_deg, rec.paths.aoa_az_deg, rec.paths.aoa_el_deg,
+                       rec.paths.power_mw):
+            assert np.isfinite(column).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW, max_size=6), sidecar=_SIDECAR,
+       raw=st.one_of(st.none(), st.binary(max_size=40)))
+def test_loader_fuzz_rejects_typed_and_accepts_only_finite(tmp_path_factory, rows, sidecar, raw):
+    d = tmp_path_factory.mktemp("fuzz")
+    path = d / "ds.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if raw is not None:
+        with open(path, "ab") as fh:
+            fh.write(raw)
+    (d / "ds.meta.json").write_text(sidecar, encoding="utf-8")
+    try:
+        ds = load_dataset(path)
+    except (DatasetFormatError, DatasetValidationError):
+        return
+    _assert_finite(ds)

@@ -320,6 +320,13 @@ class TestTraceScenario:
             assert rec.rx_id == i
             assert rec.position_m == tuple(scene.rx_grid[i])
 
+    def test_records_are_views_of_one_table(self):
+        scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=1)
+        ds = trace_scenario(scene, LinkBudget(), threads=2)
+        bases = {id(rec.paths.power_dbm.base) for rec in ds.records if len(rec.paths)}
+        assert len(bases) == 1
+        assert sum(len(rec.paths) for rec in ds.records) == len(ds.records[0].paths.power_dbm.base)
+
     def test_threads_do_not_change_output(self):
         scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=1)
         budget = LinkBudget()
