@@ -19,13 +19,12 @@ def main():
     ap.add_argument("--height", type=float, default=0.7)
     ap.add_argument("--out", default="out/rssi_map.csv")
     ap.add_argument("--max-reflections", type=int, default=3)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     layout = CabinLayout(rx_heights_m=(args.height,))
     scene = build_scenario(ScenarioPreset(args.preset), layout=layout,
                            max_reflections=args.max_reflections)
-    ds = trace_scenario(scene, LinkBudget(), threads=args.threads)
+    ds = trace_scenario(scene, LinkBudget())
     points = rssi_map(ds)
 
     out = Path(args.out)

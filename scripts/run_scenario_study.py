@@ -21,7 +21,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out/scenarios")
     ap.add_argument("--max-reflections", type=int, default=3)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--quick", action="store_true",
                     help="reduced grid (2 heights, 0.25 m lateral step)")
     args = ap.parse_args()
@@ -40,7 +39,7 @@ def main():
     for preset in ScenarioPreset:
         t0 = time.perf_counter()
         scene = build_scenario(preset, layout=layout, max_reflections=args.max_reflections)
-        ds = trace_scenario(scene, budget, threads=args.threads)
+        ds = trace_scenario(scene, budget)
         save_dataset(ds, outdir / f"{preset.value}.csv")
         summary = summarize(ds)
         param_sets.append(summary.params)

@@ -73,7 +73,7 @@ def cmd_trace(args) -> int:
     if args.sensitivity is not None:
         budget_kwargs["sensitivity_dbm"] = args.sensitivity
     budget = linksim.LinkBudget(**budget_kwargs)
-    ds = tracer.trace_scenario(scene, budget, threads=args.threads)
+    ds = tracer.trace_scenario(scene, budget)
     pathdata.save_dataset(ds, args.out)
     print(f"wrote {len(ds.records)} records to {args.out}")
     return 0
@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-reflections", type=int, default=None)
     p.add_argument("--sensitivity", type=float, default=None, help="path cull threshold, dBm")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: the trace runs on one thread")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("extract", help="fit channel parameters from a dataset CSV")

@@ -4,7 +4,9 @@ The cabin is a rectangular box with one material per face. Specular paths are
 enumerated exactly by mirroring the TX across face sequences up to a maximum
 reflection order. Blockers (seats, passengers) are axis-aligned boxes that act
 as perfect absorbers: any path segment passing through one is dropped, and no
-reflections off blocker faces are generated. Curved fuselages are approximated
+reflections off blocker faces are generated. The blocker test is
+``geometry.segments_hit_boxes`` with the blockers clustered once per scene for
+its broad phase; the trace runs on one thread. Curved fuselages are approximated
 by the box; only the material and occupancy axes of the scenario comparison
 are synthesized.
 """
@@ -15,7 +17,6 @@ import cmath
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,6 +26,7 @@ import numpy as np
 
 from .geometry import (
     SPEED_OF_LIGHT,
+    box_clusters,
     mirror_point,
     point_in_box,
     segments_hit_boxes,
@@ -319,6 +321,7 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget):
     base_gain = budget.tx_power_dbm + budget.gain_tx_dbi + budget.gain_rx_dbi
     box_min = np.array([b.min_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
+    clusters = box_clusters(box_min, box_max) if len(scene.blockers) > 0 else None
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(reflection_sequences(scene.max_reflections)):
@@ -332,7 +335,9 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget):
                 live = valid & ~blocked
                 if not live.any():
                     break
-                hits = segments_hit_boxes(points[live, j, :], points[live, j + 1, :], box_min, box_max)
+                hits = segments_hit_boxes(
+                    points[live, j, :], points[live, j + 1, :], box_min, box_max, clusters=clusters
+                )
                 blocked[live] |= hits
             valid &= ~blocked
         if not valid.any():
@@ -385,19 +390,11 @@ def trace_link_paths(scene: Scene, rx: Sequence[float], budget) -> list[TracedPa
     return out
 
 
-def trace_scenario(scene: Scene, budget, threads: int | None = None) -> ScenarioDataset:
-    """Trace every grid receiver; deterministic, record order = grid order."""
+def trace_scenario(scene: Scene, budget) -> ScenarioDataset:
+    """Trace every grid receiver on one thread; deterministic, record order = grid order."""
     rx = scene.rx_grid
     n = rx.shape[0]
-    if threads is not None and threads > 1 and n > 1:
-        chunks = np.array_split(np.arange(n), min(threads * 4, n))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: _trace_batch(scene, rx[idx], budget), chunks))
-        parts = [(idx[local], *rest) for idx, (local, *rest) in zip(chunks, parts)]
-        owner, seq_idx, *columns = (np.concatenate(col) for col in zip(*parts))
-    else:
-        owner, seq_idx, *columns = _trace_batch(scene, rx, budget)
-
+    owner, seq_idx, *columns = _trace_batch(scene, rx, budget)
     paths = _path_table(scene, seq_idx, columns, lambda k: f"rx {owner[k]}")
     tx = tuple(float(v) for v in scene.tx_position_m)
     counts = np.bincount(owner, minlength=n)

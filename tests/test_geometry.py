@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idschan.geometry import (
+    PARALLEL_EPS,
+    box_clusters,
     fold_elevation_deg,
     segments_hit_boxes,
     spherical_angles_deg,
@@ -85,9 +87,161 @@ class TestSegmentBoxHits:
     def test_diagonal_corner_clip(self):
         assert self.hit((0.5, 0.5, 1.5), (2.5, 2.5, 1.5))
 
+    def test_segment_in_face_plane_is_not_a_hit(self):
+        # lying in the min or the max face plane of an axis is touching, not a hit
+        assert not self.hit((0.0, 1.0, 1.5), (3.0, 1.0, 1.5))
+        assert not self.hit((0.0, 2.0, 1.5), (3.0, 2.0, 1.5))
+        assert not self.hit((1.5, 0.0, 1.0), (1.5, 3.0, 1.0))
+        assert not self.hit((1.5, 0.0, 2.0), (1.5, 3.0, 2.0))
+        assert not self.hit((1.0, 1.5, 0.0), (1.0, 1.5, 3.0))
+        assert not self.hit((2.0, 1.5, 0.0), (2.0, 1.5, 3.0))
+
+    def test_tiny_component_counts_as_parallel(self):
+        # box with its min y face at y = 0; |dy| <= PARALLEL_EPS means the
+        # segment is inside the y slab only strictly between the faces
+        bmin, bmax = np.array([[1.0, 0.0, 1.0]]), np.array([[2.0, 1.0, 2.0]])
+        cases = [(0.0, dy, False) for dy in (PARALLEL_EPS, -PARALLEL_EPS, 5e-324, 0.0)]
+        cases += [(-0.0, -0.0, False), (0.5, PARALLEL_EPS, True), (0.0, 2 * PARALLEL_EPS, True)]
+        for y0, dy, expected in cases:
+            got = segments_hit_boxes(np.array([[0.0, y0, 1.5]]), np.array([[3.0, y0 + dy, 1.5]]), bmin, bmax)
+            assert bool(got[0]) is expected, (y0, dy)
+
+    def test_crossing_exactly_through_an_edge_is_a_hit(self):
+        # the closed slab intervals meet in one point: tmin == tmax
+        assert self.hit((0.0, 2.0, 1.5), (2.0, 0.0, 1.5))
+        assert self.hit((0.0, 4.0, 1.5), (4.0, 0.0, 1.5))
+
     def test_no_boxes(self):
         out = segments_hit_boxes(
             np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 1.0]]),
             np.empty((0, 3)), np.empty((0, 3)),
         )
         assert not out[0]
+
+
+def dense_hits(p0, p1, box_min, box_max, eps=1e-9):
+    """Reference slab test on dense (S, M, 3) arrays, with the same face rule:
+    on an axis with |d| <= PARALLEL_EPS the segment is inside the slab only
+    strictly between its faces."""
+    d = p1 - p0
+    parallel = np.abs(d) <= PARALLEL_EPS
+    d_safe = np.where(parallel, PARALLEL_EPS, d)
+    with np.errstate(divide="ignore", over="ignore"):
+        t1 = (box_min[None, :, :] - p0[:, None, :]) / d_safe[:, None, :]
+        t2 = (box_max[None, :, :] - p0[:, None, :]) / d_safe[:, None, :]
+    inside = (box_min[None] < p0[:, None]) & (p0[:, None] < box_max[None])
+    parallel = parallel[:, None, :]
+    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    tmin, tmax = lo.max(axis=2), hi.min(axis=2)
+    return ((tmax >= tmin) & (tmax > eps) & (tmin < 1.0 - eps)).any(axis=1)
+
+
+def brute_force_outside(p0, p1, box_min, box_max, samples=2001):
+    """How far the segment keeps outside one box: the minimum over sampled t
+    of the largest per-axis distance outside (negative when inside), and the
+    bound on how much lower the true minimum can be between samples."""
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    pts = p0 + t * (p1 - p0)
+    outside = np.maximum(box_min - pts, pts - box_max).max(axis=1)
+    return outside.min(), np.abs(p1 - p0).max() / (samples - 1)
+
+
+# quarter-metre grid: exact in binary, so endpoints land exactly on faces
+GRID = st.integers(-8, 24).map(lambda k: k * 0.25)
+SPECIAL = st.sampled_from([0.0, -0.0, PARALLEL_EPS, -PARALLEL_EPS, 5e-324, 2 * PARALLEL_EPS])
+
+
+@st.composite
+def box_sets(draw):
+    """Random boxes on the grid, or seat-row lattices (optionally with an
+    overlapping second box per seat) of up to 144 boxes."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 40))
+        lo = np.array(draw(st.lists(GRID, min_size=3 * m, max_size=3 * m))).reshape(m, 3)
+        size = np.array(draw(st.lists(st.integers(1, 8), min_size=3 * m, max_size=3 * m)))
+        return lo, lo + 0.25 * size.reshape(m, 3)
+    rows, seats = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    pitch = draw(st.sampled_from([0.75, 1.0, 1.25]))
+    mins, maxs = [], []
+    for r in range(rows):
+        for s in range(seats):
+            mins.append((r * pitch, 0.5 * s, 0.0))
+            maxs.append((r * pitch + 0.5, 0.5 * s + 0.5, 1.25))
+    if draw(st.booleans()):
+        mins += [(x + 0.125, y + 0.125, 0.5) for x, y, _ in mins]
+        maxs += [(x - 0.125, y - 0.125, 1.5) for x, y, _ in maxs]
+    return np.array(mins), np.array(maxs)
+
+
+@st.composite
+def segment_sets(draw, box_min, box_max):
+    """Segments whose coordinates come from the grid, from box faces and
+    corners, or from signed zeros and tiny values; some components are
+    copied from p0 (axis-parallel), some segments have zero length, and some
+    pass exactly through a box corner, edge or face plane at t = 0.5."""
+    faces = np.stack([box_min, box_max])
+    coord = st.one_of(GRID, SPECIAL, st.floats(-3.0, 7.0))
+    step = st.integers(-4, 4).map(lambda k: k * 0.25)
+    out0, out1 = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        box = draw(st.integers(0, len(box_min) - 1))
+        corner = [faces[draw(st.integers(0, 1)), box, a] for a in range(3)]
+        if draw(st.integers(0, 3)) == 0:
+            v = [draw(step) for _ in range(3)]
+            out0.append([c - dv for c, dv in zip(corner, v)])
+            out1.append([c + dv for c, dv in zip(corner, v)])
+            continue
+        p0, p1 = [], []
+        for a in range(3):
+            p0.append(corner[a] if draw(st.booleans()) else draw(coord))
+            kind = draw(st.sampled_from(["free", "face", "same", "tiny"]))
+            if kind == "same":
+                p1.append(p0[a])
+            elif kind == "tiny":
+                p1.append(p0[a] + draw(SPECIAL))
+            elif kind == "face":
+                p1.append(faces[draw(st.integers(0, 1)), draw(st.integers(0, len(box_min) - 1)), a])
+            else:
+                p1.append(draw(coord))
+        out0.append(p0)
+        out1.append(p1 if draw(st.integers(0, 9)) else p0)
+    return np.array(out0), np.array(out1)
+
+
+class TestSegmentBoxHitsProperties:
+    @given(st.data())
+    def test_matches_dense_reference(self, data):
+        box_min, box_max = data.draw(box_sets())
+        p0, p1 = data.draw(segment_sets(box_min, box_max))
+        got = segments_hit_boxes(p0, p1, box_min, box_max)
+        assert np.array_equal(got, dense_hits(p0, p1, box_min, box_max))
+
+    @given(box_sets())
+    def test_clusters_cover_every_box_once(self, boxes):
+        box_min, box_max = boxes
+        clusters = box_clusters(box_min, box_max)
+        assert len(clusters.members) == math.isqrt(len(box_min))
+        seen = []
+        for c, (bmin, bmax) in enumerate(clusters.members):
+            assert np.all(clusters.lo[:, c, None] <= bmin) and np.all(bmax <= clusters.hi[:, c, None])
+            seen += list(zip(map(tuple, bmin[:, :, 0].T), map(tuple, bmax[:, :, 0].T)))
+        assert sorted(seen) == sorted(zip(map(tuple, box_min), map(tuple, box_max)))
+
+    @given(
+        st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+        st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3),
+        st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+    )
+    def test_matches_brute_force_clear_of_boundaries(self, lo_and_shift, size, ends):
+        box_min = np.array([lo_and_shift[:3], lo_and_shift[3:]])
+        box_max = box_min + np.array([size, size[::-1]])
+        p0, p1 = np.array([ends[:3]]), np.array([ends[3:]])
+        margin = 1e-6
+        expected = False
+        for bmin, bmax in zip(box_min, box_max):
+            outside, sampling = brute_force_outside(p0[0], p1[0], bmin, bmax)
+            if -margin <= outside <= sampling + margin:
+                return  # grazes a boundary: the brute force cannot decide
+            expected = expected or bool(outside < 0.0)
+        assert bool(segments_hit_boxes(p0, p1, box_min, box_max)[0]) is expected

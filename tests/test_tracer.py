@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -322,15 +323,20 @@ class TestTraceScenario:
 
     def test_records_are_views_of_one_table(self):
         scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=1)
-        ds = trace_scenario(scene, LinkBudget(), threads=2)
+        ds = trace_scenario(scene, LinkBudget())
         bases = {id(rec.paths.power_dbm.base) for rec in ds.records if len(rec.paths)}
         assert len(bases) == 1
         assert sum(len(rec.paths) for rec in ds.records) == len(ds.records[0].paths.power_dbm.base)
 
-    def test_threads_do_not_change_output(self):
-        scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=1)
+    def test_receiver_batches_do_not_change_output(self):
+        # each receiver's paths depend only on its own segments, not on which
+        # other receivers share a slab-test batch
+        scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=2)
         budget = LinkBudget()
-        assert trace_scenario(scene, budget) == trace_scenario(scene, budget, threads=3)
+        full = trace_scenario(scene, budget)
+        for idx in (np.arange(1, scene.rx_grid.shape[0], 3), np.array([5])):
+            part = trace_scenario(dataclasses.replace(scene, rx_grid=scene.rx_grid[idx]), budget)
+            assert [rec.paths for rec in part.records] == [full.records[i].paths for i in idx]
 
     def test_bl_los_ratio_strictly_between_0_and_1(self):
         scene = build_scenario(ScenarioPreset.BL, layout=small_layout(), max_reflections=0)
