@@ -4,10 +4,9 @@ reference, plus the Eb/N0 penalty of each cabin at the 1e-3 target.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
-from idschan.linksim import ber_sweep
+from idschan.linksim import ber_sweep, write_ber_csv
 from idschan.params import preset
 from idschan.pathdata import Condition
 
@@ -30,13 +29,7 @@ def main():
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["preset", "condition", "ebn0_db", "ber", "ci95", "n_bits"])
-        for ps in sets:
-            for pt in sweep.curves[ps.name]:
-                w.writerow([ps.name, args.cond, repr(pt.ebn0_db), repr(pt.ber),
-                            repr(pt.ci95), pt.n_bits])
+    write_ber_csv(sweep, out)
     print(f"wrote {out}")
 
     reference = sets[-1].name

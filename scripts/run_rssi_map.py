@@ -6,10 +6,9 @@ it to any heatmap tool pivoted on (x, y).
 """
 
 import argparse
-import csv
 from pathlib import Path
 
-from idschan.linksim import LinkBudget, rssi_map
+from idschan.linksim import LinkBudget, rssi_map, write_rssi_csv
 from idschan.tracer import CabinLayout, ScenarioPreset, build_scenario, trace_scenario
 
 
@@ -29,13 +28,7 @@ def main():
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"])
-        for p in points:
-            rssi = "-INF" if p.rssi_dbm == float("-inf") else repr(p.rssi_dbm)
-            snr = "-INF" if p.snr_db == float("-inf") else repr(p.snr_db)
-            w.writerow([p.rx_id, *[repr(v) for v in p.position_m], p.condition.value, rssi, snr])
+    write_rssi_csv(points, out)
     covered = [p for p in points if p.rssi_dbm > float("-inf")]
     print(f"{args.preset} at z={args.height} m: {len(covered)}/{len(points)} receivers covered")
     print(f"wrote {out}")

@@ -9,14 +9,12 @@ variable, then to a fixed constant.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import extract, genchan, linksim, params, pathdata, tracer
-from .pathdata import format_float
 
 DEFAULT_SEED = 12345
 
@@ -48,19 +46,10 @@ def _parse_ebn0(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def cmd_trace(args) -> int:
-    budget_kwargs = {}
+    budget_kwargs = {}  # the scene config's extras are link budget fields
     if args.scene:
-        scene, extras = tracer.scene_from_json(args.scene)
-        if "sensitivity_dbm" in extras:
-            budget_kwargs["sensitivity_dbm"] = extras["sensitivity_dbm"]
+        scene, budget_kwargs = tracer.scene_from_json(args.scene)
         if args.max_reflections is not None:
             scene = replace(scene, max_reflections=args.max_reflections)
     else:
@@ -107,13 +96,8 @@ def cmd_gen(args) -> int:
 def cmd_rssi(args) -> int:
     ds = pathdata.load_dataset(args.infile)
     points = linksim.rssi_map(ds)
-    rows = [
-        [p.rx_id, *map(format_float, p.position_m), p.condition.value,
-         format_float(p.rssi_dbm), format_float(p.snr_db)]
-        for p in points
-    ]
-    _write_csv(Path(args.out), ["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"], rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    linksim.write_rssi_csv(points, args.out)
+    print(f"wrote {len(points)} rows to {args.out}")
     return 0
 
 
@@ -128,19 +112,13 @@ def cmd_ber(args) -> int:
     sweep = linksim.ber_sweep(
         sets, cond, grid, args.bits, seed, block_bits=args.block_bits, threads=args.threads
     )
-    rows = []
-    for ps in sets:
-        for pt in sweep.curves[ps.name]:
-            rows.append(
-                [ps.name, cond.value, *map(format_float, (pt.ebn0_db, pt.ber, pt.ci95)), pt.n_bits]
-            )
-    _write_csv(Path(args.out), ["preset", "condition", "ebn0_db", "ber", "ci95", "n_bits"], rows)
+    linksim.write_ber_csv(sweep, args.out)
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             gap = sweep.gap_db(sets[i].name, sets[j].name, args.target_ber)
             shown = "unavailable" if gap is None else f"{gap:.2f} dB"
             print(f"gap at BER {args.target_ber:g}: {sets[i].name} vs {sets[j].name}: {shown}")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {sum(map(len, sweep.curves.values()))} rows to {args.out}")
     return 0
 
 
@@ -210,17 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (
-        pathdata.DatasetFormatError,
-        pathdata.DatasetValidationError,
-        tracer.GeometryError,
-        extract.FitError,
-        KeyError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (KeyError, ValueError, OSError) as exc:  # every error type of the package is a ValueError
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -162,8 +162,3 @@ def segments_hit_boxes(
             hit[seg[narrow.any(axis=0)]] = True
     return hit
 
-
-def point_in_box(point, box_min, box_max) -> bool:
-    """Closed-interval containment test (touching the surface counts)."""
-    p = np.asarray(point, dtype=float)
-    return bool(np.all(p >= np.asarray(box_min)) and np.all(p <= np.asarray(box_max)))

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .genchan import draw_fades
 from .params import ChannelParamSet
-from .pathdata import Condition, ScenarioDataset, mw_to_dbm
+from .pathdata import Condition, ScenarioDataset, format_float, mw_to_dbm, write_rows
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,15 @@ def rssi_map(ds: ScenarioDataset) -> list[RssiPoint]:
         rssi = mw_to_dbm(rec.total_power_mw) if rec.paths else -math.inf
         out.append(RssiPoint(rec.rx_id, rec.position_m, rec.condition, rssi, rssi - nf))
     return out
+
+
+def write_rssi_csv(points: Sequence[RssiPoint], path: str | Path) -> None:
+    """Plot-ready RSSI/SNR table, one row per receiver."""
+    write_rows(path, [["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"]] + [
+        [p.rx_id, *map(format_float, p.position_m), p.condition.value,
+         format_float(p.rssi_dbm), format_float(p.snr_db)]
+        for p in points
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -248,3 +258,12 @@ def ber_sweep(
         curves[ps.name] = tuple(points)
         monotone[ps.name] = tuple(_isotonic_nonincreasing(np.array([p.ber for p in points])))
     return BerSweep(condition, tuple(float(e) for e in ebn0_grid), curves, monotone)
+
+
+def write_ber_csv(sweep: BerSweep, path: str | Path) -> None:
+    """BER table, one row per (parameter set, Eb/N0 point)."""
+    write_rows(path, [["preset", "condition", "ebn0_db", "ber", "ci95", "n_bits"]] + [
+        [name, sweep.condition.value, *map(format_float, (pt.ebn0_db, pt.ber, pt.ci95)), pt.n_bits]
+        for name, curve in sweep.curves.items()
+        for pt in curve
+    ])

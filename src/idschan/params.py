@@ -11,13 +11,12 @@ the generator for how those are consumed).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .pathdata import Condition, format_float
+from .pathdata import Condition, format_float, write_rows
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,7 @@ def params_table(sets: Sequence[ChannelParamSet]) -> list[list[str]]:
 
 
 def write_params_csv(sets: Sequence[ChannelParamSet], path: str | Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(params_table(sets))
+    write_rows(path, params_table(sets))
 
 
 def write_ratios_csv(
@@ -186,8 +184,6 @@ def write_ratios_csv(
 ) -> None:
     """Condition-share table: one row per scenario, columns LOS/NLOS/DS/Outage."""
     conds = (Condition.LOS, Condition.NLOS, Condition.DS, Condition.OUTAGE)
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario"] + [c.value.lower() for c in conds])
-        for name, ratios in ratios_by_scenario:
-            w.writerow([name] + [format_float(ratios.get(c, 0.0)) for c in conds])
+    write_rows(path, [["scenario"] + [c.value.lower() for c in conds]] + [
+        [name] + [format_float(ratios.get(c, 0.0)) for c in conds] for name, ratios in ratios_by_scenario
+    ])

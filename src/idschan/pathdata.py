@@ -59,6 +59,12 @@ def format_float(x: float) -> str:
     return "-INF" if x == -math.inf else repr(float(x))
 
 
+def write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write a table of cells as CSV with Unix line ends, as every table writer does."""
+    with open(path, "w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def dbm_to_mw(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0)
 

@@ -17,7 +17,9 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +30,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     box_clusters,
     mirror_point,
-    point_in_box,
     segments_hit_boxes,
     spherical_angles_deg,
     wrap_azimuth_deg,
@@ -64,10 +65,10 @@ class Material:
 
     def __post_init__(self):
         if not self.is_pec:
-            if self.permittivity.real < 1.0:
-                raise ValueError(f"{self.name}: Re(eps) must be >= 1 for a dielectric")
-            if self.permittivity.imag > 0.0:
-                raise ValueError(f"{self.name}: loss must be stored as a negative imaginary part")
+            if not (1.0 <= self.permittivity.real < math.inf):
+                raise ValueError(f"{self.name}: Re(eps) must be finite and >= 1 for a dielectric")
+            if not (-math.inf < self.permittivity.imag <= 0.0):
+                raise ValueError(f"{self.name}: loss must be stored as a finite negative imaginary part")
 
 
 PEC_METAL = Material("metal_pec", 1.0 + 0.0j, 0.0, is_pec=True)
@@ -151,8 +152,9 @@ class Blocker:
     label: str = "Seat"
 
     def __post_init__(self):
-        if any(a >= b for a, b in zip(self.min_m, self.max_m)):
-            raise GeometryError(f"blocker min {self.min_m} not strictly below max {self.max_m}")
+        lo, hi = np.asarray(self.min_m, dtype=float), np.asarray(self.max_m, dtype=float)
+        if lo.shape != (3,) or hi.shape != (3,) or not np.all((-math.inf < lo) & (lo < hi) & (hi < math.inf)):
+            raise GeometryError(f"blocker min {self.min_m} not finite and strictly below max {self.max_m}")
 
 
 @dataclass(frozen=True)
@@ -173,42 +175,41 @@ class Scene:
         self.validate()
 
     def validate(self) -> None:
-        if self.carrier_hz <= 0:
-            raise GeometryError("carrier_hz must be positive")
-        if self.max_reflections < 0:
-            raise GeometryError("max_reflections must be >= 0")
+        if not (0.0 < self.carrier_hz < math.inf):
+            raise GeometryError(f"carrier_hz must be positive and finite, got {self.carrier_hz!r}")
+        if not isinstance(self.max_reflections, (int, np.integer)) or not (self.max_reflections >= 0):
+            raise GeometryError(f"max_reflections must be an integer >= 0, got {self.max_reflections!r}")
         if set(self.wall_materials) != set(FACES):
-            missing = set(FACES) - set(self.wall_materials)
-            raise GeometryError(f"wall_materials must cover all faces, missing {sorted(missing)}")
+            raise GeometryError(f"wall_materials must name exactly the faces {FACES}")
         dims = np.asarray(self.cabin_dims_m, dtype=float)
-        if np.any(dims <= 0):
-            raise GeometryError("cabin dimensions must be positive")
-        self._require_inside(np.asarray(self.tx_position_m), "TX")
-        rx = self.rx_grid
-        inside = np.all(rx > 0.0, axis=1) & np.all(rx < dims, axis=1)
-        if not inside.all():
-            i = int(np.nonzero(~inside)[0][0])
-            raise GeometryError(f"RX {i} at {tuple(rx[i])} is not strictly inside the cabin")
-        if self.blockers:
-            bmin = np.array([b.min_m for b in self.blockers])
-            bmax = np.array([b.max_m for b in self.blockers])
-            contained = np.all(rx[:, None, :] >= bmin[None], axis=2) & np.all(
-                rx[:, None, :] <= bmax[None], axis=2
-            )
-            if contained.any():
-                i, j = map(int, np.argwhere(contained)[0])
-                raise GeometryError(f"RX {i} lies inside blocker {self.blockers[j].label} {self.blockers[j].min_m}")
-        too_close = np.linalg.norm(rx - np.asarray(self.tx_position_m), axis=1) < 1e-9
+        if dims.shape != (3,) or not np.all((0.0 < dims) & (dims < math.inf)):
+            raise GeometryError(f"cabin_dims_m must be 3 positive finite lengths, got {self.cabin_dims_m}")
+        tx, rx = np.asarray(self.tx_position_m, dtype=float), self.rx_grid
+        if tx.shape != (3,) or rx.ndim != 2 or rx.shape[1] != 3 or len(rx) == 0:
+            raise GeometryError(f"TX must be one 3-D point, rx_grid non-empty (N, 3): {tx.shape}, {rx.shape}")
+        self._check_points(tx[None, :], "TX")
+        self._check_points(rx, "RX {}")
+        too_close = np.linalg.norm(rx - tx, axis=1) < 1e-9
         if too_close.any():
             raise GeometryError(f"RX {int(np.nonzero(too_close)[0][0])} coincides with the TX")
 
-    def _require_inside(self, p: np.ndarray, who: str) -> None:
+    def _check_points(self, points: np.ndarray, who: str) -> None:
+        """Require every (N, 3) point strictly inside the cabin and outside every
+        blocker's closed box; ``who.format(i)`` names point i in the error."""
         dims = np.asarray(self.cabin_dims_m, dtype=float)
-        if not (np.all(p > 0.0) and np.all(p < dims)):
-            raise GeometryError(f"{who} at {tuple(p)} is not strictly inside the cabin {tuple(dims)}")
-        for b in self.blockers:
-            if point_in_box(p, b.min_m, b.max_m):
-                raise GeometryError(f"{who} at {tuple(p)} lies inside blocker {b.label} {b.min_m}")
+        outside = ~(np.all(points > 0.0, axis=1) & np.all(points < dims, axis=1))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise GeometryError(f"{who.format(i)} at {tuple(points[i].tolist())} is not strictly "
+                                f"inside the cabin {tuple(dims.tolist())}")
+        if self.blockers:
+            boxes = np.array([(b.min_m, b.max_m) for b in self.blockers])  # (M, 2, 3)
+            contained = np.all(points[:, None] >= boxes[:, 0], axis=2) & np.all(points[:, None] <= boxes[:, 1], axis=2)
+            if contained.any():
+                i, j = map(int, np.argwhere(contained)[0])
+                b = self.blockers[j]
+                raise GeometryError(f"{who.format(i)} at {tuple(points[i].tolist())} lies inside "
+                                    f"blocker {b.label} {b.min_m}")
 
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
@@ -230,13 +231,8 @@ def reflection_sequences(max_order: int) -> list[tuple[str, ...]]:
     The empty sequence stands for the direct path. Order is deterministic:
     by reflection count, then lexicographic in FACES index.
     """
-    seqs: list[tuple[str, ...]] = [()]
-    for order in range(1, max_order + 1):
-        for combo in itertools.product(FACES, repeat=order):
-            if any(a == b for a, b in zip(combo, combo[1:])):
-                continue
-            seqs.append(combo)
-    return seqs
+    return [combo for order in range(max_order + 1) for combo in itertools.product(FACES, repeat=order)
+            if all(a != b for a, b in zip(combo, combo[1:]))]
 
 
 @dataclass(frozen=True)
@@ -379,7 +375,7 @@ def trace_link(scene: Scene, rx: Sequence[float], budget) -> list[MultipathCompo
 def trace_link_paths(scene: Scene, rx: Sequence[float], budget) -> list[TracedPath]:
     """Like trace_link but with each path's reflection points, for geometry checks."""
     rx_arr = np.asarray(rx, dtype=float)
-    scene._require_inside(rx_arr, "RX")
+    scene._check_points(rx_arr[None, :], "RX")
     _, seq_idx, *columns = _trace_batch(scene, rx_arr[None, :], budget)
     seqs = reflection_sequences(scene.max_reflections)
     out = []
@@ -424,6 +420,10 @@ _PRESET_WALLS = {
 }
 
 
+# Larger receiver grids are rejected so that no layout exhausts memory; the presets hold 2400.
+MAX_RECEIVERS = 100_000
+
+
 @dataclass(frozen=True)
 class CabinLayout:
     """Default cabin geometry: 12 rows x 6 seats, 2400 receivers.
@@ -450,6 +450,14 @@ class CabinLayout:
     rx_lateral_step_m: float = 0.1
     rx_lateral_margin_m: float = 0.05
 
+    def __post_init__(self):  # keeps rx_points() finite and bounded
+        if not (self.rx_lateral_step_m > 0.0):
+            raise GeometryError(f"rx_lateral_step_m must be positive, got {self.rx_lateral_step_m!r}")
+        lateral = abs((self.cabin_dims_m[1] - 2 * self.rx_lateral_margin_m) / self.rx_lateral_step_m) + 1
+        if not (1 <= self.rows <= MAX_RECEIVERS / max(len(self.rx_heights_m), 1) / lateral):
+            raise GeometryError(f"need rows >= 1 and at most {MAX_RECEIVERS} receivers, got rows={self.rows!r} "
+                                f"x {len(self.rx_heights_m)} heights x {lateral:g} lateral positions")
+
     def seat_centers_y(self) -> list[float]:
         if self.seats_per_row % 2:
             raise GeometryError("seats_per_row must be even (two banks)")
@@ -475,35 +483,24 @@ class CabinLayout:
         ]
         return np.array(pts, dtype=float)
 
+    def _blocker_per_seat(self, size_m, z0_m: float, material: Material, label: str) -> list[Blocker]:
+        sx, sy, sz = size_m
+        return [Blocker((x - sx / 2, y - sy / 2, z0_m), (x + sx / 2, y + sy / 2, z0_m + sz), material, label)
+                for x in self.row_x() for y in self.seat_centers_y()]
+
     def seat_blockers(self) -> list[Blocker]:
-        sx, sy, sz = self.seat_size_m
-        out = []
-        for x in self.row_x():
-            for y in self.seat_centers_y():
-                out.append(
-                    Blocker(
-                        (x - sx / 2, y - sy / 2, 0.0),
-                        (x + sx / 2, y + sy / 2, sz),
-                        NYLON,
-                        "Seat",
-                    )
-                )
-        return out
+        return self._blocker_per_seat(self.seat_size_m, 0.0, NYLON, "Seat")
 
     def human_blockers(self) -> list[Blocker]:
-        hx, hy, hz = self.human_size_m
-        out = []
-        for x in self.row_x():
-            for y in self.seat_centers_y():
-                out.append(
-                    Blocker(
-                        (x - hx / 2, y - hy / 2, self.human_z0_m),
-                        (x + hx / 2, y + hy / 2, self.human_z0_m + hz),
-                        HUMAN_SKIN,
-                        "Human",
-                    )
-                )
-        return out
+        return self._blocker_per_seat(self.human_size_m, self.human_z0_m, HUMAN_SKIN, "Human")
+
+
+def _layout_scene(layout: CabinLayout, tx_m=None, **scene_kwargs) -> Scene:
+    """The one place a Scene is assembled: cabin and receiver grid from the
+    layout, TX at ``tx_m`` or else at the layout's default position."""
+    tx_m = tx_m or (layout.tx_standoff_m, layout.tx_y_m, layout.tx_z_m)
+    return Scene(cabin_dims_m=layout.cabin_dims_m, tx_position_m=tx_m, rx_grid=layout.rx_points(),
+                 **scene_kwargs)
 
 
 def build_scenario(
@@ -521,14 +518,11 @@ def build_scenario(
     blockers = layout.seat_blockers()
     if preset is not ScenarioPreset.EM_V:
         blockers += layout.human_blockers()
-    tx = (layout.tx_standoff_m, layout.tx_y_m, layout.tx_z_m)
-    return Scene(
+    return _layout_scene(
+        layout,
         name=name or preset.value,
-        cabin_dims_m=layout.cabin_dims_m,
         wall_materials={f: wall for f in FACES},
         blockers=tuple(blockers),
-        tx_position_m=tx,
-        rx_grid=layout.rx_points(),
         carrier_hz=carrier_hz,
         max_reflections=max_reflections,
     )
@@ -538,88 +532,124 @@ def build_scenario(
 # JSON scene config
 # --------------------------------------------------------------------------
 
+# keys accepted in the config, in a material entry, in a blocker entry and in walls
+_SCENE_KEYS = frozenset({"name", "cabin_dims_m", "materials", "walls", "tx_m", "rx_grid", "blockers",
+                         "max_reflections", "carrier_hz", "sensitivity_dbm"})
+_MATERIAL_KEYS = frozenset({"pec", "eps_re", "eps_im", "thickness_cm"})
+_BLOCKER_KEYS = frozenset({"min_m", "max_m", "material", "label"})
+_WALL_KEYS = frozenset({"all", *FACES})
+# JSON rx_grid key -> the CabinLayout field it sets; its value takes the field's type
+_RX_GRID_FIELDS = {"rows": "rows", "heights_m": "rx_heights_m", "lateral_step_m": "rx_lateral_step_m",
+                   "lateral_margin_m": "rx_lateral_margin_m", "first_row_x_m": "first_row_x_m",
+                   "row_pitch_m": "row_pitch_m", "rx_offset_m": "rx_offset_m"}
+_LAYOUT_TYPES = {f.name: type(f.default) for f in fields(CabinLayout)}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+               list: "a list", tuple: "a non-empty list of finite numbers", 3: "a list of 3 finite numbers"}
 
-def _material_from_json(entry: dict, name: str) -> Material:
-    if entry.get("pec", False):
-        return Material(name, 1.0 + 0.0j, float(entry.get("thickness_cm", 0.0)), is_pec=True)
-    eps = complex(float(entry["eps_re"]), float(entry["eps_im"]))
-    return Material(name, eps, float(entry.get("thickness_cm", 0.0)))
+
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _coerce(value, kind, where: str):
+    """A JSON value as ``kind``: int, float (finite), bool, str, list, tuple (a
+    non-empty list of finite floats), 3 (a list of three), or a set of the keys
+    an object may have (dict: any keys). Errors name ``where``."""
+    if isinstance(kind, frozenset) or kind is dict:
+        ok = isinstance(value, dict)
+        for key in value if ok and kind is not dict else ():
+            if key not in kind:
+                raise GeometryError(f"unknown key {_at(where, key)} in scene config")
+    elif kind in (tuple, 3):
+        ok = isinstance(value, (list, tuple)) and len(value) > 0 and kind in (tuple, len(value))
+        value = tuple(_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(value)) if ok else value
+    elif kind in (int, float):
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and (
+            kind is int or -sys.float_info.max <= value <= sys.float_info.max)
+        value = kind(value) if ok else value
+    else:
+        ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok:
+        raise GeometryError(f"{where or 'scene config'} must be {_KIND_NAMES.get(kind, 'an object')}, "
+                            f"got {value!r}")
+    return value
+
+
+def _json_get(obj: dict, where: str, key: str, kind, default=...):
+    """``obj[key]`` as ``kind``, or ``default`` when absent; required without a default."""
+    if key in obj:
+        return _coerce(obj[key], kind, _at(where, key))
+    if default is ...:
+        raise GeometryError(f"{_at(where, key)} is missing")
+    return default
+
+
+@contextmanager
+def _located(where: str):
+    """Prefix a constructor's rejection with the JSON location it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise GeometryError(f"{where}: {exc}") from None
+
+
+def _material_from_json(entry, name: str) -> Material:
+    where = f"materials.{name}"
+    entry = _coerce(entry, _MATERIAL_KEYS, where)
+    pec = _json_get(entry, where, "pec", bool, False)
+    eps = 1.0 + 0.0j if pec else complex(
+        _json_get(entry, where, "eps_re", float), _json_get(entry, where, "eps_im", float))
+    thickness_cm = _json_get(entry, where, "thickness_cm", float, 0.0)
+    with _located(where):
+        return Material(name, eps, thickness_cm, is_pec=pec)
 
 
 def scene_from_json(source: str | Path | dict) -> tuple[Scene, dict]:
     """Build a Scene from a JSON config; returns (scene, extras).
 
     ``extras`` currently carries ``sensitivity_dbm`` when the config sets it,
-    so the caller can fold it into the link budget.
+    so the caller can fold it into the link budget. Unknown keys and malformed
+    values raise GeometryError naming their location, e.g. ``blockers[0].min_m``.
     """
     if isinstance(source, (str, Path)):
-        cfg = json.loads(Path(source).read_text())
-    else:
-        cfg = dict(source)
-
+        with _located(str(source)):
+            source = json.loads(Path(source).read_text())
+    cfg = _coerce(source, _SCENE_KEYS, "")
     materials = dict(MATERIALS)
-    for mname, mspec in cfg.get("materials", {}).items():
-        materials[mname] = _material_from_json(mspec, mname)
+    for mname, entry in _json_get(cfg, "", "materials", dict, {}).items():
+        materials[mname] = _material_from_json(entry, mname)
 
-    def lookup(mname: str) -> Material:
-        try:
-            return materials[mname]
-        except KeyError:
-            raise GeometryError(f"unknown material {mname!r} in scene config") from None
+    def material(obj: dict, where: str, key: str, default: Material) -> Material:
+        mname = _json_get(obj, where, key, str, None)
+        if mname is not None and mname not in materials:
+            raise GeometryError(f"unknown material {mname!r} at {_at(where, key)} in scene config")
+        return default if mname is None else materials[mname]
 
-    layout_kwargs = {}
-    rx_cfg = dict(cfg.get("rx_grid", {}))
-    if "rows" in rx_cfg:
-        layout_kwargs["rows"] = int(rx_cfg["rows"])
-    if "heights_m" in rx_cfg:
-        layout_kwargs["rx_heights_m"] = tuple(float(v) for v in rx_cfg["heights_m"])
-    if "lateral_step_m" in rx_cfg:
-        layout_kwargs["rx_lateral_step_m"] = float(rx_cfg["lateral_step_m"])
-    for key, attr in (
-        ("first_row_x_m", "first_row_x_m"),
-        ("row_pitch_m", "row_pitch_m"),
-        ("rx_offset_m", "rx_offset_m"),
-        ("lateral_margin_m", "rx_lateral_margin_m"),
-    ):
-        if key in rx_cfg:
-            layout_kwargs[attr] = float(rx_cfg[key])
+    rx_cfg = _json_get(cfg, "", "rx_grid", frozenset(_RX_GRID_FIELDS), {})
+    layout_kwargs = {field: _json_get(rx_cfg, "rx_grid", key, _LAYOUT_TYPES[field])
+                     for key, field in _RX_GRID_FIELDS.items() if key in rx_cfg}
     if "cabin_dims_m" in cfg:
-        layout_kwargs["cabin_dims_m"] = tuple(float(v) for v in cfg["cabin_dims_m"])
-    layout = CabinLayout(**layout_kwargs)
-
-    walls_cfg = cfg.get("walls", {})
-    default_wall = lookup(walls_cfg["all"]) if "all" in walls_cfg else PEC_METAL
-    wall_materials = {f: default_wall for f in FACES}
-    for face, mname in walls_cfg.items():
-        if face == "all":
-            continue
-        if face not in FACES:
-            raise GeometryError(f"unknown wall face {face!r}")
-        wall_materials[face] = lookup(mname)
+        layout_kwargs["cabin_dims_m"] = _json_get(cfg, "", "cabin_dims_m", 3)
+    with _located("rx_grid"):
+        layout = CabinLayout(**layout_kwargs)
 
     blockers = []
-    for b in cfg.get("blockers", []):
-        blockers.append(
-            Blocker(
-                tuple(float(v) for v in b["min_m"]),
-                tuple(float(v) for v in b["max_m"]),
-                lookup(b["material"]) if "material" in b else NYLON,
-                str(b.get("label", "Seat")),
-            )
-        )
+    for i, entry in enumerate(_json_get(cfg, "", "blockers", list, [])):
+        where = f"blockers[{i}]"
+        entry = _coerce(entry, _BLOCKER_KEYS, where)
+        corners = _json_get(entry, where, "min_m", 3), _json_get(entry, where, "max_m", 3)
+        mat, label = material(entry, where, "material", NYLON), _json_get(entry, where, "label", str, "Seat")
+        with _located(where):
+            blockers.append(Blocker(*corners, mat, label))
 
-    tx = tuple(float(v) for v in cfg.get("tx_m", (layout.tx_standoff_m, layout.tx_y_m, layout.tx_z_m)))
-    scene = Scene(
-        name=str(cfg.get("name", "custom")),
-        cabin_dims_m=layout.cabin_dims_m,
-        wall_materials=wall_materials,
+    walls = _json_get(cfg, "", "walls", _WALL_KEYS, {})
+    default_wall = material(walls, "walls", "all", PEC_METAL)
+    return _layout_scene(
+        layout,
+        tx_m=_json_get(cfg, "", "tx_m", 3, None),
+        name=_json_get(cfg, "", "name", str, "custom"),
+        wall_materials={f: material(walls, "walls", f, default_wall) for f in FACES},
         blockers=tuple(blockers),
-        tx_position_m=tx,
-        rx_grid=layout.rx_points(),
-        carrier_hz=float(cfg.get("carrier_hz", 28e9)),
-        max_reflections=int(cfg.get("max_reflections", 3)),
-    )
-    extras = {}
-    if "sensitivity_dbm" in cfg:
-        extras["sensitivity_dbm"] = float(cfg["sensitivity_dbm"])
-    return scene, extras
+        carrier_hz=_json_get(cfg, "", "carrier_hz", float, 28e9),
+        max_reflections=_json_get(cfg, "", "max_reflections", int, 3),
+    ), {k: _json_get(cfg, "", k, float) for k in ("sensitivity_dbm",) if k in cfg}

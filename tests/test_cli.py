@@ -80,6 +80,25 @@ class TestTraceExtract:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, location", [
+        ({"walls": ["metal_pec"]}, "walls"),
+        ({"tx_m": [0.2, 1.7]}, "tx_m"),
+        ({"rx_grid": {**SCENE_CFG["rx_grid"], "lateral_step_m": 0}}, "lateral_step_m"),
+        ({"rx_grid": [3, 0.7]}, "rx_grid"),
+        ({"blockers": [{"max_m": [3.0, 3.0, 1.3]}]}, "blockers[0].min_m"),
+        ({"carrier_hz": float("nan")}, "carrier_hz"),
+        ({"rx_grdi": {}}, "rx_grdi"),
+    ])
+    def test_malformed_scene_is_an_error_not_a_traceback(self, tmp_path, capsys, edit, location):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**SCENE_CFG, **edit}))
+        rc = main(["trace", "--scene", str(p), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and location in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestGen:
     def test_gen_round_trips_through_loader(self, tmp_path):

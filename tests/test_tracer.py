@@ -1,10 +1,16 @@
 import cmath
+import copy
 import dataclasses
+import json
 import math
+import re
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idschan.geometry import SPEED_OF_LIGHT
@@ -414,6 +420,12 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             Material("thin", 0.5 - 0.1j)
 
+    @pytest.mark.parametrize("eps", [complex(math.nan, -0.1), complex(2.0, math.nan),
+                                     complex(math.inf, -0.1), complex(2.0, -math.inf)])
+    def test_non_finite_permittivity_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            Material("bad", eps)
+
     def test_all_materials_present(self):
         assert set(MATERIALS) == {
             "metal_pec", "glass_carbon_composite", "human_skin", "nylon", "glass"
@@ -421,3 +433,248 @@ class TestSceneValidation:
         assert MATERIALS["human_skin"].permittivity == 19.3 - 19.5j
         assert MATERIALS["nylon"].permittivity == 3.01 - 0.021j
         assert MATERIALS["glass_carbon_composite"].permittivity == 4.50 - 0.05j
+
+
+class TestSceneValidationRejects:
+    """Scene and Blocker reject non-finite and wrongly shaped inputs, NaN included."""
+
+    def scene(self, **kwargs):
+        base = dict(name="box", cabin_dims_m=(5.0, 4.0, 3.0), wall_materials=pec_walls(), blockers=(),
+                    tx_position_m=(1.0, 2.0, 1.5), rx_grid=[(2.0, 2.0, 1.5)], max_reflections=0)
+        return Scene(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(carrier_hz=math.nan), "carrier_hz"),
+        (dict(carrier_hz=math.inf), "carrier_hz"),
+        (dict(carrier_hz=0.0), "carrier_hz"),
+        (dict(max_reflections=2.7), "max_reflections"),
+        (dict(max_reflections=-1), "max_reflections"),
+        (dict(cabin_dims_m=(5.0, math.nan, 3.0)), "cabin_dims_m"),
+        (dict(cabin_dims_m=(5.0, math.inf, 3.0)), "cabin_dims_m"),
+        (dict(cabin_dims_m=(5.0, 4.0)), "cabin_dims_m"),
+        (dict(tx_position_m=(1.0, math.nan, 1.5)), "TX"),
+        (dict(tx_position_m=(1.0, 2.0)), "TX"),
+        (dict(rx_grid=np.empty((0, 3))), "rx_grid"),
+        (dict(rx_grid=[(2.0, 2.0)]), "rx_grid"),
+        (dict(rx_grid=[(2.0, 2.0, 1.5), (2.0, math.inf, 1.5)]), "RX 1"),
+    ])
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(GeometryError, match=match):
+            self.scene(**kwargs)
+
+    def test_tx_inside_blocker_rejected(self):
+        with pytest.raises(GeometryError, match="TX .* inside blocker"):
+            self.scene(blockers=(Blocker((0.5, 1.5, 1.0), (1.5, 2.5, 2.0)),))
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((math.nan, 1.0, 0.0), (2.0, 2.0, 1.0)),
+        ((0.0, 1.0, 0.0), (2.0, math.inf, 1.0)),
+        ((0.0, 1.0), (2.0, 2.0)),
+        ((0.0, 1.0, 0.0), (0.0, 2.0, 1.0)),
+    ])
+    def test_blocker_rejected(self, lo, hi):
+        with pytest.raises(GeometryError, match="blocker"):
+            Blocker(lo, hi)
+
+    def test_trace_link_receiver_checked_like_the_grid(self):
+        scene = self.scene(blockers=(Blocker((2.5, 1.5, 1.0), (3.5, 2.5, 2.0)),))
+        for rx in ((math.nan, 2.0, 1.5), (3.5, 2.0, 1.5), (5.0, 2.0, 1.5)):
+            with pytest.raises(GeometryError, match="RX"):
+                trace_link(scene, rx, LinkBudget())
+
+    def test_layout_grid_bounded(self):
+        with pytest.raises(GeometryError, match="rx_lateral_step_m"):
+            CabinLayout(rx_lateral_step_m=0.0)
+        with pytest.raises(GeometryError, match="rows"):
+            CabinLayout(rx_lateral_step_m=1e-300)
+        with pytest.raises(GeometryError, match="rows"):
+            CabinLayout(rows=0)
+
+
+def _cfg(**top):
+    cfg = copy.deepcopy(TestSceneJson.CFG)
+    cfg.update(top)
+    return cfg
+
+
+def _edited(path, value=None, delete=False):
+    """A copy of TestSceneJson.CFG with the entry at ``path`` replaced or deleted."""
+    cfg = copy.deepcopy(TestSceneJson.CFG)
+    parent = reduce(getitem, path[:-1], cfg)
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+class TestSceneJsonRejects:
+    """Malformed configs raise GeometryError naming the offending key or location."""
+
+    @pytest.mark.parametrize("cfg, location", [
+        (_cfg(rx_grdi={"rows": 1}), "rx_grdi"),
+        (_edited(("rx_grid", "heights"), [0.7]), r"rx_grid\.heights"),
+        (_edited(("blockers", 0, "min_m"), [math.nan, 1.0, 0.0]), r"blockers\[0\]\.min_m"),
+        (_cfg(carrier_hz=math.nan), "carrier_hz"),
+        (_cfg(carrier_hz=math.inf), "carrier_hz"),
+        (_cfg(carrier_hz=-math.inf), "carrier_hz"),
+        (_cfg(max_reflections=2.7), "max_reflections"),
+        (_edited(("rx_grid", "lateral_step_m"), 0), "lateral_step_m"),
+        (_edited(("rx_grid", "lateral_step_m"), math.nan), "lateral_step_m"),
+        (_edited(("rx_grid", "rows"), 0), "rows"),
+        (_cfg(walls=["metal_pec"]), "walls"),
+        (_cfg(rx_grid=[2, 0.7]), "rx_grid"),
+        (_cfg(tx_m=[0.2, 1.7]), "tx_m"),
+        (_cfg(cabin_dims_m=[6.0, 4.0]), "cabin_dims_m"),
+        (_edited(("blockers", 0, "min_m"), None, delete=True), r"blockers\[0\]\.min_m"),
+        (_edited(("blockers", 0, "max_m"), [2.0, 1.5, 1.2]), r"blockers\[0\]"),
+        (_edited(("blockers", 0, "colour"), "red"), r"blockers\[0\]\.colour"),
+        (_edited(("materials", "foam", "sigma"), 1.0), r"materials\.foam\.sigma"),
+        (_edited(("materials", "foam", "eps_re"), 0.5), r"materials\.foam"),
+        (_edited(("materials", "foam", "eps_im"), None, delete=True), r"materials\.foam\.eps_im"),
+        (_edited(("walls", "sideways"), "foam"), r"walls\.sideways"),
+        (_edited(("blockers", 0, "material"), "vibranium"), r"blockers\[0\]\.material"),
+        (_edited(("rx_grid", "rows"), True), "rows"),
+        (_cfg(name=5), "name"),
+        (_cfg(sensitivity_dbm="-100"), "sensitivity_dbm"),
+    ])
+    def test_rejected_with_location(self, cfg, location):
+        with pytest.raises(GeometryError, match=location):
+            scene_from_json(cfg)
+
+    def test_file_with_nan_literal_rejected(self, tmp_path):
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(_cfg(carrier_hz=math.nan)))  # written as the NaN literal
+        with pytest.raises(GeometryError, match="carrier_hz"):
+            scene_from_json(p)
+
+    def test_tiny_lateral_step_rejected_before_building_the_grid(self):
+        with pytest.raises(GeometryError, match="receivers"):
+            scene_from_json(_edited(("rx_grid", "lateral_step_m"), 1e-300))
+
+    def test_every_rx_grid_key_sets_its_layout_field(self):
+        rx_grid = {"rows": 2, "heights_m": [0.7, 0.9], "lateral_step_m": 1.0, "lateral_margin_m": 0.5,
+                   "first_row_x_m": 2.0, "row_pitch_m": 1.5, "rx_offset_m": 0.5}
+        scene, _ = scene_from_json(_cfg(rx_grid=rx_grid, blockers=[]))
+        layout = CabinLayout(cabin_dims_m=(6.0, 4.0, 2.4), rows=2, rx_heights_m=(0.7, 0.9),
+                             rx_lateral_step_m=1.0, rx_lateral_margin_m=0.5, first_row_x_m=2.0,
+                             row_pitch_m=1.5, rx_offset_m=0.5)
+        assert np.array_equal(scene.rx_grid, layout.rx_points())
+
+    def test_same_scene_as_the_preset_builder(self):
+        # a config spelling out a preset's layout, walls and blockers gives the preset's scene
+        layout = CabinLayout(rows=2, rx_heights_m=(0.7,), rx_lateral_step_m=0.5, rx_lateral_margin_m=0.2)
+        preset = build_scenario(ScenarioPreset.BL, layout=layout, max_reflections=1)
+        cfg = {
+            "name": "BL", "max_reflections": 1, "walls": {"all": "metal_pec"},
+            "rx_grid": {"rows": 2, "heights_m": [0.7], "lateral_step_m": 0.5, "lateral_margin_m": 0.2},
+            "blockers": [{"min_m": list(b.min_m), "max_m": list(b.max_m),
+                          "material": b.material.name, "label": b.label} for b in preset.blockers],
+        }
+        scene, _ = scene_from_json(cfg)
+        assert np.array_equal(scene.rx_grid, preset.rx_grid)
+        assert (scene.name, scene.tx_position_m, scene.blockers, scene.wall_materials) == \
+            (preset.name, preset.tx_position_m, preset.blockers, preset.wall_materials)
+
+
+def _readme_scene_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Scene config (JSON)")[1].split("\n## ")[0]
+
+
+class TestReadmeSceneConfig:
+    def test_example_builds(self):
+        example = re.search(r"```json\n(.*?)```", _readme_scene_section(), re.S).group(1)
+        scene, extras = scene_from_json(json.loads(example))
+        assert scene.name == "my-cabin"
+        assert extras == {"sensitivity_dbm": -120.0}
+
+    def test_every_accepted_key_is_documented(self):
+        from idschan import tracer
+
+        documented = set(re.findall(r"`([a-z_]+)`", _readme_scene_section()))
+        accepted = (tracer._SCENE_KEYS | tracer._MATERIAL_KEYS | tracer._BLOCKER_KEYS
+                    | tracer._WALL_KEYS | set(tracer._RX_GRID_FIELDS) | set(tracer._RX_GRID_FIELDS.values()))
+        assert accepted <= documented
+
+
+# --------------------------------------------------------------------------
+# scene-config fuzz: every result is a finite Scene or a GeometryError
+# --------------------------------------------------------------------------
+
+_FUZZ_CFG = {
+    "name": "fuzz",
+    "cabin_dims_m": [6.0, 4.0, 2.4],
+    "materials": {"foam": {"eps_re": 1.5, "eps_im": -0.01, "thickness_cm": 1.0}, "steel": {"pec": True}},
+    "walls": {"all": "metal_pec", "floor": "foam", "left": "steel"},
+    "tx_m": [0.2, 1.7, 2.1],
+    "rx_grid": {"rows": 2, "heights_m": [0.7], "lateral_step_m": 1.0, "lateral_margin_m": 0.5,
+                "first_row_x_m": 2.0, "row_pitch_m": 1.5, "rx_offset_m": 0.75},
+    "blockers": [{"min_m": [2.0, 1.0, 0.0], "max_m": [2.5, 1.5, 1.2], "material": "nylon", "label": "Seat"}],
+    "max_reflections": 1,
+    "carrier_hz": 28e9,
+    "sensitivity_dbm": -100.0,
+}
+_FUZZ_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 2.7, 1e-300, 5e-324, 1e308, 10**400, -(10**400), True, False]),
+)
+_FUZZ_KEY = st.sampled_from(["rows", "min_m", "eps_re", "pec", "all", "floor", "foam", "nylon", "bogus", ""])
+_FUZZ_VALUE = st.recursive(
+    st.one_of(_FUZZ_NUMBER, st.none(), st.text(max_size=3),
+              st.sampled_from(["nylon", "foam", "steel", "metal_pec", "vibranium"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_FUZZ_KEY, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(cfg, path, op, key, value, length):
+    """Apply one edit at ``path``: set or delete it, add a key to an object, or resize a list."""
+    node = reduce(getitem, path, cfg)
+    if op == "set":
+        if not path:
+            return value
+        reduce(getitem, path[:-1], cfg)[path[-1]] = value
+    elif op == "delete" and path:
+        del reduce(getitem, path[:-1], cfg)[path[-1]]
+    elif op == "add" and isinstance(node, dict):
+        node[key] = value
+    elif op == "resize" and isinstance(node, list):
+        node[:] = (node * length)[:length] if node else [value] * length
+    return cfg
+
+
+def _assert_finite_scene(scene, extras):
+    assert isinstance(scene, Scene)
+    assert scene.rx_grid.ndim == 2 and scene.rx_grid.shape[1] == 3 and len(scene.rx_grid) > 0
+    assert np.isfinite(scene.rx_grid).all()
+    for point in (scene.cabin_dims_m, scene.tx_position_m,
+                  *(corner for b in scene.blockers for corner in (b.min_m, b.max_m))):
+        assert len(point) == 3 and all(math.isfinite(v) for v in point)
+    assert math.isfinite(scene.carrier_hz) and scene.carrier_hz > 0
+    assert isinstance(scene.max_reflections, int) and scene.max_reflections >= 0
+    assert set(scene.wall_materials) == set(FACES)
+    assert all(math.isfinite(v) for v in extras.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scene_json_fuzz_rejects_typed_and_accepts_only_finite(data):
+    cfg = copy.deepcopy(_FUZZ_CFG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_node_paths(cfg))))
+        cfg = _mutate(cfg, path, data.draw(st.sampled_from(["set", "set", "delete", "add", "resize"])),
+                      data.draw(_FUZZ_KEY), data.draw(_FUZZ_VALUE), data.draw(st.integers(0, 4)))
+    try:
+        scene, extras = scene_from_json(cfg)
+    except GeometryError:
+        return
+    _assert_finite_scene(scene, extras)
