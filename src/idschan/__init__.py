@@ -8,6 +8,7 @@ parameter tables, and evaluates RSSI and uncoded BPSK error rates.
 from .pathdata import (
     Condition,
     Interaction,
+    LinkBudget,
     MultipathComponent,
     PathTable,
     Provenance,
@@ -42,7 +43,7 @@ from .extract import (
     summarize,
 )
 from .genchan import ChannelRealization, draw_realization, narrowband_gain, realizations_to_dataset
-from .linksim import BerPoint, BerSweep, LinkBudget, ber_bpsk, ber_sweep, noise_floor, rssi_map
+from .linksim import BerPoint, BerSweep, ber_bpsk, ber_sweep, noise_floor, rssi_map
 
 __version__ = "0.1.0"
 

@@ -47,21 +47,16 @@ def _parse_ebn0(text: str) -> list[float]:
 
 
 def cmd_trace(args) -> int:
-    budget_kwargs = {}  # the scene config's extras are link budget fields
     if args.scene:
-        scene, budget_kwargs = tracer.scene_from_json(args.scene)
-        if args.max_reflections is not None:
-            scene = replace(scene, max_reflections=args.max_reflections)
+        scene, budget = tracer.scene_from_json(args.scene)
+    elif args.preset is not None:
+        scene, budget = tracer.build_scenario(tracer.ScenarioPreset(args.preset)), pathdata.LinkBudget()
     else:
-        if args.preset is None:
-            raise ValueError("trace needs --preset or --scene")
-        scene = tracer.build_scenario(
-            tracer.ScenarioPreset(args.preset),
-            max_reflections=3 if args.max_reflections is None else args.max_reflections,
-        )
+        raise ValueError("trace needs --preset or --scene")
+    if args.max_reflections is not None:
+        scene = replace(scene, max_reflections=args.max_reflections)
     if args.sensitivity is not None:
-        budget_kwargs["sensitivity_dbm"] = args.sensitivity
-    budget = linksim.LinkBudget(**budget_kwargs)
+        budget = replace(budget, sensitivity_dbm=args.sensitivity)
     ds = tracer.trace_scenario(scene, budget)
     pathdata.save_dataset(ds, args.out)
     print(f"wrote {len(ds.records)} records to {args.out}")
@@ -87,7 +82,7 @@ def cmd_gen(args) -> int:
         genchan.draw_realization(pset, cond, n_taps=args.taps, rng_seed=seed + i)
         for i in range(args.count)
     ]
-    ds = genchan.realizations_to_dataset(reals, f"{pset.name}-{cond.value}", linksim.LinkBudget())
+    ds = genchan.realizations_to_dataset(reals, f"{pset.name}-{cond.value}", pathdata.LinkBudget())
     pathdata.save_dataset(ds, args.out)
     print(f"wrote {args.count} realizations to {args.out}")
     return 0

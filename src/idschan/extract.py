@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathdata import Condition, Interaction, RxRecord, ScenarioDataset
+from .pathdata import Condition, Interaction, LinkBudget, RxRecord, ScenarioDataset
 from .params import ChannelParamSet, ConditionParams
 
 
@@ -48,23 +48,23 @@ class PathLossFit:
     n_points: int
 
 
-def path_loss_of(record: RxRecord, budget) -> float:
+def path_loss_of(record: RxRecord, budget: LinkBudget) -> float:
     """Loss in dB against the total (summed) received power of the record."""
     if not record.paths:
         raise NoPathError(f"rx {record.rx_id} is in outage, path loss undefined")
     rx_dbm = 10.0 * math.log10(record.total_power_mw)
-    return budget.tx_power_dbm + budget.gain_tx_dbi + budget.gain_rx_dbi - rx_dbm
+    return budget.lossless_rx_dbm - rx_dbm
 
 
-def fit_path_loss(ds: ScenarioDataset, condition: Condition, budget=None) -> PathLossFit:
-    """Ordinary least squares of PL over 10 log10(d); shadow fading is the
-    sample standard deviation (n-1 denominator) of the residuals."""
-    budget = budget or ds.link_budget
+def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
+    """Ordinary least squares of PL over 10 log10(d), against the dataset's own
+    link budget; shadow fading is the sample standard deviation (n-1
+    denominator) of the residuals."""
     records = ds.records_of(condition)
     if len(records) < 2:
         raise FitError(f"need >= 2 {condition.value} records, have {len(records)}")
     d = np.array([r.distance_3d_m for r in records])
-    pl = np.array([path_loss_of(r, budget) for r in records])
+    pl = np.array([path_loss_of(r, ds.link_budget) for r in records])
     x = 10.0 * np.log10(d)
     if np.ptp(x) < 1e-12:
         raise FitError(f"all {condition.value} records share one distance; fit is singular")
@@ -159,12 +159,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def _condition_block(ds: ScenarioDataset, condition: Condition, budget) -> ConditionParams | None:
+def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionParams | None:
     records = ds.records_of(condition)
     if not records:
         return None
     try:
-        fit = fit_path_loss(ds, condition, budget)
+        fit = fit_path_loss(ds, condition)
         a_db, b, sigma_sf = fit.a_db, fit.b, fit.sigma_sf_db
     except FitError:
         a_db = b = sigma_sf = None
@@ -202,7 +202,7 @@ def _condition_block(ds: ScenarioDataset, condition: Condition, budget) -> Condi
     )
 
 
-def summarize(ds: ScenarioDataset, budget=None) -> DatasetSummary:
+def summarize(ds: ScenarioDataset) -> DatasetSummary:
     """Parameter set plus condition shares for one dataset.
 
     LOS and NLOS get full statistics blocks (absent when no records fall in
@@ -212,13 +212,12 @@ def summarize(ds: ScenarioDataset, budget=None) -> DatasetSummary:
     """
     if not ds.records:
         raise ValueError("cannot summarize an empty dataset")
-    budget = budget or ds.link_budget
     counts = {c: len(ds.records_of(c)) for c in Condition}
     total = len(ds.records)
     ratios = {c: counts[c] / total for c in Condition}
     params = ChannelParamSet(
         name=ds.scenario_name,
-        los=_condition_block(ds, Condition.LOS, budget),
-        nlos=_condition_block(ds, Condition.NLOS, budget),
+        los=_condition_block(ds, Condition.LOS),
+        nlos=_condition_block(ds, Condition.NLOS),
     )
     return DatasetSummary(params=params, ratios=ratios, counts=counts)

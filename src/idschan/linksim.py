@@ -1,4 +1,4 @@
-"""Link budget, RSSI/SNR maps, and Monte-Carlo uncoded BPSK error rates.
+"""Noise floor, RSSI/SNR maps, and Monte-Carlo uncoded BPSK error rates.
 
 BER uses a flat-fading abstraction: one complex gain per block of bits, drawn
 from the generator's fading model with the K-factor redrawn per block from
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,40 +19,7 @@ import numpy as np
 
 from .genchan import draw_fades
 from .params import ChannelParamSet
-from .pathdata import Condition, ScenarioDataset, format_float, mw_to_dbm, write_rows
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmit/receive chain parameters, as finite floats; defaults are the 28 GHz cabin setup."""
-
-    tx_power_dbm: float = 20.0
-    gain_tx_dbi: float = 0.0
-    gain_rx_dbi: float = 0.0
-    noise_figure_db: float = 10.0
-    bandwidth_hz: float = 1e9
-    carrier_hz: float = 28e9
-    line_loss_db: float = 0.0
-    sensitivity_dbm: float = -120.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = float(getattr(self, f.name))
-            if not math.isfinite(value):
-                raise ValueError(f"link budget {f.name}={value!r} is not finite")
-            object.__setattr__(self, f.name, value)
-        if self.bandwidth_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("bandwidth and carrier frequency must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinkBudget":
-        if not isinstance(d, dict):
-            raise TypeError(f"link_budget must be a JSON object, got {d!r}")
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        return cls(**known)
+from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, write_rows
 
 
 def noise_floor(budget: LinkBudget) -> float:
@@ -101,7 +68,9 @@ class BerPoint:
     ci95: float
 
 
-_BATCH_BLOCKS = 10_000  # fixed so batching never affects the random streams
+# Blocks and bits a batch holds at most, so batches depend on block_bits alone, never on threads;
+# every block_bits <= 100 gets 10,000 blocks.
+_BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
 
 
 def _normalize_channel(channel):
@@ -137,27 +106,28 @@ def ber_bpsk(
     """Monte-Carlo BPSK bit error rate at one Eb/N0 point.
 
     ``channel`` is "awgn" or a (ChannelParamSet, condition) pair. A fade is
-    held for ``block_bits`` bits. Batches own seeds derived from the root
-    seed and their error counts are summed, so the result is identical for
-    any thread count. The confidence half-width is the normal approximation
-    of the binomial at 95%.
+    held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
+    from the root seed and their error counts are summed, so the result is
+    identical for any thread count. The confidence half-width is the normal
+    approximation of the binomial at 95%.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    if block_bits < 1:
-        raise ValueError("block_bits must be >= 1")
+    if not 1 <= block_bits <= _BATCH_BITS:
+        raise ValueError(f"block_bits must be from 1 to {_BATCH_BITS}, got {block_bits}")
     chan = _normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
 
     n_blocks_total = -(-n_bits // block_bits)
     seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    n_batches = -(-n_blocks_total // _BATCH_BLOCKS)
+    batch_blocks = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits)
+    n_batches = -(-n_blocks_total // batch_blocks)
     children = seed_seq.spawn(n_batches)
 
     def run_batch(batch: int) -> int:
         rng = np.random.default_rng(children[batch])
-        blocks = min(_BATCH_BLOCKS, n_blocks_total - batch * _BATCH_BLOCKS)
-        bits_before = batch * _BATCH_BLOCKS * block_bits
+        blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
+        bits_before = batch * batch_blocks * block_bits
         batch_bits = min(blocks * block_bits, n_bits - bits_before)
         h = np.repeat(_block_fades(chan, blocks, rng), block_bits)[:batch_bits]
         s = rng.integers(0, 2, batch_bits) * 2 - 1

@@ -1,4 +1,4 @@
-"""Multipath data model, dataset CSV (de)serialization, and condition classification.
+"""Multipath data model and link budget, dataset CSV (de)serialization, and condition classification.
 
 A dataset is a CSV with one row per (receiver, path) plus a JSON sidecar
 ``<name>.meta.json`` carrying the scenario name, TX position, link budget and
@@ -12,16 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .linksim import LinkBudget
 
 
 class Interaction(Enum):
@@ -239,12 +236,54 @@ def records_from_table(rx_ids, positions, tx_position_m, paths: PathTable, count
 
 
 @dataclass(frozen=True)
+class LinkBudget:
+    """The radio link of a dataset, as finite floats; defaults are the 28 GHz cabin setup.
+    ``carrier_hz`` sets the traced wavelength; ``line_loss_db`` is recorded, never applied."""
+
+    tx_power_dbm: float = 20.0
+    gain_tx_dbi: float = 0.0
+    gain_rx_dbi: float = 0.0
+    noise_figure_db: float = 10.0
+    bandwidth_hz: float = 1e9
+    carrier_hz: float = 28e9
+    line_loss_db: float = 0.0
+    sensitivity_dbm: float = -120.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = float(getattr(self, f.name))
+            if not math.isfinite(value):
+                raise ValueError(f"link budget {f.name}={value!r} is not finite")
+            if f.name in ("bandwidth_hz", "carrier_hz") and not value > 0.0:
+                raise ValueError(f"link budget {f.name}={value!r} must be positive")
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def lossless_rx_dbm(self) -> float:
+        """Power received over a lossless link: transmit power plus both antenna gains."""
+        return self.tx_power_dbm + self.gain_tx_dbi + self.gain_rx_dbi
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> LinkBudget:
+        """The sidecar's ``link_budget`` object; an unknown key is a DatasetFormatError."""
+        if not isinstance(d, dict):
+            raise TypeError(f"link_budget must be a JSON object, got {d!r}")
+        for key in d:
+            if key not in cls.__dataclass_fields__:
+                raise DatasetFormatError(f"unknown key link_budget.{key}")
+        return cls(**d)
+
+
+@dataclass(frozen=True)
 class ScenarioDataset:
     """All receiver records of one scenario plus the producing configuration."""
 
     scenario_name: str
     tx_position_m: tuple[float, float, float]
-    link_budget: "LinkBudget"
+    link_budget: LinkBudget
     records: tuple[RxRecord, ...]
     provenance: Provenance
 
@@ -319,8 +358,6 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     always recomputed from the interaction tags. Rows of one receiver need
     not be adjacent; its paths keep their file order.
     """
-    from .linksim import LinkBudget
-
     path = Path(path)
     if not path.exists():
         raise DatasetFormatError(f"no such dataset file: {path}")

@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .pathdata import (
     Interaction,
+    LinkBudget,
     MultipathComponent,
     PathTable,
     Provenance,
@@ -167,7 +168,6 @@ class Scene:
     blockers: tuple[Blocker, ...]
     tx_position_m: tuple[float, float, float]
     rx_grid: np.ndarray
-    carrier_hz: float = 28e9
     max_reflections: int = 3
 
     def __post_init__(self):
@@ -175,10 +175,9 @@ class Scene:
         self.validate()
 
     def validate(self) -> None:
-        if not (0.0 < self.carrier_hz < math.inf):
-            raise GeometryError(f"carrier_hz must be positive and finite, got {self.carrier_hz!r}")
-        if not isinstance(self.max_reflections, (int, np.integer)) or not (self.max_reflections >= 0):
-            raise GeometryError(f"max_reflections must be an integer >= 0, got {self.max_reflections!r}")
+        order = self.max_reflections
+        if not isinstance(order, (int, np.integer)) or not (0 <= order <= MAX_REFLECTIONS):
+            raise GeometryError(f"max_reflections must be an integer from 0 to {MAX_REFLECTIONS}, got {order!r}")
         if set(self.wall_materials) != set(FACES):
             raise GeometryError(f"wall_materials must name exactly the faces {FACES}")
         dims = np.asarray(self.cabin_dims_m, dtype=float)
@@ -210,9 +209,6 @@ class Scene:
                 b = self.blockers[j]
                 raise GeometryError(f"{who.format(i)} at {tuple(points[i].tolist())} lies inside "
                                     f"blocker {b.label} {b.min_m}")
-
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 def fspl_db(distance_m: float | np.ndarray, wavelength_m: float):
@@ -308,13 +304,12 @@ def _path_table(scene: Scene, seq_idx: np.ndarray, columns, where) -> PathTable:
     return PathTable(*columns, codes[seq_idx], where)
 
 
-def _trace_batch(scene: Scene, rx: np.ndarray, budget):
+def _trace_batch(scene: Scene, rx: np.ndarray, budget: LinkBudget):
     """Trace all receivers in one pass. Returns the receiver index, sequence
     index and six path columns (FLOAT_COLUMNS order) of every kept path,
     grouped by receiver and in face-sequence order within each receiver."""
     n = rx.shape[0]
-    lam = scene.wavelength_m()
-    base_gain = budget.tx_power_dbm + budget.gain_tx_dbi + budget.gain_rx_dbi
+    lam = SPEED_OF_LIGHT / budget.carrier_hz
     box_min = np.array([b.min_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     clusters = box_clusters(box_min, box_max) if len(scene.blockers) > 0 else None
@@ -350,7 +345,7 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget):
                 scene.wall_materials[face], cos_inc, _face_polarization(face)
             )
 
-        power_dbm = base_gain - fspl_db(lengths, lam) + gains_db
+        power_dbm = budget.lossless_rx_dbm - fspl_db(lengths, lam) + gains_db
         valid &= power_dbm >= budget.sensitivity_dbm
         if not valid.any():
             continue
@@ -367,12 +362,12 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget):
     return tuple(col[order] for col in columns)
 
 
-def trace_link(scene: Scene, rx: Sequence[float], budget) -> list[MultipathComponent]:
+def trace_link(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[MultipathComponent]:
     """All specular multipath components reaching one receiver."""
     return [tp.component for tp in trace_link_paths(scene, rx, budget)]
 
 
-def trace_link_paths(scene: Scene, rx: Sequence[float], budget) -> list[TracedPath]:
+def trace_link_paths(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[TracedPath]:
     """Like trace_link but with each path's reflection points, for geometry checks."""
     rx_arr = np.asarray(rx, dtype=float)
     scene._check_points(rx_arr[None, :], "RX")
@@ -386,7 +381,7 @@ def trace_link_paths(scene: Scene, rx: Sequence[float], budget) -> list[TracedPa
     return out
 
 
-def trace_scenario(scene: Scene, budget) -> ScenarioDataset:
+def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:
     """Trace every grid receiver on one thread; deterministic, record order = grid order."""
     rx = scene.rx_grid
     n = rx.shape[0]
@@ -422,6 +417,9 @@ _PRESET_WALLS = {
 
 # Larger receiver grids are rejected so that no layout exhausts memory; the presets hold 2400.
 MAX_RECEIVERS = 100_000
+# Higher orders are rejected so no trace runs for hours; this bounds the face sequences (23,437 at
+# order 6, about 5x more per order), not the paths kept.
+MAX_REFLECTIONS = 6
 
 
 @dataclass(frozen=True)
@@ -508,7 +506,6 @@ def build_scenario(
     layout: CabinLayout | None = None,
     *,
     max_reflections: int = 3,
-    carrier_hz: float = 28e9,
     name: str | None = None,
 ) -> Scene:
     """Scene for one of the preset scenarios, on the shared default layout."""
@@ -523,7 +520,6 @@ def build_scenario(
         name=name or preset.value,
         wall_materials={f: wall for f in FACES},
         blockers=tuple(blockers),
-        carrier_hz=carrier_hz,
         max_reflections=max_reflections,
     )
 
@@ -533,8 +529,9 @@ def build_scenario(
 # --------------------------------------------------------------------------
 
 # keys accepted in the config, in a material entry, in a blocker entry and in walls
+_BUDGET_KEYS = ("carrier_hz", "sensitivity_dbm")  # the LinkBudget fields a config may set
 _SCENE_KEYS = frozenset({"name", "cabin_dims_m", "materials", "walls", "tx_m", "rx_grid", "blockers",
-                         "max_reflections", "carrier_hz", "sensitivity_dbm"})
+                         "max_reflections", *_BUDGET_KEYS})
 _MATERIAL_KEYS = frozenset({"pec", "eps_re", "eps_im", "thickness_cm"})
 _BLOCKER_KEYS = frozenset({"min_m", "max_m", "material", "label"})
 _WALL_KEYS = frozenset({"all", *FACES})
@@ -586,10 +583,10 @@ def _json_get(obj: dict, where: str, key: str, kind, default=...):
 
 @contextmanager
 def _located(where: str):
-    """Prefix a constructor's rejection with the JSON location it came from."""
+    """Prefix a rejection, by a constructor or on reading the file, with the location it came from."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise GeometryError(f"{where}: {exc}") from None
 
 
@@ -604,12 +601,12 @@ def _material_from_json(entry, name: str) -> Material:
         return Material(name, eps, thickness_cm, is_pec=pec)
 
 
-def scene_from_json(source: str | Path | dict) -> tuple[Scene, dict]:
-    """Build a Scene from a JSON config; returns (scene, extras).
+def scene_from_json(source: str | Path | dict) -> tuple[Scene, LinkBudget]:
+    """Build a Scene and its LinkBudget from a JSON config.
 
-    ``extras`` currently carries ``sensitivity_dbm`` when the config sets it,
-    so the caller can fold it into the link budget. Unknown keys and malformed
-    values raise GeometryError naming their location, e.g. ``blockers[0].min_m``.
+    ``carrier_hz`` and ``sensitivity_dbm`` fill the budget; its other fields
+    keep their defaults. Unknown keys and malformed values raise GeometryError
+    naming their location, e.g. ``blockers[0].min_m``.
     """
     if isinstance(source, (str, Path)):
         with _located(str(source)):
@@ -644,12 +641,13 @@ def scene_from_json(source: str | Path | dict) -> tuple[Scene, dict]:
 
     walls = _json_get(cfg, "", "walls", _WALL_KEYS, {})
     default_wall = material(walls, "walls", "all", PEC_METAL)
-    return _layout_scene(
+    scene = _layout_scene(
         layout,
         tx_m=_json_get(cfg, "", "tx_m", 3, None),
         name=_json_get(cfg, "", "name", str, "custom"),
         wall_materials={f: material(walls, "walls", f, default_wall) for f in FACES},
         blockers=tuple(blockers),
-        carrier_hz=_json_get(cfg, "", "carrier_hz", float, 28e9),
         max_reflections=_json_get(cfg, "", "max_reflections", int, 3),
-    ), {k: _json_get(cfg, "", k, float) for k in ("sensitivity_dbm",) if k in cfg}
+    )
+    with _located("scene config"):
+        return scene, LinkBudget(**{k: _json_get(cfg, "", k, float) for k in _BUDGET_KEYS if k in cfg})

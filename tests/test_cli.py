@@ -5,7 +5,9 @@ import math
 import pytest
 
 from idschan.cli import main, _parse_ebn0
+from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
+from idschan.tracer import scene_from_json, trace_scenario
 
 SCENE_CFG = {
     "name": "cli-box",
@@ -74,6 +76,26 @@ class TestTraceExtract:
         assert main(["trace", "--preset", "EmV", "--out", str(out), "--max-reflections", "0"]) == 0
         ds = load_dataset(out)
         assert len(ds.records) == 2400
+
+    def test_scene_carrier_is_traced_and_recorded(self, tmp_path):
+        p = tmp_path / "scene60.json"
+        p.write_text(json.dumps({**SCENE_CFG, "carrier_hz": 6e10}))
+        out = tmp_path / "ds.csv"
+        assert main(["trace", "--scene", str(p), "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "ds.meta.json").read_text())["link_budget"]["carrier_hz"] == 6e10
+        scene, _ = scene_from_json(SCENE_CFG)
+        at_60 = trace_scenario(scene, LinkBudget(carrier_hz=6e10, sensitivity_dbm=-110.0))
+        at_28 = trace_scenario(scene, LinkBudget(sensitivity_dbm=-110.0))
+        paths = [r.paths for r in load_dataset(out).records]
+        assert paths == [r.paths for r in at_60.records]
+        assert paths != [r.paths for r in at_28.records]
+
+    def test_max_reflections_above_the_bound_is_an_error(self, tmp_path, scene_file, capsys):
+        out = tmp_path / "x.csv"
+        for source in (["--preset", "BL"], ["--scene", str(scene_file)]):
+            rc = main(["trace", *source, "--max-reflections", "12", "--out", str(out)])
+            assert rc == 2 and "max_reflections" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_args_error(self, tmp_path, capsys):
         rc = main(["trace", "--out", str(tmp_path / "x.csv")])
@@ -155,6 +177,13 @@ class TestBer:
         captured = capsys.readouterr().out
         assert "gap at BER" in captured
 
+    def test_block_bits_above_the_bound_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        rc = main(["ber", "--presets", "BL", "--ebn0", "0", "--bits", "10", "--block-bits", "1000001",
+                   "--out", str(out)])
+        assert rc == 2 and "block_bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ber_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -205,6 +234,13 @@ class TestIngestSidecar:
         assert main(["extract", "--in", str(p), "--out", str(out)]) == 0
         label, a_db = read_rows(out)[1][:2]
         assert label == "A_dB" and float(a_db) == pytest.approx(70.0)
+
+    def test_unknown_budget_key_rejected_by_extract(self, tmp_path, capsys):
+        p = self.write(tmp_path, {"tx_power_dBm": 30})
+        out = tmp_path / "params.csv"
+        assert main(["extract", "--in", str(p), "--out", str(out)]) == 2
+        assert "link_budget.tx_power_dBm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_bandwidth_rejected_by_rssi(self, tmp_path, capsys):
         p = self.write(tmp_path, {"bandwidth_hz": float("nan")})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from idschan import linksim
 from idschan.linksim import (
     BerPoint,
     LinkBudget,
@@ -50,6 +51,12 @@ class TestNoiseFloor:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             LinkBudget(bandwidth_hz=0.0)
+
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "carrier_hz"])
+    def test_positivity_error_names_its_field(self, field):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{field}={value!r} must be positive"):
+                LinkBudget(**{field: value})
 
 
 class TestRssiMap:
@@ -121,6 +128,34 @@ class TestBerBpsk:
         a = ber_bpsk((lo, Condition.LOS), 8.0, 400_000, rng_seed=23)
         b = ber_bpsk((hi, Condition.LOS), 8.0, 400_000, rng_seed=23)
         assert b.ber <= a.ber + a.ci95 + b.ci95
+
+    def test_block_bits_bounded(self):
+        # rejected before anything is allocated
+        for block_bits in (0, linksim._BATCH_BITS + 1):
+            with pytest.raises(ValueError, match="block_bits"):
+                ber_bpsk("awgn", 5.0, 10, rng_seed=1, block_bits=block_bits)
+
+    def test_batches_hold_at_most_batch_bits(self, monkeypatch):
+        # a smaller bit bound stands in for 1,000,000, so the arrays stay small
+        monkeypatch.setattr(linksim, "_BATCH_BITS", 1000)
+        sizes = []
+        block_fades = linksim._block_fades
+        monkeypatch.setattr(linksim, "_block_fades",
+                            lambda chan, n, rng: sizes.append(n) or block_fades(chan, n, rng))
+        serial = ber_bpsk((BL, Condition.LOS), 6.0, 2000, rng_seed=4, block_bits=300)
+        assert sizes == [3, 3, 1]  # 7 blocks of 300 bits, at most 1000 bits a batch
+        assert ber_bpsk((BL, Condition.LOS), 6.0, 2000, rng_seed=4, block_bits=300, threads=2) == serial
+
+    def test_batches_of_small_blocks_unchanged(self, monkeypatch):
+        # every block_bits <= 100 keeps batches of 10,000 blocks, and so its random streams
+        sizes = []
+        block_fades = linksim._block_fades
+        monkeypatch.setattr(linksim, "_block_fades",
+                            lambda chan, n, rng: sizes.append(n) or block_fades(chan, n, rng))
+        for block_bits in (1, 7, 100):
+            sizes.clear()
+            ber_bpsk((BL, Condition.LOS), 6.0, 10_000 * block_bits + 1, rng_seed=4, block_bits=block_bits)
+            assert sizes == [10_000, 1]
 
     def test_bad_channel_spec(self):
         with pytest.raises(ValueError):

@@ -336,6 +336,12 @@ class TestLoaderErrors:
         with pytest.raises(DatasetFormatError, match="bad.meta.json"):
             load_dataset(self.sidecar(tmp_path, meta))
 
+    def test_unknown_budget_key_named(self, tmp_path):
+        # a misspelt key used to be dropped, so the budget silently fell back to its default
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {"tx_power_dBm": 30}}
+        with pytest.raises(DatasetFormatError, match=r"bad\.meta\.json: .*link_budget\.tx_power_dBm"):
+            load_dataset(self.sidecar(tmp_path, meta))
+
     def test_sidecar_not_an_object(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="bad.meta.json"):
             load_dataset(self.sidecar(tmp_path, ["x", [0, 0, 1]]))

@@ -21,6 +21,7 @@ from idschan.tracer import (
     GLASS,
     GLASS_CARBON,
     MATERIALS,
+    MAX_REFLECTIONS,
     PEC_METAL,
     Blocker,
     CabinLayout,
@@ -387,12 +388,12 @@ class TestSceneJson:
     }
 
     def test_build_and_trace(self):
-        scene, extras = scene_from_json(self.CFG)
-        assert extras == {"sensitivity_dbm": -100.0}
+        scene, budget = scene_from_json(self.CFG)
+        assert budget == LinkBudget(sensitivity_dbm=-100.0)
         assert scene.wall_materials["floor"].name == "foam"
         assert scene.wall_materials["ceiling"] == PEC_METAL
         assert len(scene.blockers) == 1
-        ds = trace_scenario(scene, LinkBudget(sensitivity_dbm=-100.0))
+        ds = trace_scenario(scene, budget)
         assert len(ds.records) == scene.rx_grid.shape[0]
 
     def test_unknown_material_rejected(self):
@@ -436,7 +437,7 @@ class TestSceneValidation:
 
 
 class TestSceneValidationRejects:
-    """Scene and Blocker reject non-finite and wrongly shaped inputs, NaN included."""
+    """Scene, Blocker and LinkBudget reject non-finite and wrongly shaped inputs, NaN included."""
 
     def scene(self, **kwargs):
         base = dict(name="box", cabin_dims_m=(5.0, 4.0, 3.0), wall_materials=pec_walls(), blockers=(),
@@ -457,10 +458,18 @@ class TestSceneValidationRejects:
         (dict(rx_grid=np.empty((0, 3))), "rx_grid"),
         (dict(rx_grid=[(2.0, 2.0)]), "rx_grid"),
         (dict(rx_grid=[(2.0, 2.0, 1.5), (2.0, math.inf, 1.5)]), "RX 1"),
+        (dict(max_reflections=MAX_REFLECTIONS + 1), "max_reflections"),
     ])
     def test_rejected(self, kwargs, match):
-        with pytest.raises(GeometryError, match=match):
-            self.scene(**kwargs)
+        # the carrier is a field of the link budget, the rest are fields of the scene
+        build, error = (LinkBudget, ValueError) if "carrier_hz" in kwargs else (self.scene, GeometryError)
+        with pytest.raises(error, match=match):
+            build(**kwargs)
+
+    def test_max_reflections_bound_reached_by_replace(self):
+        scene = self.scene(max_reflections=MAX_REFLECTIONS)
+        with pytest.raises(GeometryError, match="max_reflections"):
+            dataclasses.replace(scene, max_reflections=12)
 
     def test_tx_inside_blocker_rejected(self):
         with pytest.raises(GeometryError, match="TX .* inside blocker"):
@@ -537,6 +546,9 @@ class TestSceneJsonRejects:
         (_edited(("rx_grid", "rows"), True), "rows"),
         (_cfg(name=5), "name"),
         (_cfg(sensitivity_dbm="-100"), "sensitivity_dbm"),
+        (_cfg(carrier_hz=0.0), "carrier_hz"),
+        (_cfg(carrier_hz=-28e9), "carrier_hz"),
+        (_cfg(max_reflections=MAX_REFLECTIONS + 1), "max_reflections"),
     ])
     def test_rejected_with_location(self, cfg, location):
         with pytest.raises(GeometryError, match=location):
@@ -547,6 +559,11 @@ class TestSceneJsonRejects:
         p.write_text(json.dumps(_cfg(carrier_hz=math.nan)))  # written as the NaN literal
         with pytest.raises(GeometryError, match="carrier_hz"):
             scene_from_json(p)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(GeometryError, match=re.escape(str(path))):
+                scene_from_json(path)
 
     def test_tiny_lateral_step_rejected_before_building_the_grid(self):
         with pytest.raises(GeometryError, match="receivers"):
@@ -585,9 +602,9 @@ def _readme_scene_section() -> str:
 class TestReadmeSceneConfig:
     def test_example_builds(self):
         example = re.search(r"```json\n(.*?)```", _readme_scene_section(), re.S).group(1)
-        scene, extras = scene_from_json(json.loads(example))
+        scene, budget = scene_from_json(json.loads(example))
         assert scene.name == "my-cabin"
-        assert extras == {"sensitivity_dbm": -120.0}
+        assert budget == LinkBudget(sensitivity_dbm=-120.0)
 
     def test_every_accepted_key_is_documented(self):
         from idschan import tracer
@@ -652,17 +669,17 @@ def _mutate(cfg, path, op, key, value, length):
     return cfg
 
 
-def _assert_finite_scene(scene, extras):
+def _assert_finite_scene(scene, budget):
     assert isinstance(scene, Scene)
     assert scene.rx_grid.ndim == 2 and scene.rx_grid.shape[1] == 3 and len(scene.rx_grid) > 0
     assert np.isfinite(scene.rx_grid).all()
     for point in (scene.cabin_dims_m, scene.tx_position_m,
                   *(corner for b in scene.blockers for corner in (b.min_m, b.max_m))):
         assert len(point) == 3 and all(math.isfinite(v) for v in point)
-    assert math.isfinite(scene.carrier_hz) and scene.carrier_hz > 0
-    assert isinstance(scene.max_reflections, int) and scene.max_reflections >= 0
+    assert isinstance(scene.max_reflections, int) and 0 <= scene.max_reflections <= MAX_REFLECTIONS
     assert set(scene.wall_materials) == set(FACES)
-    assert all(math.isfinite(v) for v in extras.values())
+    assert isinstance(budget, LinkBudget) and budget.carrier_hz > 0
+    assert all(math.isfinite(v) for v in budget.to_dict().values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -674,7 +691,7 @@ def test_scene_json_fuzz_rejects_typed_and_accepts_only_finite(data):
         cfg = _mutate(cfg, path, data.draw(st.sampled_from(["set", "set", "delete", "add", "resize"])),
                       data.draw(_FUZZ_KEY), data.draw(_FUZZ_VALUE), data.draw(st.integers(0, 4)))
     try:
-        scene, extras = scene_from_json(cfg)
+        scene, budget = scene_from_json(cfg)
     except GeometryError:
         return
-    _assert_finite_scene(scene, extras)
+    _assert_finite_scene(scene, budget)
