@@ -27,7 +27,6 @@ from .tracer import (
     Scene,
     ScenarioPreset,
     build_scenario,
-    fresnel_reflection,
     scene_from_json,
     trace_link,
     trace_scenario,
@@ -42,7 +41,7 @@ from .extract import (
     rms_delay_spread,
     summarize,
 )
-from .genchan import ChannelRealization, draw_realization, narrowband_gain, realizations_to_dataset
+from .genchan import ChannelRealization, draw_realization, realizations_to_dataset
 from .linksim import BerPoint, BerSweep, ber_bpsk, ber_sweep, noise_floor, rssi_map
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "Scene",
     "ScenarioPreset",
     "build_scenario",
-    "fresnel_reflection",
     "scene_from_json",
     "trace_link",
     "trace_scenario",
@@ -83,7 +81,6 @@ __all__ = [
     "summarize",
     "ChannelRealization",
     "draw_realization",
-    "narrowband_gain",
     "realizations_to_dataset",
     "BerPoint",
     "BerSweep",

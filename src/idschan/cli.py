@@ -9,6 +9,7 @@ variable, then to a fixed constant.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -17,6 +18,8 @@ from pathlib import Path
 from . import extract, genchan, linksim, params, pathdata, tracer
 
 DEFAULT_SEED = 12345
+# Longer Eb/N0 ranges are rejected before they are built, so a tiny step cannot exhaust memory.
+MAX_EBN0_POINTS = 10_000
 
 
 def _seed_from_env(value: int | None) -> int:
@@ -39,10 +42,14 @@ def _parse_ebn0(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"expected start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"ebn0 start, step and stop must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("ebn0 step must be positive")
-        n = int((stop - start) / step + 1e-9) + 1
-        return [start + i * step for i in range(n)]
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_EBN0_POINTS:
+            raise ValueError(f"ebn0 grid {text!r} has more than {MAX_EBN0_POINTS} points")
+        return [start + i * step for i in range(int(span) + 1)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 

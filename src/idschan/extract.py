@@ -77,26 +77,17 @@ def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
     return PathLossFit(a_db=a, b=b, sigma_sf_db=sigma, condition=condition, n_points=len(records))
 
 
-def k_factor(record: RxRecord, method: str = "direct") -> float | None:
-    """K-factor in dB: reference-path power over the summed power of the rest.
+def k_factor(record: RxRecord) -> float | None:
+    """K-factor in dB: direct-path power over the summed power of the rest.
 
-    ``method="direct"`` uses the unobstructed direct path and returns None for
-    records without one (NLOS/DS/Outage); ``method="strongest"`` uses the
-    strongest path of any record that has at least one. A single-path record
-    has an empty "rest" and yields +inf.
+    Records without an unobstructed direct path (NLOS/DS/Outage) yield None;
+    a single-path record has an empty "rest" and yields +inf.
     """
-    if method not in ("direct", "strongest"):
-        raise ValueError(f"unknown k_factor method {method!r}")
-    if not record.paths:
+    direct = np.flatnonzero(record.paths.interactions == Interaction.DIRECT.value)
+    if direct.size == 0:
         return None
+    ref_idx = int(direct[0])
     powers = record.paths.power_mw.tolist()
-    if method == "direct":
-        direct = np.flatnonzero(record.paths.interactions == Interaction.DIRECT.value)
-        if direct.size == 0:
-            return None
-        ref_idx = int(direct[0])
-    else:
-        ref_idx = int(np.argmax(powers))
     rest = math.fsum(pw for i, pw in enumerate(powers) if i != ref_idx)
     if rest == 0.0:
         return math.inf

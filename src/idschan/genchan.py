@@ -94,7 +94,7 @@ def draw_realization(
     rng_seed: int = 0,
 ) -> ChannelRealization:
     """One tapped realization; deterministic given (params, condition, n_taps, seed)."""
-    condition = Condition(condition) if isinstance(condition, str) else condition
+    condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"can only generate LOS or NLOS realizations, not {condition}")
     if n_taps < 2:
@@ -163,32 +163,24 @@ def draw_fades(kf_db, rng: np.random.Generator, size: int) -> np.ndarray:
     return los_amp * phase + nlos_amp * scatter
 
 
-def narrowband_gain(real: ChannelRealization, rng_seed: int = 0) -> complex:
-    """Single flat-fading gain for a realization; E[|h|^2] = 1."""
-    rng = np.random.default_rng(rng_seed)
-    kf = real.kf_db if real.condition is Condition.LOS else None
-    return complex(draw_fades(kf, rng, 1)[0])
-
-
 # --------------------------------------------------------------------------
 # export as a multipath dataset
 # --------------------------------------------------------------------------
 
+# TX-RX separation of every exported realization, in metres
+RX_DISTANCE_M = 1.0
 
-def realizations_to_dataset(
-    reals: list[ChannelRealization],
-    name: str,
-    budget,
-    rx_distance_m: float = 1.0,
-) -> ScenarioDataset:
-    """Pack realizations as a dataset at a nominal TX-RX separation, so they
-    round-trip through the CSV schema and the extraction pipeline.
+
+def realizations_to_dataset(reals: list[ChannelRealization], name: str, budget) -> ScenarioDataset:
+    """Pack realizations as a dataset at the nominal TX-RX separation
+    RX_DISTANCE_M, so they round-trip through the CSV schema and the
+    extraction pipeline.
 
     Tap 0 of a LOS realization becomes the direct path, every other tap a
     reflection; normalized linear powers map to dBm, and delays get the
     line-of-flight offset so they stay strictly positive.
     """
-    base_delay_ns = rx_distance_m / SPEED_OF_LIGHT * 1e9
+    base_delay_ns = RX_DISTANCE_M / SPEED_OF_LIGHT * 1e9
     tx = (0.0, 0.0, 0.0)
     counts = [len(real.delays_ns) for real in reals]
     owner = np.repeat(np.arange(len(reals)), counts)
@@ -204,6 +196,6 @@ def realizations_to_dataset(
     paths = PathTable([mw_to_dbm(p) for p in powers.tolist()], delays + base_delay_ns, *angles, tags,
                       lambda k: f"rx {owner[k]}")
     records = records_from_table(
-        range(len(reals)), repeat((rx_distance_m, 0.0, 0.0)), tx, paths, counts
+        range(len(reals)), repeat((RX_DISTANCE_M, 0.0, 0.0)), tx, paths, counts
     )
     return ScenarioDataset(name, tx, budget, records, Provenance.SYNTHETIC)

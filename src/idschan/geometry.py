@@ -52,6 +52,8 @@ def mirror_point(point: np.ndarray, axis: int, plane_coord: float) -> np.ndarray
 # slab; it also stands in for such components as a divisor, so no division is
 # by zero.
 PARALLEL_EPS = 1e-300
+# Margin of the open segment parameter window of the slab test (see segments_hit_boxes).
+SEGMENT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def box_clusters(box_min: np.ndarray, box_max: np.ndarray) -> BoxClusters:
     return BoxClusters(lo, hi, members)
 
 
-def _slab_hits(p0, d_safe, parallel, bmin, bmax, eps):
+def _slab_hits(p0, d_safe, parallel, bmin, bmax):
     """Slab test of N segments p0 + t*d against K boxes, one axis at a time.
 
     p0, d_safe, parallel: (3, N); bmin, bmax: (3, K, 1); all axis first.
@@ -112,7 +114,7 @@ def _slab_hits(p0, d_safe, parallel, bmin, bmax, eps):
         else:
             np.maximum(tmin, lo, out=tmin)
             np.minimum(tmax, hi, out=tmax)
-    return (tmax >= tmin) & (tmax > eps) & (tmin < 1.0 - eps)
+    return (tmax >= tmin) & (tmax > SEGMENT_EPS) & (tmin < 1.0 - SEGMENT_EPS)
 
 
 def segments_hit_boxes(
@@ -120,13 +122,12 @@ def segments_hit_boxes(
     p1: np.ndarray,
     box_min: np.ndarray,
     box_max: np.ndarray,
-    eps: float = 1e-9,
     clusters: BoxClusters | None = None,
 ) -> np.ndarray:
     """Whether each segment p0[i]->p1[i] passes through any of the boxes.
 
     Slab test (Williams et al., JGT 2005) on the open parameter interval
-    (eps, 1 - eps): on each axis with direction component d, the segment's
+    (SEGMENT_EPS, 1 - SEGMENT_EPS): on each axis with direction component d, the segment's
     parameter interval within the box is [(bmin - p0) / d, (bmax - p0) / d],
     and a segment hits a box when the three intervals overlap inside that
     window. On an axis with |d| <= PARALLEL_EPS the segment is inside the
@@ -154,11 +155,11 @@ def segments_hit_boxes(
     d = p1 - p0
     parallel = np.abs(d) <= PARALLEL_EPS
     d_safe = np.where(parallel, PARALLEL_EPS, d)
-    broad = _slab_hits(p0, d_safe, parallel, clusters.lo, clusters.hi, eps)
+    broad = _slab_hits(p0, d_safe, parallel, clusters.lo, clusters.hi)
     for crosses, (bmin, bmax) in zip(broad, clusters.members):
         seg = np.flatnonzero(crosses & ~hit)  # a segment already hit needs no more tests
         if seg.size:
-            narrow = _slab_hits(p0[:, seg], d_safe[:, seg], parallel[:, seg], bmin, bmax, eps)
+            narrow = _slab_hits(p0[:, seg], d_safe[:, seg], parallel[:, seg], bmin, bmax)
             hit[seg[narrow.any(axis=0)]] = True
     return hit
 

@@ -71,6 +71,8 @@ class BerPoint:
 # Blocks and bits a batch holds at most, so batches depend on block_bits alone, never on threads;
 # every block_bits <= 100 gets 10,000 blocks.
 _BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
+# Higher Eb/N0 is rejected: the linear SNR 10 ** (ebn0_db / 10) would overflow a float near 3083 dB.
+_MAX_EBN0_DB = 3000.0
 
 
 def _normalize_channel(channel):
@@ -79,7 +81,7 @@ def _normalize_channel(channel):
             raise ValueError(f"unknown channel {channel!r}")
         return None
     params, condition = channel
-    condition = Condition(condition) if isinstance(condition, str) else condition
+    condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"BER channels are LOS or NLOS, not {condition}")
     return params.block(condition), condition
@@ -115,6 +117,8 @@ def ber_bpsk(
         raise ValueError("n_bits must be >= 1")
     if not 1 <= block_bits <= _BATCH_BITS:
         raise ValueError(f"block_bits must be from 1 to {_BATCH_BITS}, got {block_bits}")
+    if not -math.inf <= ebn0_db <= _MAX_EBN0_DB:
+        raise ValueError(f"ebn0_db must be -inf or at most {_MAX_EBN0_DB:g} dB, got {ebn0_db!r}")
     chan = _normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
 
@@ -122,10 +126,12 @@ def ber_bpsk(
     seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
     batch_blocks = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits)
     n_batches = -(-n_blocks_total // batch_blocks)
-    children = seed_seq.spawn(n_batches)
 
     def run_batch(batch: int) -> int:
-        rng = np.random.default_rng(children[batch])
+        # child ``batch`` of seed_seq.spawn(), derived on demand without advancing seed_seq
+        child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (batch,),
+                                       pool_size=seed_seq.pool_size)
+        rng = np.random.default_rng(child)
         blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
         bits_before = batch * batch_blocks * block_bits
         batch_bits = min(blocks * block_bits, n_bits - bits_before)
@@ -217,7 +223,7 @@ def ber_sweep(
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
-    condition = Condition(condition) if isinstance(condition, str) else condition
+    condition = Condition(condition)
     curves: dict[str, tuple[BerPoint, ...]] = {}
     monotone: dict[str, tuple[float, ...]] = {}
     for pi, ps in enumerate(presets):

@@ -54,7 +54,7 @@ class ChannelParamSet:
     nlos: ConditionParams | None = None
 
     def block(self, condition: Condition | str) -> ConditionParams:
-        condition = Condition(condition) if isinstance(condition, str) else condition
+        condition = Condition(condition)
         blk = {Condition.LOS: self.los, Condition.NLOS: self.nlos}.get(condition)
         if blk is None:
             raise KeyError(f"{self.name}: no {condition.value} parameter block")

@@ -13,7 +13,6 @@ are synthesized.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -83,30 +82,9 @@ MATERIALS: dict[str, Material] = {
 }
 
 
-def fresnel_reflection(material: Material, incidence_rad: float, polarization: str) -> complex:
-    """Complex reflection coefficient at a dielectric (or PEC) boundary.
-
-    ``incidence_rad`` is measured from the surface normal, in [0, pi/2).
-    TE is the field transverse to the plane of incidence, TM parallel to it.
-    """
-    if not (0.0 <= incidence_rad < math.pi / 2.0):
-        raise ValueError(f"incidence angle {incidence_rad} outside [0, pi/2)")
-    pol = polarization.upper()
-    if pol not in ("TE", "TM"):
-        raise ValueError(f"polarization must be TE or TM, got {polarization!r}")
-    if material.is_pec:
-        return complex(-1.0) if pol == "TE" else complex(1.0)
-    eps = material.permittivity
-    ci = math.cos(incidence_rad)
-    s2 = math.sin(incidence_rad) ** 2
-    root = cmath.sqrt(eps - s2)
-    if pol == "TE":
-        return (ci - root) / (ci + root)
-    return (eps * ci - root) / (eps * ci + root)
-
-
 def _fresnel_gain_db(material: Material, cos_inc: np.ndarray, pol: str) -> np.ndarray:
-    """Per-bounce power gain 20*log10|Gamma| for an array of incidence cosines."""
+    """Per-bounce power gain 20*log10|Gamma| for an array of incidence cosines;
+    TE is the field transverse to the plane of incidence, TM parallel to it."""
     if material.is_pec:
         return np.zeros_like(cos_inc)
     eps = material.permittivity
@@ -172,9 +150,6 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "rx_grid", np.atleast_2d(np.asarray(self.rx_grid, dtype=float)))
-        self.validate()
-
-    def validate(self) -> None:
         order = self.max_reflections
         if not isinstance(order, (int, np.integer)) or not (0 <= order <= MAX_REFLECTIONS):
             raise GeometryError(f"max_reflections must be an integer from 0 to {MAX_REFLECTIONS}, got {order!r}")
@@ -239,10 +214,6 @@ class TracedPath:
     points_m: np.ndarray  # (k + 2, 3): TX, reflection points, RX
     unfolded_length_m: float
     component: MultipathComponent
-
-    def folded_length_m(self) -> float:
-        diffs = np.diff(self.points_m, axis=0)
-        return float(np.sum(np.linalg.norm(diffs, axis=1)))
 
 
 _T_EPS = 1e-12
@@ -506,10 +477,9 @@ def build_scenario(
     layout: CabinLayout | None = None,
     *,
     max_reflections: int = 3,
-    name: str | None = None,
 ) -> Scene:
-    """Scene for one of the preset scenarios, on the shared default layout."""
-    preset = ScenarioPreset(preset) if not isinstance(preset, ScenarioPreset) else preset
+    """Scene for one of the preset scenarios, named after it, on the shared default layout."""
+    preset = ScenarioPreset(preset)
     layout = layout or CabinLayout()
     wall = _PRESET_WALLS[preset]
     blockers = layout.seat_blockers()
@@ -517,7 +487,7 @@ def build_scenario(
         blockers += layout.human_blockers()
     return _layout_scene(
         layout,
-        name=name or preset.value,
+        name=preset.value,
         wall_materials={f: wall for f in FACES},
         blockers=tuple(blockers),
         max_reflections=max_reflections,

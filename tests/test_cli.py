@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from idschan.cli import main, _parse_ebn0
+from idschan.cli import MAX_EBN0_POINTS, main, _parse_ebn0
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
 from idschan.tracer import scene_from_json, trace_scenario
@@ -46,6 +46,17 @@ class TestParseEbn0:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             _parse_ebn0("0:0:6")
+
+    @pytest.mark.parametrize("text", ["0:2:inf", "-inf:2:6", "nan:1:2", "0:nan:6", "0:inf:6"])
+    def test_non_finite_range_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_ebn0(text)
+
+    def test_grid_length_bounded(self):
+        assert len(_parse_ebn0(f"0:1:{MAX_EBN0_POINTS - 1}")) == MAX_EBN0_POINTS
+        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-5:1"):
+            with pytest.raises(ValueError, match=str(MAX_EBN0_POINTS)):
+                _parse_ebn0(text)
 
 
 class TestTraceExtract:
@@ -182,6 +193,14 @@ class TestBer:
         rc = main(["ber", "--presets", "BL", "--ebn0", "0", "--bits", "10", "--block-bits", "1000001",
                    "--out", str(out)])
         assert rc == 2 and "block_bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ebn0", ["0:2:inf", "nan", "inf", "0,nan", "4000", f"0:1:{MAX_EBN0_POINTS}"])
+    def test_bad_ebn0_is_an_error(self, tmp_path, capsys, ebn0):
+        out = tmp_path / "ber.csv"
+        rc = main(["ber", "--presets", "BL", "--ebn0", ebn0, "--bits", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "ebn0" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_ber_deterministic_bytes(self, tmp_path):

@@ -158,19 +158,11 @@ class TestKFactor:
     def test_nlos_undefined(self):
         rec = record([comp(-40.0), comp(-50.0, 12.0)])
         assert k_factor(rec) is None
+        assert k_factor(record([])) is None  # outage
 
     def test_single_path_infinite(self):
         rec = record([comp(-40.0, tags=(L,))])
         assert k_factor(rec) == math.inf
-
-    def test_strongest_variant(self):
-        rec = record([comp(-40.0), comp(-50.0, 12.0)])
-        assert math.isclose(k_factor(rec, method="strongest"), 10.0, abs_tol=1e-12)
-        assert k_factor(record([]), method="strongest") is None
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            k_factor(record([comp(-40.0)]), method="median")
 
 
 class TestRmsDelaySpread:

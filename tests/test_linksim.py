@@ -114,6 +114,13 @@ class TestBerBpsk:
         b = ber_bpsk((BL, Condition.LOS), 6.0, 100_000, rng_seed=11)
         assert a == b
 
+    def test_seed_object_reused_gives_same_result(self):
+        # batch seeds are derived from the seed object without spawning, which would advance it
+        seed = np.random.SeedSequence(3)
+        first = ber_bpsk("awgn", 4.0, 20_000, seed)
+        assert ber_bpsk("awgn", 4.0, 20_000, seed) == first
+        assert ber_bpsk("awgn", 4.0, 20_000, 3) == first
+
     def test_error_count_is_integer(self):
         pt = ber_bpsk("awgn", 2.0, 12_345, rng_seed=2)
         count = pt.ber * pt.n_bits
@@ -156,6 +163,12 @@ class TestBerBpsk:
             sizes.clear()
             ber_bpsk((BL, Condition.LOS), 6.0, 10_000 * block_bits + 1, rng_seed=4, block_bits=block_bits)
             assert sizes == [10_000, 1]
+
+    def test_ebn0_nan_inf_or_overflowing_rejected(self):
+        assert ber_bpsk("awgn", linksim._MAX_EBN0_DB, 10, rng_seed=1).ber == 0.0
+        for ebn0 in (math.nan, math.inf, 4000.0):
+            with pytest.raises(ValueError, match="ebn0_db"):
+                ber_bpsk("awgn", ebn0, 10, rng_seed=1)
 
     def test_bad_channel_spec(self):
         with pytest.raises(ValueError):
