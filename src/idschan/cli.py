@@ -46,6 +46,8 @@ def _parse_ebn0(text: str) -> list[float]:
             raise ValueError(f"ebn0 start, step and stop must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("ebn0 step must be positive")
+        if stop < start:
+            raise ValueError(f"ebn0 range {text!r} has its stop below its start")
         span = (stop - start) / step + 1e-9
         if span >= MAX_EBN0_POINTS:
             raise ValueError(f"ebn0 grid {text!r} has more than {MAX_EBN0_POINTS} points")

@@ -9,6 +9,7 @@ keeping the comparison purely small-scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ class BerPoint:
     ci95: float
 
 
-# Blocks and bits a batch holds at most, so batches depend on block_bits alone, never on threads;
+# Blocks and bits a batch holds at most, so batches (and their random streams) depend on block_bits alone;
 # every block_bits <= 100 gets 10,000 blocks.
 _BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
 # Higher Eb/N0 is rejected: the linear SNR 10 ** (ebn0_db / 10) would overflow a float near 3083 dB.
@@ -97,21 +98,45 @@ def _block_fades(chan, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
     return draw_fades(None, rng, n_blocks)
 
 
+def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Decision statistic and bits sent of one batch: ``n`` bits over ``n_blocks`` fades.
+
+    Every value comes from the same float operations, in the same order, as the per-bit form
+    ``real((amp * h * s + noise) * exp(-1j * angle(h)))`` with ``h`` the fades repeated per bit.
+    Elementwise operations commute with ``np.repeat``, so the scaling and the derotation run
+    once per block.
+    """
+    fades = _block_fades(chan, n_blocks, rng)
+    bits = rng.integers(0, 2, n)
+    normals = rng.standard_normal(2 * n)  # the same stream as two draws of n
+    noise = np.empty(n, dtype=complex)
+    noise.real, noise.imag = normals[:n], normals[n:]
+    del normals  # lowers the peak memory of a batch
+    # a complex divide multiplies by the reciprocal, so dividing each float half would differ
+    noise /= math.sqrt(2.0)
+    y = np.repeat(amp * fades, block_bits)[:n]
+    y *= bits * 2.0 - 1.0
+    y += noise
+    # The complex product, into a separate array: numpy rounds an in-place product of one
+    # element differently, and the hand-expanded real part is not bit-identical either.
+    return np.multiply(y, np.repeat(np.exp(-1j * np.angle(fades)), block_bits)[:n], out=noise).real, bits
+
+
 def ber_bpsk(
     channel,
     ebn0_db: float,
     n_bits: int,
     rng_seed,
     block_bits: int = 100,
-    threads: int | None = None,
 ) -> BerPoint:
     """Monte-Carlo BPSK bit error rate at one Eb/N0 point.
 
     ``channel`` is "awgn" or a (ChannelParamSet, condition) pair. A fade is
     held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
-    from the root seed and their error counts are summed, so the result is
-    identical for any thread count. The confidence half-width is the normal
-    approximation of the binomial at 95%.
+    from the root seed and run one after another, and their error counts are
+    summed. The confidence half-width is the normal approximation of the
+    binomial at 95%.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -125,29 +150,15 @@ def ber_bpsk(
     n_blocks_total = -(-n_bits // block_bits)
     seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
     batch_blocks = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits)
-    n_batches = -(-n_blocks_total // batch_blocks)
-
-    def run_batch(batch: int) -> int:
+    errors = 0
+    for batch in range(-(-n_blocks_total // batch_blocks)):
         # child ``batch`` of seed_seq.spawn(), derived on demand without advancing seed_seq
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (batch,),
                                        pool_size=seed_seq.pool_size)
-        rng = np.random.default_rng(child)
         blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
-        bits_before = batch * batch_blocks * block_bits
-        batch_bits = min(blocks * block_bits, n_bits - bits_before)
-        h = np.repeat(_block_fades(chan, blocks, rng), block_bits)[:batch_bits]
-        s = rng.integers(0, 2, batch_bits) * 2 - 1
-        noise = (rng.standard_normal(batch_bits) + 1j * rng.standard_normal(batch_bits)) / math.sqrt(2.0)
-        y = amp * h * s + noise
-        z = np.real(y * np.exp(-1j * np.angle(h)))
-        detected = np.where(z > 0, 1, -1)
-        return int(np.count_nonzero(detected != s))
-
-    if threads is not None and threads > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = sum(pool.map(run_batch, range(n_batches)))
-    else:
-        errors = sum(run_batch(b) for b in range(n_batches))
+        batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
+        z, bits = _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child))
+        errors += int(np.count_nonzero((z > 0) != (bits == 1)))
     ber = errors / n_bits
     ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
     return BerPoint(ebn0_db=float(ebn0_db), ber=ber, n_bits=n_bits, ci95=ci95)
@@ -219,20 +230,32 @@ def ber_sweep(
     """BER curves for several parameter sets over one Eb/N0 grid.
 
     Each (preset, grid point) owns a seed derived from the root seed, so the
-    sweep is deterministic and independent of evaluation order.
+    sweep is deterministic and independent of evaluation order. With
+    ``threads`` > 1 the points run on one thread pool, and the curves are the
+    same for any thread count.
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
     condition = Condition(condition)
+
+    def run_point(point) -> BerPoint:
+        (pi, ps), (gi, ebn0) = point
+        seed = np.random.SeedSequence(rng_seed, spawn_key=(pi, gi))
+        return ber_bpsk((ps, condition), ebn0, n_bits, seed, block_bits)
+
+    points = list(itertools.product(enumerate(presets), enumerate(ebn0_grid)))
+    if threads is not None and threads > 1 and len(points) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_point, points))
+    else:
+        results = list(map(run_point, points))
+    n_grid = len(ebn0_grid)
     curves: dict[str, tuple[BerPoint, ...]] = {}
     monotone: dict[str, tuple[float, ...]] = {}
     for pi, ps in enumerate(presets):
-        points = []
-        for gi, ebn0 in enumerate(ebn0_grid):
-            seed = np.random.SeedSequence(rng_seed, spawn_key=(pi, gi))
-            points.append(ber_bpsk((ps, condition), ebn0, n_bits, seed, block_bits, threads))
-        curves[ps.name] = tuple(points)
-        monotone[ps.name] = tuple(_isotonic_nonincreasing(np.array([p.ber for p in points])))
+        curve = tuple(results[pi * n_grid:(pi + 1) * n_grid])
+        curves[ps.name] = curve
+        monotone[ps.name] = tuple(_isotonic_nonincreasing(np.array([p.ber for p in curve])))
     return BerSweep(condition, tuple(float(e) for e in ebn0_grid), curves, monotone)
 
 

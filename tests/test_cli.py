@@ -43,6 +43,17 @@ class TestParseEbn0:
     def test_comma_list(self):
         assert _parse_ebn0("1,3.5,9") == [1.0, 3.5, 9.0]
 
+    def test_benchmark_grid(self):
+        assert _parse_ebn0("0:2:26") == [float(x) for x in range(0, 27, 2)]
+
+    def test_single_point_range(self):
+        assert _parse_ebn0("5:1:5") == [5.0]
+
+    @pytest.mark.parametrize("text", ["5:1:4.5", "5:1:0", "-2:0.5:-3"])
+    def test_stop_below_start_rejected(self, text):
+        with pytest.raises(ValueError, match=f"ebn0 range '{text}' has its stop below its start"):
+            _parse_ebn0(text)
+
     def test_bad_step(self):
         with pytest.raises(ValueError):
             _parse_ebn0("0:0:6")
@@ -201,6 +212,12 @@ class TestBer:
         rc = main(["ber", "--presets", "BL", "--ebn0", ebn0, "--bits", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error:") and "ebn0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_descending_ebn0_range_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        rc = main(["ber", "--presets", "BL", "--ebn0", "5:1:0", "--bits", "1", "--out", str(out)])
+        assert rc == 2 and "ebn0 range '5:1:0' has its stop below its start" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ber_deterministic_bytes(self, tmp_path):

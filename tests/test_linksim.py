@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from idschan import linksim
@@ -32,6 +34,45 @@ def q_function(x: float) -> float:
 
 def rayleigh_ber(gamma: float) -> float:
     return 0.5 * (1.0 - math.sqrt(gamma / (1.0 + gamma)))
+
+
+def per_bit_batch(chan, amp, n_blocks, block_bits, n, rng):
+    """Oracle for ``linksim._batch_samples``: the per-bit batch body it replaced.
+
+    Returns the decision statistic and the +-1 symbols sent.
+    """
+    h = np.repeat(linksim._block_fades(chan, n_blocks, rng), block_bits)[:n]
+    s = rng.integers(0, 2, n) * 2 - 1
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    y = amp * h * s + noise
+    return np.real(y * np.exp(-1j * np.angle(h))), s
+
+
+def per_bit_errors(channel, ebn0_db, n_bits, rng_seed, block_bits):
+    """Error count of the per-bit oracle over the batches and batch seeds of ``ber_bpsk``."""
+    chan = linksim._normalize_channel(channel)
+    amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
+    n_blocks_total = -(-n_bits // block_bits)
+    batch_blocks = min(linksim._BATCH_BLOCKS, linksim._BATCH_BITS // block_bits)
+    children = np.random.SeedSequence(rng_seed).spawn(-(-n_blocks_total // batch_blocks))
+    errors = 0
+    for batch, child in enumerate(children):
+        blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
+        batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
+        z, s = per_bit_batch(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child))
+        errors += int(np.count_nonzero(np.where(z > 0, 1, -1) != s))
+    return errors
+
+
+def assert_batch_matches_oracle(channel, ebn0_db, n, block_bits, seed):
+    chan = linksim._normalize_channel(channel)
+    amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
+    n_blocks = -(-n // block_bits)
+    z, bits = linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
+    z_ref, s_ref = per_bit_batch(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
+    assert np.array_equal(bits * 2 - 1, s_ref)
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(np.signbit(z), np.signbit(z_ref))
 
 
 class TestNoiseFloor:
@@ -149,9 +190,11 @@ class TestBerBpsk:
         block_fades = linksim._block_fades
         monkeypatch.setattr(linksim, "_block_fades",
                             lambda chan, n, rng: sizes.append(n) or block_fades(chan, n, rng))
-        serial = ber_bpsk((BL, Condition.LOS), 6.0, 2000, rng_seed=4, block_bits=300)
+        ber_bpsk((BL, Condition.LOS), 6.0, 2000, rng_seed=4, block_bits=300)
         assert sizes == [3, 3, 1]  # 7 blocks of 300 bits, at most 1000 bits a batch
-        assert ber_bpsk((BL, Condition.LOS), 6.0, 2000, rng_seed=4, block_bits=300, threads=2) == serial
+        serial = ber_sweep([BL, GPP_INO], Condition.LOS, [2.0, 6.0], 2000, rng_seed=4, block_bits=300, threads=1)
+        pooled = ber_sweep([BL, GPP_INO], Condition.LOS, [2.0, 6.0], 2000, rng_seed=4, block_bits=300, threads=2)
+        assert pooled.curves == serial.curves
 
     def test_batches_of_small_blocks_unchanged(self, monkeypatch):
         # every block_bits <= 100 keeps batches of 10,000 blocks, and so its random streams
@@ -177,6 +220,34 @@ class TestBerBpsk:
             ber_bpsk((BL, Condition.DS), 5.0, 100, rng_seed=1)
         with pytest.raises(ValueError):
             ber_bpsk("awgn", 5.0, 0, rng_seed=1)
+
+
+class TestPerBitOracle:
+    CHANNELS = {"awgn": "awgn", "BL-LOS": (BL, Condition.LOS), "BL-NLOS": (BL, Condition.NLOS)}
+
+    @pytest.mark.parametrize("ebn0", [-math.inf, 0.0, 30.0])
+    @pytest.mark.parametrize("block_bits", [1, 7, 100, 1000, 12345])
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_error_counts_equal(self, monkeypatch, channel, block_bits, ebn0):
+        # a smaller bit bound splits every block size into several batches, the last one partial
+        monkeypatch.setattr(linksim, "_BATCH_BITS", 20_000)
+        n_bits = 30_001  # not a multiple of any block size above 1
+        pt = ber_bpsk(self.CHANNELS[channel], ebn0, n_bits, rng_seed=13, block_bits=block_bits)
+        assert pt.ber == per_bit_errors(self.CHANNELS[channel], ebn0, n_bits, 13, block_bits) / n_bits
+
+    @pytest.mark.parametrize("ebn0", [-math.inf, 0.0, 30.0])
+    @pytest.mark.parametrize("block_bits", [1, 7, 100, 1000, 12345])
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_samples_equal(self, channel, block_bits, ebn0):
+        assert_batch_matches_oracle(self.CHANNELS[channel], ebn0, 2 * block_bits + 3, block_bits, seed=21)
+
+    @given(seed=st.integers(0, 2**32 - 1), block_bits=st.integers(1, 3000), n_bits=st.integers(1, 20_000))
+    @example(seed=0, block_bits=1, n_bits=1)  # numpy rounds an in-place product of one element differently
+    @example(seed=0, block_bits=3000, n_bits=2999)  # one partial block
+    def test_random_sizes(self, seed, block_bits, n_bits):
+        assert_batch_matches_oracle((BL, Condition.LOS), 6.0, n_bits, block_bits, seed)
+        pt = ber_bpsk((BL, Condition.LOS), 6.0, n_bits, rng_seed=seed, block_bits=block_bits)
+        assert pt.ber == per_bit_errors((BL, Condition.LOS), 6.0, n_bits, seed, block_bits) / n_bits
 
 
 class TestIsotonic:
@@ -227,6 +298,12 @@ class TestBerSweep:
         a = ber_sweep([BL], Condition.NLOS, grid, 30_000, rng_seed=42)
         b = ber_sweep([BL], Condition.NLOS, grid, 30_000, rng_seed=42)
         assert a.curves == b.curves
+
+    def test_curves_independent_of_threads(self):
+        sweeps = [ber_sweep([BL, GPP_INO], Condition.LOS, [0.0, 6.0, 12.0], 20_000, rng_seed=3, threads=t)
+                  for t in (None, 1, 2, 3)]
+        for sweep in sweeps[1:]:
+            assert sweep == sweeps[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
