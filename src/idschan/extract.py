@@ -137,7 +137,6 @@ def angular_spread(record: RxRecord, which: str) -> float:
 class DatasetSummary:
     params: ChannelParamSet
     ratios: dict[Condition, float]
-    counts: dict[Condition, int]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -211,4 +210,4 @@ def summarize(ds: ScenarioDataset) -> DatasetSummary:
         los=_condition_block(ds, Condition.LOS),
         nlos=_condition_block(ds, Condition.NLOS),
     )
-    return DatasetSummary(params=params, ratios=ratios, counts=counts)
+    return DatasetSummary(params=params, ratios=ratios)

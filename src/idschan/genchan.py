@@ -54,7 +54,6 @@ class ChannelRealization:
     kf_db: float | None
     sf_db: float
     target_ds_ns: float
-    seed_used: int
 
 
 def _require_finite(block: ConditionParams, names: tuple[str, ...]) -> None:
@@ -136,9 +135,7 @@ def draw_realization(
     aod_el = fold_elevation_deg(means["esd"] + rng.normal(0.0, block.mu_esd_deg, n_taps))
     aoa_el = fold_elevation_deg(means["esa"] + rng.normal(0.0, block.mu_esa_deg, n_taps))
 
-    return ChannelRealization(
-        condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target, int(rng_seed)
-    )
+    return ChannelRealization(condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target)
 
 
 # --------------------------------------------------------------------------

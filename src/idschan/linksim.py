@@ -42,7 +42,7 @@ def rssi_map(ds: ScenarioDataset) -> list[RssiPoint]:
     nf = noise_floor(ds.link_budget)
     out = []
     for rec in ds.records:
-        rssi = mw_to_dbm(rec.total_power_mw) if rec.paths else -math.inf
+        rssi = mw_to_dbm(rec.total_power_mw)
         out.append(RssiPoint(rec.rx_id, rec.position_m, rec.condition, rssi, rssi - nf))
     return out
 
@@ -190,7 +190,8 @@ class BerSweep:
 
     def crossing_db(self, name: str, target_ber: float = 1e-3) -> float | None:
         """Eb/N0 where the monotone curve reaches the target, by log-linear
-        interpolation; None when the grid does not bracket the target."""
+        interpolation; None when the grid does not bracket the target or the
+        bracket opens at -inf dB."""
         m = np.array(self.monotone[name])
         x = np.array(self.ebn0_db)
         n_bits = self.curves[name][0].n_bits
@@ -201,9 +202,9 @@ class BerSweep:
         j = int(below[0])
         if j == 0:
             return None if m[0] < target_ber else float(x[0])
+        if x[j - 1] == -math.inf:
+            return None
         p_hi, p_lo = m[j - 1], max(m[j], floor)
-        if p_hi <= target_ber:
-            return float(x[j - 1])
         frac = (math.log10(p_hi) - math.log10(target_ber)) / (
             math.log10(p_hi) - math.log10(p_lo)
         )

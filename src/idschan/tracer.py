@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -206,16 +206,6 @@ def reflection_sequences(max_order: int) -> list[tuple[str, ...]]:
             if all(a != b for a, b in zip(combo, combo[1:]))]
 
 
-@dataclass(frozen=True)
-class TracedPath:
-    """A traced specular path with its folded geometry, for inspection/tests."""
-
-    faces: tuple[str, ...]
-    points_m: np.ndarray  # (k + 2, 3): TX, reflection points, RX
-    unfolded_length_m: float
-    component: MultipathComponent
-
-
 _T_EPS = 1e-12
 _B_EPS = 1e-12
 
@@ -265,28 +255,22 @@ def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     return valid, lengths, points
 
 
-def _path_table(scene: Scene, seq_idx: np.ndarray, columns, where) -> PathTable:
-    """Table of traced paths; each path's tags follow from its face sequence:
-    one reflection per face, or the direct path for the empty sequence."""
-    codes = np.array([
-        interaction_code([Interaction.REFLECT] * len(seq) or [Interaction.DIRECT])
-        for seq in reflection_sequences(scene.max_reflections)
-    ])
-    return PathTable(*columns, codes[seq_idx], where)
-
-
-def _trace_batch(scene: Scene, rx: np.ndarray, budget: LinkBudget):
-    """Trace all receivers in one pass. Returns the receiver index, sequence
-    index and six path columns (FLOAT_COLUMNS order) of every kept path,
-    grouped by receiver and in face-sequence order within each receiver."""
+def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTable]:
+    """Trace every grid receiver in one pass. Returns the receiver index of
+    every kept path and the table of those paths, sorted by receiver and then
+    by face sequence. A path's tags follow from its sequence's length: one
+    reflection per face, or the direct path for the empty sequence."""
+    rx = scene.rx_grid
     n = rx.shape[0]
     lam = SPEED_OF_LIGHT / budget.carrier_hz
     box_min = np.array([b.min_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     clusters = box_clusters(box_min, box_max) if len(scene.blockers) > 0 else None
+    seqs = reflection_sequences(scene.max_reflections)
+    codes = np.array([interaction_code([Interaction.REFLECT] * len(seq) or [Interaction.DIRECT]) for seq in seqs])
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
-    for s, seq in enumerate(reflection_sequences(scene.max_reflections)):
+    for s, seq in enumerate(seqs):
         valid, lengths, points = _trace_sequence(scene, rx, seq)
         if not valid.any():
             continue
@@ -328,39 +312,23 @@ def _trace_batch(scene: Scene, rx: np.ndarray, budget: LinkBudget):
         found.append((keep, np.full(keep.size, s), power_dbm[keep], delay_ns[keep],
                       wrap_azimuth_deg(aod_az[keep]), aod_el[keep],
                       wrap_azimuth_deg(aoa_az[keep]), aoa_el[keep]))
-    columns = [np.concatenate(col) for col in zip(*found)]
-    order = np.argsort(columns[0], kind="stable")
-    return tuple(col[order] for col in columns)
+    owner, seq_idx, *columns = [np.concatenate(col) for col in zip(*found)]
+    order = np.lexsort((seq_idx, owner))
+    owner = owner[order]
+    return owner, PathTable(*(col[order] for col in columns), codes[seq_idx[order]], lambda k: f"rx {owner[k]}")
 
 
 def trace_link(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[MultipathComponent]:
-    """All specular multipath components reaching one receiver."""
-    return [tp.component for tp in trace_link_paths(scene, rx, budget)]
-
-
-def trace_link_paths(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[TracedPath]:
-    """Like trace_link but with each path's reflection points, for geometry checks."""
-    rx_arr = np.asarray(rx, dtype=float)
-    scene._check_points(rx_arr[None, :], "RX")
-    _, seq_idx, *columns = _trace_batch(scene, rx_arr[None, :], budget)
-    seqs = reflection_sequences(scene.max_reflections)
-    out = []
-    paths = _path_table(scene, seq_idx, columns, lambda k: f"RX at {tuple(rx_arr.tolist())}")
-    for s, comp in zip(seq_idx.tolist(), paths):
-        _, lengths, points = _trace_sequence(scene, rx_arr[None, :], seqs[s])
-        out.append(TracedPath(seqs[s], points[0], float(lengths[0]), comp))
-    return out
+    """All specular multipath components reaching one receiver, in face-sequence order."""
+    return list(trace_scenario(replace(scene, rx_grid=[rx]), budget).records[0].paths)
 
 
 def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:
     """Trace every grid receiver on one thread; deterministic, record order = grid order."""
-    rx = scene.rx_grid
-    n = rx.shape[0]
-    owner, seq_idx, *columns = _trace_batch(scene, rx, budget)
-    paths = _path_table(scene, seq_idx, columns, lambda k: f"rx {owner[k]}")
+    n = scene.rx_grid.shape[0]
+    owner, paths = _trace_batch(scene, budget)
     tx = tuple(float(v) for v in scene.tx_position_m)
-    counts = np.bincount(owner, minlength=n)
-    records = records_from_table(range(n), rx.tolist(), tx, paths, counts)
+    records = records_from_table(range(n), scene.rx_grid.tolist(), tx, paths, np.bincount(owner, minlength=n))
     return ScenarioDataset(scene.name, tx, budget, records, Provenance.SYNTHETIC)
 
 

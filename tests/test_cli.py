@@ -220,6 +220,13 @@ class TestBer:
         assert rc == 2 and "ebn0 range '5:1:0' has its stop below its start" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gap_from_minus_inf_unavailable(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        rc = main(["ber", "--presets", "BL,3GPP-InO", "--ebn0=-inf,30", "--bits", "1000",
+                   "--target-ber", "0.3", "--out", str(out)])
+        assert rc == 0
+        assert "gap at BER 0.3: BL vs 3GPP-InO: unavailable" in capsys.readouterr().out
+
     def test_ber_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +294,18 @@ class TestBerSweep:
         sweep = ber_sweep([BL], Condition.LOS, [0.0, 2.0], 20_000, rng_seed=8)
         assert sweep.crossing_db("BL", 1e-6) is None
         assert sweep.gap_db("BL", "BL", 1e-6) is None
+
+    def test_bracket_opening_at_minus_inf_unavailable(self):
+        # the target lies between -inf dB and 30 dB, where log-linear interpolation has no finite value
+        points = (BerPoint(-math.inf, 0.5, 1000, 0.031), BerPoint(30.0, 0.0, 1000, 0.0))
+        sweep = linksim.BerSweep(Condition.LOS, (-math.inf, 30.0), {"A": points, "B": points},
+                                 {"A": (0.5, 0.0), "B": (0.5, 0.0)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sweep.crossing_db("A", 0.3) is None
+            assert sweep.gap_db("A", "B", 0.3) is None
+        finite = dataclasses.replace(sweep, ebn0_db=(0.0, 30.0))
+        assert 0.0 < finite.crossing_db("A", 0.3) < 30.0
 
     def test_deterministic_per_seed(self):
         grid = [2.0, 6.0]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import namedtuple
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -30,11 +31,12 @@ from idschan.tracer import (
     ScenarioPreset,
     Scene,
     _fresnel_gain_db,
+    _trace_sequence,
     build_scenario,
     fspl_db,
     scene_from_json,
+    reflection_sequences,
     trace_link,
-    trace_link_paths,
     trace_scenario,
 )
 
@@ -194,6 +196,34 @@ class TestTraceLink:
         with pytest.raises(GeometryError):
             trace_link(scene, (3.0, 2.0, 1.5), LinkBudget())
 
+    def test_rx_at_tx_rejected(self):
+        with pytest.raises(GeometryError, match="RX 0 coincides with the TX"):
+            trace_link(empty_box(order=1), (1.0, 2.0, 1.5), LinkBudget())
+
+    def test_rx_with_two_coordinates_rejected(self):
+        with pytest.raises(GeometryError, match="rx_grid"):
+            trace_link(empty_box(), (2.0, 2.0), LinkBudget())
+
+
+TracedPath = namedtuple("TracedPath", "faces points_m unfolded_length_m component")
+
+
+def traced_paths(scene, rx, budget):
+    """trace_link's paths, each with its face sequence, folded points and
+    unfolded length from the tracer's per-sequence geometry. Every valid
+    sequence must be kept: the helper is for unblocked scenes with a lax budget."""
+    rx_row = np.asarray(rx, dtype=float)[None, :]
+    geometry = []
+    for seq in reflection_sequences(scene.max_reflections):
+        valid, lengths, points = _trace_sequence(scene, rx_row, seq)
+        if valid[0]:
+            geometry.append((seq, points[0], float(lengths[0])))
+    paths = trace_link(scene, rx, budget)
+    assert len(paths) == len(geometry)
+    for (_, _, length), comp in zip(geometry, paths):
+        assert math.isclose(comp.delay_ns * 1e-9 * SPEED_OF_LIGHT, length, rel_tol=1e-12)
+    return [TracedPath(*g, comp) for g, comp in zip(geometry, paths)]
+
 
 class TestGeometryInvariants:
     TX = (1.137, 0.811, 1.913)
@@ -203,7 +233,7 @@ class TestGeometryInvariants:
         tx = tx or self.TX
         rx = rx or self.RX
         scene = empty_box((5.0, 4.0, 3.0), tx, rx, order=order, walls=walls)
-        return trace_link_paths(scene, rx, LinkBudget())
+        return traced_paths(scene, rx, LinkBudget())
 
     def test_reflection_points_on_faces(self):
         dims = (5.0, 4.0, 3.0)
