@@ -193,7 +193,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (KeyError, ValueError, OSError) as exc:  # every error type of the package is a ValueError
-        msg = exc.args[0] if exc.args else exc
+        # an OSError's args[0] is its errno; its text names the file and the cause
+        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,7 +52,9 @@ class DatasetValidationError(ValueError):
 
 def format_float(x: float) -> str:
     """Shortest text that reads back as the same float, with "-INF" for minus
-    infinity (the outage power); every CSV writer uses it."""
+    infinity (the outage power); every CSV writer uses it. ``save_dataset``
+    writes path cells with bare ``repr``, the same text for the finite values
+    a PathTable holds."""
     return "-INF" if x == -math.inf else repr(float(x))
 
 
@@ -314,19 +316,23 @@ def meta_path(csv_path: str | Path) -> Path:
 
 
 def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
-    """Write the CSV and its JSON sidecar; round-trips losslessly."""
+    """Write the CSV and its JSON sidecar; round-trips losslessly.
+
+    Each record's rows go out as one string. No cell needs quoting: path
+    values are finite floats and codes hold only tag letters and "+".
+    """
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in ds.records:
-            x, y, z = (format_float(v) for v in rec.position_m)
+            x, y, z = map(format_float, rec.position_m)
+            head = f"{rec.rx_id},{x},{y},{z},"
             if not rec.paths:
-                w.writerow([rec.rx_id, x, y, z, format_float(-math.inf), *["0.0"] * 5, ""])
+                fh.write(head + "-INF,0.0,0.0,0.0,0.0,0.0,\n")
                 continue
-            columns = [map(format_float, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
-            w.writerows(zip(repeat(rec.rx_id), repeat(x), repeat(y), repeat(z), *columns,
-                            rec.paths.interactions.tolist()))
+            columns = [map(repr, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
+            rows = map(",".join, zip(*columns, rec.paths.interactions.tolist()))
+            fh.write(head + ("\n" + head).join(rows) + "\n")
     meta = {
         "scenario_name": ds.scenario_name,
         "tx_position_m": list(ds.tx_position_m),
@@ -382,6 +388,26 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     return ScenarioDataset(scenario_name, tx, budget, records, provenance)
 
 
+def _chunks(reader):
+    """The reader's non-blank rows, ``_CHUNK_ROWS`` at a time, each chunk with
+    its line numbers: the rows follow the header (line 1), and a blank row
+    takes a number but no place in a chunk."""
+    rows, lines, line = [], [], 2
+    while more := list(islice(reader, _CHUNK_ROWS - len(rows))):
+        numbers = range(line, line + len(more))
+        line += len(more)
+        if not all(more):
+            keep = list(map(bool, more))
+            more, numbers = compress(more, keep), compress(numbers, keep)
+        rows += more
+        lines += numbers
+        if len(rows) == _CHUNK_ROWS:
+            yield lines, rows
+            rows, lines = [], []
+    if rows:
+        yield lines, rows
+
+
 def _load_rows(path: Path):
     """Parse and check the CSV rows, in chunks.
 
@@ -401,20 +427,21 @@ def _load_rows(path: Path):
                 raise DatasetFormatError("line 1: empty file, expected header")
             if tuple(h.strip() for h in header[:ncol]) != CSV_COLUMNS:
                 raise DatasetFormatError("line 1: unexpected header columns")
-            numbered = ((line, row) for line, row in enumerate(reader, start=2) if row)
-            while chunk := list(islice(numbered, _CHUNK_ROWS)):
-                for line, row in chunk:
-                    if len(row) < ncol:
-                        raise DatasetFormatError(f"line {line}: expected {ncol} columns, got {len(row)}")
-                chunk_lines, rows = zip(*chunk)
+            for chunk_lines, rows in _chunks(reader):
+                if min(map(len, rows)) < ncol:
+                    line, row = next((line, row) for line, row in zip(chunk_lines, rows) if len(row) < ncol)
+                    raise DatasetFormatError(f"line {line}: expected {ncol} columns, got {len(row)}")
                 cols = list(zip(*rows))  # zip stops at the shortest row: extra columns drop out
                 rx_ids.append(np.array(_parse_column(cols[0], int, "rx_id", chunk_lines)))
-                has_path = np.array([bool(t.strip()) for t in cols[10]])
+                has_path = np.fromiter(map(bool, map(str.strip, cols[10])), bool, len(rows))
+                path_lines = list(compress(chunk_lines, has_path))
                 block = np.full((9, len(rows)), math.nan)
                 for c in range(1, 10):
-                    mask = has_path if c > 4 else np.ones(len(rows), dtype=bool)
-                    block[c - 1, mask] = _parse_column(list(compress(cols[c], mask)), float,
-                                                       CSV_COLUMNS[c], list(compress(chunk_lines, mask)))
+                    if c < 5:
+                        block[c - 1] = _parse_column(cols[c], float, CSV_COLUMNS[c], chunk_lines)
+                    else:  # outage rows leave the path fields NaN
+                        block[c - 1, has_path] = _parse_column(list(compress(cols[c], has_path)), float,
+                                                               CSV_COLUMNS[c], path_lines)
                 numbers.append(block)
                 lines.append(np.array(chunk_lines))
                 is_path.append(has_path)

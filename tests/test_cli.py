@@ -227,6 +227,12 @@ class TestBer:
         assert rc == 0
         assert "gap at BER 0.3: BL vs 3GPP-InO: unavailable" in capsys.readouterr().out
 
+    def test_unwritable_out_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "ber.csv"
+        rc = main(["ber", "--presets", "BL", "--ebn0", "0", "--bits", "100", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and str(out) in err and "No such file" in err
+
     def test_ber_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from idschan.linksim import LinkBudget
 from idschan.pathdata import (
+    _CHUNK_ROWS,
     CSV_COLUMNS,
+    FLOAT_COLUMNS,
     Condition,
     DatasetFormatError,
     DatasetValidationError,
@@ -20,6 +23,7 @@ from idschan.pathdata import (
     RxRecord,
     ScenarioDataset,
     classify,
+    format_float,
     load_dataset,
     make_record,
     save_dataset,
@@ -212,6 +216,75 @@ class TestRoundTrip:
         assert load_dataset(path).records == ds.records
 
 
+def csv_writer_save(ds, path):
+    """The dataset CSV written cell by cell with csv.writer: the oracle of save_dataset's bytes."""
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(CSV_COLUMNS)
+        for rec in ds.records:
+            x, y, z = (format_float(v) for v in rec.position_m)
+            if not rec.paths:
+                w.writerow([rec.rx_id, x, y, z, format_float(-math.inf), *["0.0"] * 5, ""])
+                continue
+            columns = [map(format_float, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
+            w.writerows(zip(repeat(rec.rx_id), repeat(x), repeat(y), repeat(z), *columns,
+                            rec.paths.interactions.tolist()))
+
+
+def assert_csv_matches_oracle(ds, directory):
+    save_dataset(ds, directory / "ds.csv")
+    csv_writer_save(ds, directory / "oracle.csv")
+    assert (directory / "ds.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+class TestWriterBytes:
+    def test_edge_values_match_csv_writer(self, tmp_path):
+        tx = (0.0, 1.7, 2.1)
+        tiny = 5e-324  # the smallest subnormal
+        records = (
+            make_record(2**64 + 3, (-0.0, tiny, 1.0), tx, [
+                comp([S], power=-0.0, delay=tiny, aod_az_deg=180.0, aod_el_deg=-0.0),
+                comp([R, S], power=-2999.5, delay=1e16, aoa_az_deg=-179.99999999999997, aoa_el_deg=-90.0),
+            ]),
+            make_record(-7, (2.2250738585072014e-308, -0.0, -0.0), tx, []),  # outage
+            make_record(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=1e-05), comp([R, R, D])]),
+            make_record(2**63, (0.1, 0.2, 0.30000000000000004), tx, [comp([S])]),
+        )
+        ds = ScenarioDataset("edges", tx, LinkBudget(), records, Provenance.SYNTHETIC)
+        assert [r.condition for r in records] == [Condition.DS, Condition.OUTAGE, Condition.LOS, Condition.DS]
+        assert_csv_matches_oracle(ds, tmp_path)
+        assert load_dataset(tmp_path / "ds.csv").records == ds.records
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.integers(-2**70, 2**70),
+                st.tuples(*[st.floats(-1e150, 1e150)] * 3),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([(L,), (R,), (R, R, D), (S,), (R, S), (D, S)]),
+                        st.floats(-1e300, 3000.0, exclude_max=True),
+                        st.floats(0.0, 1e300, exclude_min=True),
+                        *[st.floats(-180.0, 180.0, exclude_min=True), st.floats(-90.0, 90.0)] * 2,
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=5,
+            unique_by=lambda spec: spec[0],
+        ),
+    )
+    def test_matches_csv_writer(self, tmp_path_factory, specs):
+        tx = (0.0, 0.0, 1.0)
+        records = tuple(
+            make_record(rx_id, position, tx, [MultipathComponent(*values, tags) for tags, *values in paths])
+            for rx_id, position, paths in specs
+        )
+        ds = ScenarioDataset("prop", tx, LinkBudget(), records, Provenance.INGESTED)
+        assert_csv_matches_oracle(ds, tmp_path_factory.mktemp("bytes"))
+
+
 class TestLoaderErrors:
     def write(self, tmp_path, body, meta=True):
         p = tmp_path / "bad.csv"
@@ -364,6 +437,53 @@ class TestLoaderErrors:
         assert ds.records[0].condition is Condition.LOS
         assert ds.records[1].condition is Condition.OUTAGE
 
+    # Rows are parsed in chunks of 2048 non-blank rows. A blank row takes a line number but no
+    # place in a chunk, and the first error of the first failing chunk is reported: short rows
+    # first, then each column in turn.
+    GOOD = "0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R"
+    SHORT = "0,1.0,0.0"
+    BAD_FLOAT = "0,1.0,0.0,1.0,-50.0,oops,0.0,0.0,0.0,0.0,R"
+    BAD_X = "0,nan,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R"
+
+    def load_lines(self, tmp_path, n_lines, special):
+        """Lines 2..n_lines are GOOD rows, except those ``special`` maps to other text."""
+        assert _CHUNK_ROWS == 2048  # the expected line numbers assume it
+        body = "\n".join(special.get(line, self.GOOD) for line in range(2, n_lines + 1)) + "\n"
+        return load_dataset(self.write(tmp_path, body))
+
+    @pytest.mark.parametrize("special, message", [
+        # two blanks early: the first chunk reaches line 2051, so the short row there is reported
+        # before the bad float on line 2049 in the same chunk
+        ({100: "", 101: "", 2049: BAD_FLOAT, 2051: SHORT}, "line 2051: expected 11 columns, got 3"),
+        ({100: "", 101: "", 2049: BAD_FLOAT}, "line 2049: bad delay_ns value 'oops'"),
+        # blanks at the boundary: the first chunk ends at line 2051, so its bad float comes first
+        ({2049: "", 2050: "", 2051: BAD_FLOAT, 2052: SHORT}, "line 2051: bad delay_ns value 'oops'"),
+        ({2049: "", 2050: "", 2052: SHORT, 2053: BAD_FLOAT}, "line 2052: expected 11 columns, got 3"),
+        ({2049: "", 2050: "", 2053: BAD_FLOAT}, "line 2053: bad delay_ns value 'oops'"),
+        # blanks across the boundary: the first chunk ends at line 2070
+        ({**{line: "" for line in range(2040, 2061)}, 2069: BAD_FLOAT, 2070: SHORT},
+         "line 2070: expected 11 columns, got 3"),
+        ({**{line: "" for line in range(2040, 2061)}, 2070: BAD_FLOAT, 2071: SHORT},
+         "line 2070: bad delay_ns value 'oops'"),
+        # a whole chunk's worth of blank rows
+        ({**{line: "" for line in range(2, 2051)}, 2060: SHORT, 2061: BAD_FLOAT},
+         "line 2060: expected 11 columns, got 3"),
+        ({**{line: "" for line in range(2, 2051)}, 2061: BAD_FLOAT}, "line 2061: bad delay_ns value 'oops'"),
+    ])
+    def test_format_errors_name_the_line(self, tmp_path, special, message):
+        with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+            self.load_lines(tmp_path, 4200, special)
+
+    def test_validation_error_after_blank_rows_names_the_line(self, tmp_path):
+        special = {**{line: "" for line in range(2040, 2061)}, 4150: self.BAD_X}
+        with pytest.raises(DatasetValidationError, match="^line 4150: rx 0: non-finite position$"):
+            self.load_lines(tmp_path, 4200, special)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        special = {line: "" for line in (2, 2048, 2049, 2050, 4199, 4200)}
+        ds = self.load_lines(tmp_path, 4200, special)
+        assert [len(r.paths) for r in ds.records] == [4199 - len(special)]
+
 
 class TestDatasetInvariants:
     def test_duplicate_rx_id_rejected(self):
@@ -500,3 +620,4 @@ def test_loader_fuzz_rejects_typed_and_accepts_only_finite(tmp_path_factory, row
     except (DatasetFormatError, DatasetValidationError):
         return
     _assert_finite(ds)
+
