@@ -87,6 +87,8 @@ def cmd_gen(args) -> int:
     pset = params.preset(args.preset)
     cond = pathdata.Condition(args.cond)
     seed = _seed_from_env(args.seed)
+    if not 1 <= args.count <= tracer.MAX_RECEIVERS:
+        raise ValueError(f"--count must be from 1 to {tracer.MAX_RECEIVERS}, got {args.count}")
     reals = [
         genchan.draw_realization(pset, cond, n_taps=args.taps, rng_seed=seed + i)
         for i in range(args.count)

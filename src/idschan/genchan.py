@@ -86,6 +86,10 @@ def _rms_spread(delays: np.ndarray, powers: np.ndarray) -> float:
     return math.sqrt(max(m2 - m1 * m1, 0.0))
 
 
+# More taps are rejected, so a realization's memory stays bounded; `gen` defaults to 20.
+MAX_TAPS = 100
+
+
 def draw_realization(
     params: ChannelParamSet,
     condition: Condition | str,
@@ -96,8 +100,8 @@ def draw_realization(
     condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"can only generate LOS or NLOS realizations, not {condition}")
-    if n_taps < 2:
-        raise ValueError(f"n_taps must be >= 2, got {n_taps}")
+    if not 2 <= n_taps <= MAX_TAPS:
+        raise ValueError(f"n_taps must be from 2 to {MAX_TAPS}, got {n_taps}")
     block = params.block(condition)
     _require_finite(block, ("mu_ds_ns", "sigma_ds_ns", "sigma_sf_db"))
     is_los = condition is Condition.LOS

@@ -181,21 +181,20 @@ def _isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BerSweep:
-    """BER curves over an Eb/N0 grid for several parameter sets."""
+    """BER curves over an Eb/N0 grid for several parameter sets. The grid and
+    the isotonic (nonincreasing) fit of a curve come from its points."""
 
     condition: Condition
-    ebn0_db: tuple[float, ...]
     curves: dict[str, tuple[BerPoint, ...]]
-    monotone: dict[str, tuple[float, ...]]
 
     def crossing_db(self, name: str, target_ber: float = 1e-3) -> float | None:
-        """Eb/N0 where the monotone curve reaches the target, by log-linear
+        """Eb/N0 where the isotonic curve reaches the target, by log-linear
         interpolation; None when the grid does not bracket the target or the
         bracket opens at -inf dB."""
-        m = np.array(self.monotone[name])
-        x = np.array(self.ebn0_db)
-        n_bits = self.curves[name][0].n_bits
-        floor = 0.5 / n_bits
+        curve = self.curves[name]
+        x = np.array([p.ebn0_db for p in curve])
+        m = _isotonic_nonincreasing(np.array([p.ber for p in curve]))
+        floor = 0.5 / curve[0].n_bits
         below = np.nonzero(m <= target_ber)[0]
         if below.size == 0:
             return None
@@ -251,13 +250,8 @@ def ber_sweep(
     else:
         results = list(map(run_point, points))
     n_grid = len(ebn0_grid)
-    curves: dict[str, tuple[BerPoint, ...]] = {}
-    monotone: dict[str, tuple[float, ...]] = {}
-    for pi, ps in enumerate(presets):
-        curve = tuple(results[pi * n_grid:(pi + 1) * n_grid])
-        curves[ps.name] = curve
-        monotone[ps.name] = tuple(_isotonic_nonincreasing(np.array([p.ber for p in curve])))
-    return BerSweep(condition, tuple(float(e) for e in ebn0_grid), curves, monotone)
+    return BerSweep(condition, {ps.name: tuple(results[pi * n_grid:(pi + 1) * n_grid])
+                                for pi, ps in enumerate(presets)})
 
 
 def write_ber_csv(sweep: BerSweep, path: str | Path) -> None:

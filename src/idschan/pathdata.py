@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import compress, islice
 from pathlib import Path
@@ -190,20 +190,17 @@ def classify(paths: PathTable) -> Condition:
 
 @dataclass(frozen=True, slots=True)
 class RxRecord:
-    """A receiver position with its paths and propagation condition."""
+    """A receiver position with its paths; the propagation condition is
+    derived from the paths when the record is built."""
 
     rx_id: int
     position_m: tuple[float, float, float]
     distance_3d_m: float
     paths: PathTable
-    condition: Condition
+    condition: Condition = field(init=False)
 
     def __post_init__(self):
-        expected = classify(self.paths)
-        if self.condition is not expected:
-            raise DatasetValidationError(
-                f"rx {self.rx_id}: condition {self.condition} inconsistent with paths ({expected})"
-            )
+        object.__setattr__(self, "condition", classify(self.paths))
 
     @property
     def total_power_mw(self) -> float:
@@ -232,8 +229,7 @@ def records_from_table(rx_ids, positions, tx_position_m, paths: PathTable, count
     records = []
     for rx_id, pos, lo, hi in zip(rx_ids, positions, [0, *ends], ends):
         pos = tuple(float(v) for v in pos)
-        view = paths[lo:hi]
-        records.append(RxRecord(rx_id, pos, math.dist(pos, tx), view, classify(view)))
+        records.append(RxRecord(rx_id, pos, math.dist(pos, tx), paths[lo:hi]))
     return tuple(records)
 
 

@@ -272,20 +272,12 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
         valid, lengths, points = _trace_sequence(scene, rx, seq)
-        if not valid.any():
-            continue
-        k = len(seq)
-        if len(scene.blockers) > 0:
-            blocked = np.zeros(n, dtype=bool)
-            for j in range(k + 1):
-                live = valid & ~blocked
-                if not live.any():
-                    break
-                hits = segments_hit_boxes(
-                    points[live, j, :], points[live, j + 1, :], box_min, box_max, clusters=clusters
-                )
-                blocked[live] |= hits
-            valid &= ~blocked
+        for j in range(len(seq) + 1):  # drop paths whose segment j crosses a blocker
+            live = np.flatnonzero(valid)
+            if live.size == 0:
+                break
+            valid[live] = ~segments_hit_boxes(points[live, j], points[live, j + 1], box_min, box_max,
+                                              clusters=clusters)
         if not valid.any():
             continue
 

@@ -175,6 +175,20 @@ class TestGen:
         assert rc == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--count", "-3"], "-3"),
+        (["--count", "0"], "0"),
+        (["--count", "100001"], "100001"),
+        (["--count", "2", "--taps", "101"], "101"),
+        (["--count", "2", "--taps", "1"], "1"),
+    ])
+    def test_count_and_taps_bounded(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--preset", "BL", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"got {named}")
+        assert not out.exists()
+
 
 class TestRssi:
     def test_rssi_csv(self, tmp_path, scene_file):

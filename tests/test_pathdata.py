@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from itertools import repeat
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idschan import pathdata
 from idschan.linksim import LinkBudget
 from idschan.pathdata import (
     _CHUNK_ROWS,
@@ -494,19 +496,43 @@ class TestDatasetInvariants:
 
     def test_distance_mismatch_rejected(self):
         tx = (0.0, 0.0, 1.0)
-        rec = RxRecord(0, (1.0, 0.0, 1.0), 2.0, table(comp([R])), Condition.NLOS)
+        rec = RxRecord(0, (1.0, 0.0, 1.0), 2.0, table(comp([R])))
         with pytest.raises(DatasetValidationError, match="distance"):
             ScenarioDataset("d", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
-
-    def test_condition_must_match_paths(self):
-        with pytest.raises(DatasetValidationError, match="inconsistent"):
-            RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(comp([R])), Condition.LOS)
 
     def test_outage_iff_no_paths(self):
         rec = make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [])
         assert rec.condition is Condition.OUTAGE
-        with pytest.raises(DatasetValidationError):
-            RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(), Condition.NLOS)
+        assert RxRecord(0, (1.0, 0.0, 1.0), 1.0, table()).condition is Condition.OUTAGE
+        assert RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(comp([R]))).condition is not Condition.OUTAGE
+
+    @pytest.mark.parametrize("rows, condition", [
+        ([comp([R]), comp([L])], Condition.LOS),
+        ([comp([R, R]), comp([D])], Condition.NLOS),
+        ([comp([S]), comp([R, S])], Condition.DS),
+        ([], Condition.OUTAGE),
+    ])
+    def test_condition_derived_from_paths(self, rows, condition):
+        rec = RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(*rows))
+        assert rec.condition is classify(rec.paths) is condition
+        for other in (table(), table(comp([L])), table(comp([R])), table(comp([S]))):
+            assert dataclasses.replace(rec, paths=other).condition is classify(other)
+
+    def test_load_classifies_each_record_once(self, tmp_path, monkeypatch):
+        recs = [make_record(i, (1.0 + i, 0.0, 1.0), (0.0, 0.0, 1.0), rows)
+                for i, rows in enumerate([[comp([L])], [], [comp([R]), comp([S])], [comp([S])]])]
+        save_dataset(ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), tuple(recs), Provenance.SYNTHETIC),
+                     tmp_path / "d.csv")
+        calls = []
+
+        def counting_classify(paths):
+            calls.append(len(paths))
+            return classify(paths)
+
+        monkeypatch.setattr(pathdata, "classify", counting_classify)
+        ds = load_dataset(tmp_path / "d.csv")
+        assert calls == [1, 0, 2, 1]
+        assert [r.condition for r in ds.records] == [r.condition for r in recs]
 
 
 def test_power_dbm_mw_helpers():

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_geometry import dense_hits
 
 from idschan.geometry import SPEED_OF_LIGHT
 from idschan.linksim import LinkBudget
@@ -343,6 +344,42 @@ class TestLatticeOracle:
             assert len(got) == len(want) == (1, 7, 25, 63)[order]
             for g, w in zip(got, want):
                 assert math.isclose(g, w, rel_tol=1e-9)
+
+
+class TestBlockerOracle:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2), st.booleans())
+    def test_kept_paths_are_valid_and_unblocked(self, seed, n_boxes, order, on_grid):
+        """trace_scenario keeps a (receiver, sequence) path exactly when
+        _trace_sequence finds it valid and no segment hits a box under the
+        dense slab reference. Grid-aligned draws put segments on box faces."""
+        rng = np.random.default_rng(seed)
+        dims = np.array([5.0, 4.0, 3.0])
+
+        def draw(n, lo, hi):
+            pts = rng.uniform(lo, hi, (n, 3)) * dims
+            return np.round(pts * 4.0) / 4.0 if on_grid else pts
+
+        box_min = draw(n_boxes, 0.0, 0.8)
+        box_max = np.minimum(box_min + np.maximum(draw(n_boxes, 0.05, 0.3), 0.25), dims)
+        points = draw(40, 0.05, 0.95)
+        inside = np.any(np.all(points[:, None] >= box_min, axis=2) & np.all(points[:, None] <= box_max, axis=2),
+                        axis=1)
+        points = np.unique(points[~inside], axis=0)
+        assume(len(points) >= 2)
+        scene = Scene("blocked", tuple(dims), pec_walls(),
+                      tuple(Blocker(tuple(lo), tuple(hi)) for lo, hi in zip(box_min, box_max)),
+                      tuple(points[0]), points[1:13], max_reflections=order)
+        want = [[] for _ in scene.rx_grid]
+        for seq in reflection_sequences(order):
+            valid, lengths, pts = _trace_sequence(scene, scene.rx_grid, seq)
+            code = "+".join("R" * len(seq)) or "L"
+            for i in np.flatnonzero(valid):
+                if not any(dense_hits(pts[i, j:j + 1], pts[i, j + 1:j + 2], box_min, box_max)[0]
+                           for j in range(len(seq) + 1)):
+                    want[i].append((code, lengths[i] / SPEED_OF_LIGHT * 1e9))
+        ds = trace_scenario(scene, LinkBudget(sensitivity_dbm=-1000.0))  # no PEC path is this weak
+        got = [list(zip(r.paths.interactions.tolist(), r.paths.delay_ns.tolist())) for r in ds.records]
+        assert got == want
 
 
 def small_layout():
