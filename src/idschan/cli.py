@@ -20,6 +20,36 @@ from . import extract, genchan, linksim, params, pathdata, tracer
 DEFAULT_SEED = 12345
 # Longer Eb/N0 ranges are rejected before they are built, so a tiny step cannot exhaust memory.
 MAX_EBN0_POINTS = 10_000
+# Larger --threads values are rejected, so a pool never starts more threads than this.
+MAX_THREADS = 256
+
+
+def _int_flag(flag: str, lo: int, hi: int | None = None):
+    """argparse ``type=``: an integer from lo to hi (no upper bound for None);
+    a rejection names the flag and the value."""
+    bound = f"from {lo} to {hi}" if hi is not None else f">= {lo}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{flag}={text} is not an integer {bound}")
+        return value
+
+    return parse
+
+
+def _target_ber(text: str) -> float:
+    """argparse ``type=`` of ``ber --target-ber``: a BER in (0, 0.5]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 0.5:
+        raise argparse.ArgumentTypeError(f"--target-ber={text} is not a BER in (0, 0.5]")
+    return value
 
 
 def _seed_from_env(value: int | None) -> int:
@@ -28,9 +58,9 @@ def _seed_from_env(value: int | None) -> int:
     env = os.environ.get("IDS_CHAN_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"IDS_CHAN_SEED={env!r} is not an integer") from None
+            return _int_flag("IDS_CHAN_SEED", 0)(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
     return DEFAULT_SEED
 
 
@@ -89,10 +119,7 @@ def cmd_gen(args) -> int:
     seed = _seed_from_env(args.seed)
     if not 1 <= args.count <= tracer.MAX_RECEIVERS:
         raise ValueError(f"--count must be from 1 to {tracer.MAX_RECEIVERS}, got {args.count}")
-    reals = [
-        genchan.draw_realization(pset, cond, n_taps=args.taps, rng_seed=seed + i)
-        for i in range(args.count)
-    ]
+    reals = genchan.draw_realizations(pset, cond, args.taps, range(seed, seed + args.count))
     ds = genchan.realizations_to_dataset(reals, f"{pset.name}-{cond.value}", pathdata.LinkBudget())
     pathdata.save_dataset(ds, args.out)
     print(f"wrote {args.count} realizations to {args.out}")
@@ -147,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-reflections", type=int, default=None)
     p.add_argument("--sensitivity", type=float, default=None, help="path cull threshold, dBm")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None,
                    help="accepted and ignored: the trace runs on one thread")
     p.set_defaults(func=cmd_trace)
 
@@ -161,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--taps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -176,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebn0", default="0:2:20", help="start:step:stop in dB, or comma list")
     p.add_argument("--bits", type=int, default=200_000)
     p.add_argument("--block-bits", type=int, default=100)
-    p.add_argument("--target-ber", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--target-ber", type=_target_ber, default=1e-3)
+    p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
+    p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ber)
 

@@ -8,6 +8,17 @@ power-weighted RMS, computed in radians and reported in degrees.
 
 ``summarize`` aggregates these over a dataset into a ChannelParamSet plus the
 LOS/NLOS/DS/Outage share vector.
+
+The delay and angular spreads are block kernels over C-contiguous (R, n)
+power and value arrays, one row per record: ``summarize`` groups a
+condition's records by path count and calls each kernel once per group, and
+the per-record ``rms_delay_spread``/``angular_spread`` are its R = 1 case.
+A row sum of such a block is bit-identical to ``np.sum`` of the row alone,
+so a record's statistics do not depend on the records it is grouped with
+(``np.add.reduceat`` is not: it moves the last bit). The square of the mean
+delay stays a numpy scalar's ``**``, which calls libm ``pow``; an array's
+``**2`` is ``x*x`` and differs from it in the last bit on some values. The
+K-factor and its ``math.fsum`` stay per record.
 """
 
 from __future__ import annotations
@@ -94,20 +105,18 @@ def k_factor(record: RxRecord) -> float | None:
     return 10.0 * math.log10(powers[ref_idx] / rest)
 
 
-def rms_delay_spread(record: RxRecord) -> float:
-    """Power-weighted RMS spread of the path delays, in ns."""
-    if not record.paths:
-        raise NoPathError(f"rx {record.rx_id} is in outage, delay spread undefined")
-    p = record.paths.power_mw
-    tau = record.paths.delay_ns
-    psum = p.sum()
-    m1 = np.sum(tau * p) / psum
-    m2 = np.sum(tau**2 * p) / psum
-    return float(np.sqrt(max(m2 - m1**2, 0.0)))
+def rms_delay_spreads(power_mw: np.ndarray, delay_ns: np.ndarray) -> np.ndarray:
+    """Power-weighted RMS spread of the path delays, in ns, of each row of
+    (R, n) power and delay blocks."""
+    psum = power_mw.sum(axis=1)
+    m1 = np.sum(delay_ns * power_mw, axis=1) / psum
+    m2 = np.sum(delay_ns**2 * power_mw, axis=1) / psum
+    m1_sq = np.array([m**2 for m in m1])  # scalar pow per element, not the array's x*x
+    return np.sqrt(np.maximum(m2 - m1_sq, 0.0))
 
 
-def angular_spread(record: RxRecord, which: str) -> float:
-    """RMS angular spread in degrees for one of ASD, ASA, ESD, ESA.
+def angular_spreads(power_mw: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
+    """RMS angular spread in degrees of each row of (R, n) power and angle blocks.
 
     Three steps on linear power weights: mean angle as the power-weighted
     average of the raw angles, deviations wrapped into (-pi, pi] via
@@ -115,17 +124,29 @@ def angular_spread(record: RxRecord, which: str) -> float:
     deviations. The linear (non-circular) mean makes the result sensitive to
     the +-180 degree seam for azimuth data that straddles it.
     """
+    theta = np.radians(angle_deg)
+    psum = power_mw.sum(axis=1)
+    nu = np.sum(theta * power_mw, axis=1) / psum
+    dev = np.mod(theta - nu[:, None] + np.pi, 2.0 * np.pi) - np.pi
+    return np.degrees(np.sqrt(np.sum(dev**2 * power_mw, axis=1) / psum))
+
+
+def rms_delay_spread(record: RxRecord) -> float:
+    """Power-weighted RMS spread of the path delays, in ns."""
+    if not record.paths:
+        raise NoPathError(f"rx {record.rx_id} is in outage, delay spread undefined")
+    return float(rms_delay_spreads(record.paths.power_mw[None], record.paths.delay_ns[None])[0])
+
+
+def angular_spread(record: RxRecord, which: str) -> float:
+    """RMS angular spread in degrees for one of ASD, ASA, ESD, ESA (see ``angular_spreads``)."""
     key = which.upper()
     if key not in ANGLE_FIELDS:
         raise ValueError(f"which must be one of {sorted(ANGLE_FIELDS)}, got {which!r}")
     if not record.paths:
         raise NoPathError(f"rx {record.rx_id} is in outage, angular spread undefined")
-    p = record.paths.power_mw
-    theta = np.radians(getattr(record.paths, ANGLE_FIELDS[key]))
-    psum = p.sum()
-    nu = np.sum(theta * p) / psum
-    dev = np.mod(theta - nu + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.degrees(np.sqrt(np.sum(dev**2 * p) / psum)))
+    angles = getattr(record.paths, ANGLE_FIELDS[key])
+    return float(angular_spreads(record.paths.power_mw[None], angles[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -149,6 +170,26 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
+def _spreads(records: list[RxRecord]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """RMS delay spread and the four angular spreads of each record, in record
+    order, with one kernel call per statistic and path count."""
+    counts = np.array([len(r.paths) for r in records])
+    delay_spreads = np.empty(len(records))
+    angle_spreads = {kind: np.empty(len(records)) for kind in ANGLE_FIELDS}
+    for n in np.unique(counts):
+        rows = np.flatnonzero(counts == n)
+        group = [records[i].paths for i in rows]
+
+        def block(column: str) -> np.ndarray:
+            return np.stack([getattr(paths, column) for paths in group])
+
+        power = block("power_mw")
+        delay_spreads[rows] = rms_delay_spreads(power, block("delay_ns"))
+        for kind, column in ANGLE_FIELDS.items():
+            angle_spreads[kind][rows] = angular_spreads(power, block(column))
+    return delay_spreads, angle_spreads
+
+
 def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionParams | None:
     records = ds.records_of(condition)
     if not records:
@@ -166,11 +207,9 @@ def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionPara
         if finite:
             mu_kf, sigma_kf = _mean_std(finite)
 
-    ds_vals = [rms_delay_spread(r) for r in records]
-    mu_ds, sigma_ds = _mean_std(ds_vals)
-    spreads = {}
-    for kind in ANGLE_FIELDS:
-        spreads[kind] = _mean_std([angular_spread(r, kind) for r in records])
+    delay_spreads, angle_spreads = _spreads(records)
+    mu_ds, sigma_ds = _mean_std(delay_spreads.tolist())
+    spreads = {kind: _mean_std(values.tolist()) for kind, values in angle_spreads.items()}
 
     return ConditionParams(
         a_db=a_db,
@@ -188,7 +227,6 @@ def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionPara
         sigma_esd_deg=spreads["ESD"][1],
         mu_esa_deg=spreads["ESA"][0],
         sigma_esa_deg=spreads["ESA"][1],
-        n_records=len(records),
     )
 
 

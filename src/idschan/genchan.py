@@ -14,6 +14,13 @@ a fixed order, so a seed pins the result bit-for-bit):
 6. per-tap departure/arrival angles from wrapped Gaussians around a
    per-realization mean, with std equal to the corresponding mean spread.
 
+``draw_realizations`` makes every generator call per realization, in this
+order, and then runs the arithmetic of steps 2-6 once on (R, n_taps) blocks,
+one row per realization: every operation there is elementwise or a row sum,
+which is bit-identical to the same operation on the row alone. The linear K
+stays a Python float ``**`` per value. ``draw_realization`` is its one-seed
+case.
+
 Negative sigma_KF preset entries are used via their absolute value. The
 spread-of-spreads across realizations is not reproduced for the angular
 dimensions; only the DS distribution is matched across draws.
@@ -22,6 +29,7 @@ dimensions; only the DS distribution is matched across draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -80,23 +88,28 @@ def draw_ds(block: ConditionParams, rng: np.random.Generator, size=None):
     return np.exp(rng.normal(mu_ln, math.sqrt(var_ln), size))
 
 
-def _rms_spread(delays: np.ndarray, powers: np.ndarray) -> float:
-    m1 = float(np.sum(delays * powers))
-    m2 = float(np.sum(delays**2 * powers))
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
+def _rms_spreads(delays: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """RMS delay spread of each row of (R, n) blocks whose powers sum to 1."""
+    m1 = np.sum(delays * powers, axis=1)
+    m2 = np.sum(delays**2 * powers, axis=1)
+    return np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
 
 
 # More taps are rejected, so a realization's memory stays bounded; `gen` defaults to 20.
 MAX_TAPS = 100
+# Half-widths of the uniform mean angles: ASD, ASA (azimuths), ESD, ESA (elevations).
+_MEAN_HALF_WIDTHS_DEG = (180.0, 180.0, 90.0, 90.0)
 
 
-def draw_realization(
+def draw_realizations(
     params: ChannelParamSet,
     condition: Condition | str,
-    n_taps: int = 20,
-    rng_seed: int = 0,
-) -> ChannelRealization:
-    """One tapped realization; deterministic given (params, condition, n_taps, seed)."""
+    n_taps: int,
+    seeds: Iterable[int],
+) -> list[ChannelRealization]:
+    """One tapped realization per seed, each deterministic given (params,
+    condition, n_taps, seed); the arrays of realization i are row i of
+    (R, n_taps) blocks."""
     condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"can only generate LOS or NLOS realizations, not {condition}")
@@ -107,39 +120,56 @@ def draw_realization(
     is_los = condition is Condition.LOS
     if is_los:
         _require_finite(block, ("mu_kf_db", "sigma_kf_db"))
+    angle_stds = (block.mu_asd_deg, block.mu_asa_deg, block.mu_esd_deg, block.mu_esa_deg)
 
-    rng = np.random.default_rng(rng_seed)
-    ds_target = float(draw_ds(block, rng))
-    kf_db = float(rng.normal(block.mu_kf_db, abs(block.sigma_kf_db))) if is_los else None
-    sf_db = float(rng.normal(0.0, block.sigma_sf_db))
+    seeds = list(seeds)
+    targets, kf_dbs, sf_dbs = [], [], []
+    excess = np.empty((len(seeds), n_taps - 1))
+    means = np.empty((len(seeds), 4, 1))
+    angles = np.empty((len(seeds), 4, n_taps))  # ASD, ASA, ESD, ESA
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        ds_target = float(draw_ds(block, rng))
+        targets.append(ds_target)
+        kf_dbs.append(float(rng.normal(block.mu_kf_db, abs(block.sigma_kf_db))) if is_los else None)
+        sf_dbs.append(float(rng.normal(0.0, block.sigma_sf_db)))
+        excess[i] = rng.exponential(ds_target, n_taps - 1)
+        means[i, :, 0] = [rng.uniform(-half, half) for half in _MEAN_HALF_WIDTHS_DEG]
+        for k, std in enumerate(angle_stds):
+            angles[i, k] = rng.normal(0.0, std, n_taps)
 
-    excess = np.sort(rng.exponential(ds_target, n_taps - 1))
-    delays = np.concatenate(([0.0], excess))
-    weights = np.exp(-delays / ds_target)
+    target = np.array(targets)[:, None]
+    delays = np.zeros((len(seeds), n_taps))
+    delays[:, 1:] = np.sort(excess, axis=1)
+    weights = np.exp(-delays / target)
     if is_los:
-        k_lin = 10.0 ** (kf_db / 10.0)
-        p0 = k_lin / (1.0 + k_lin)
-        rest = weights[1:] / weights[1:].sum() * (1.0 / (1.0 + k_lin))
-        powers = np.concatenate(([p0], rest))
+        k_lin = np.array([10.0 ** (kf_db / 10.0) for kf_db in kf_dbs])[:, None]
+        powers = np.empty_like(weights)
+        powers[:, :1] = k_lin / (1.0 + k_lin)
+        powers[:, 1:] = weights[:, 1:] / weights[:, 1:].sum(axis=1, keepdims=True) * (1.0 / (1.0 + k_lin))
     else:
-        powers = weights / weights.sum()
-    powers = powers / powers.sum()
+        powers = weights / weights.sum(axis=1, keepdims=True)
+    powers = powers / powers.sum(axis=1, keepdims=True)
+    delays = delays * (target / _rms_spreads(delays, powers)[:, None])
 
-    realized = _rms_spread(delays, powers)
-    delays = delays * (ds_target / realized)
+    angles += means
+    azimuths = wrap_azimuth_deg(angles[:, :2])
+    elevations = fold_elevation_deg(angles[:, 2:])
+    return [
+        ChannelRealization(condition, delays[i], powers[i], azimuths[i, 0], elevations[i, 0],
+                           azimuths[i, 1], elevations[i, 1], kf_dbs[i], sf_dbs[i], targets[i])
+        for i in range(len(seeds))
+    ]
 
-    means = {
-        "asd": rng.uniform(-180.0, 180.0),
-        "asa": rng.uniform(-180.0, 180.0),
-        "esd": rng.uniform(-90.0, 90.0),
-        "esa": rng.uniform(-90.0, 90.0),
-    }
-    aod_az = wrap_azimuth_deg(means["asd"] + rng.normal(0.0, block.mu_asd_deg, n_taps))
-    aoa_az = wrap_azimuth_deg(means["asa"] + rng.normal(0.0, block.mu_asa_deg, n_taps))
-    aod_el = fold_elevation_deg(means["esd"] + rng.normal(0.0, block.mu_esd_deg, n_taps))
-    aoa_el = fold_elevation_deg(means["esa"] + rng.normal(0.0, block.mu_esa_deg, n_taps))
 
-    return ChannelRealization(condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target)
+def draw_realization(
+    params: ChannelParamSet,
+    condition: Condition | str,
+    n_taps: int = 20,
+    rng_seed: int = 0,
+) -> ChannelRealization:
+    """One tapped realization; deterministic given (params, condition, n_taps, seed)."""
+    return draw_realizations(params, condition, n_taps, [rng_seed])[0]
 
 
 # --------------------------------------------------------------------------

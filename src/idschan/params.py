@@ -42,7 +42,6 @@ class ConditionParams:
     # generators draw DS as 10**Normal(log10(mu_ds_ns), ds_log10_sigma)
     # instead of moment-matching a lognormal to (mu_ds_ns, sigma_ds_ns).
     ds_log10_sigma: float | None = None
-    n_records: int | None = None
 
 
 @dataclass(frozen=True)

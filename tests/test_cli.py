@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from idschan.cli import MAX_EBN0_POINTS, main, _parse_ebn0
+from idschan.cli import MAX_EBN0_POINTS, MAX_THREADS, build_parser, main, _parse_ebn0
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
 from idschan.tracer import scene_from_json, trace_scenario
@@ -317,3 +317,56 @@ class TestIngestSidecar:
         p = self.write(tmp_path, {}, rows)
         assert main(["extract", "--in", str(p), "--out", str(tmp_path / "p.csv")]) == 2
         assert "line 4" in capsys.readouterr().err
+
+
+class TestFlagBounds:
+    """Out-of-range numbers are rejected when the command line is parsed, before
+    any output is written, with a message that names the flag and the value."""
+
+    def rejected(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: {flag}={value} " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "0.7", "inf", "x"])
+    def test_target_ber_outside_zero_to_half(self, tmp_path, capsys, value):
+        out = tmp_path / "ber.csv"
+        argv = ["ber", "--presets", "3GPP-InO,CV", "--ebn0", "0,60", "--bits", "1000",
+                f"--target-ber={value}", "--out", str(out)]
+        self.rejected(argv, "--target-ber", value, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.5", "1e-3", "1e-300"])
+    def test_target_ber_inside(self, value):
+        args = build_parser().parse_args(["ber", "--presets", "BL", "--target-ber", value, "--out", "x"])
+        assert args.target_ber == float(value)
+
+    @pytest.mark.parametrize("command", [["gen", "--preset", "BL"], ["ber", "--presets", "BL"]])
+    @pytest.mark.parametrize("value", ["-1", "-5", "1.5"])
+    def test_negative_seed(self, tmp_path, capsys, command, value):
+        out = tmp_path / "x.csv"
+        self.rejected([*command, f"--seed={value}", "--out", str(out)], "--seed", value, capsys)
+        assert not out.exists()
+
+    def test_negative_seed_from_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IDS_CHAN_SEED", "-1")
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--preset", "BL", "--count", "2", "--out", str(out)]) == 2
+        assert "error: IDS_CHAN_SEED=-1 is not an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
+    @pytest.mark.parametrize("value", ["0", "-3", str(MAX_THREADS + 1), "10**6"])
+    def test_threads_outside_the_bound(self, tmp_path, capsys, command, value):
+        out = tmp_path / "x.csv"
+        self.rejected([*command, f"--threads={value}", "--out", str(out)], "--threads", value, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
+    @pytest.mark.parametrize("value", [1, 4, MAX_THREADS])
+    def test_threads_inside_the_bound(self, command, value):
+        # parsed only: no pool is started
+        args = build_parser().parse_args([*command, "--threads", str(value), "--out", "x"])
+        assert args.threads == value

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,24 +6,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from idschan.cli import main
 from idschan.extract import (
+    ANGLE_FIELDS,
     FitError,
     NoPathError,
+    _mean_std,
     angular_spread,
+    angular_spreads,
     fit_path_loss,
     k_factor,
     path_loss_of,
     rms_delay_spread,
+    rms_delay_spreads,
     summarize,
 )
 from idschan.linksim import LinkBudget
+from idschan.params import ChannelParamSet, write_params_csv
 from idschan.pathdata import (
     Condition,
     Interaction,
     MultipathComponent,
+    PathTable,
     Provenance,
     ScenarioDataset,
+    load_dataset,
     make_record,
+    records_from_table,
+    save_dataset,
 )
 
 L, R, S = Interaction.DIRECT, Interaction.REFLECT, Interaction.DIFFUSE_SCATTER
@@ -309,7 +320,7 @@ class TestSummarize:
         }
         # one record per condition: path-loss fit impossible, blocks still present
         assert s.params.los is not None and s.params.los.a_db is None
-        assert s.params.nlos is not None and s.params.nlos.n_records == 1
+        assert s.params.nlos is not None and len(ds.records_of(Condition.NLOS)) == 1
 
     def test_infinite_kf_excluded_from_moments(self):
         budget = LinkBudget()
@@ -325,3 +336,149 @@ class TestSummarize:
         ds = ScenarioDataset("e", TX, LinkBudget(), (), Provenance.SYNTHETIC)
         with pytest.raises(ValueError):
             summarize(ds)
+
+
+# --------------------------------------------------------------------------
+# block kernels against the per-record form they replace
+# --------------------------------------------------------------------------
+
+
+def per_record_ds(p, tau):
+    """The per-record RMS delay spread the kernel must reproduce bit for bit."""
+    psum = p.sum()
+    m1 = np.sum(tau * p) / psum
+    m2 = np.sum(tau**2 * p) / psum
+    return float(np.sqrt(max(m2 - m1**2, 0.0)))
+
+
+def per_record_as(p, angles_deg):
+    """The per-record angular spread the kernel must reproduce bit for bit."""
+    theta = np.radians(angles_deg)
+    psum = p.sum()
+    nu = np.sum(theta * p) / psum
+    dev = np.mod(theta - nu + np.pi, 2.0 * np.pi) - np.pi
+    return float(np.degrees(np.sqrt(np.sum(dev**2 * p) / psum)))
+
+
+def per_record_block(block, records):
+    """``block`` with its delay and angular spread moments recomputed record by record."""
+    if block is None:
+        return None
+    mu, sigma = _mean_std([per_record_ds(r.paths.power_mw, r.paths.delay_ns) for r in records])
+    moments = {"mu_ds_ns": mu, "sigma_ds_ns": sigma}
+    for kind, column in ANGLE_FIELDS.items():
+        mu, sigma = _mean_std([per_record_as(r.paths.power_mw, getattr(r.paths, column)) for r in records])
+        moments[f"mu_{kind.lower()}_deg"] = mu
+        moments[f"sigma_{kind.lower()}_deg"] = sigma
+    return dataclasses.replace(block, **moments)
+
+
+MIXED_TAGS = ("R", "R+R", "D", "R+D", "S", "R+S")
+
+
+def mixed_records(counts, los, seed, positions=None):
+    """Records with the given path counts (0 is an outage); the first path of
+    a ``los`` record is the direct one, the other tags are drawn."""
+    rng = np.random.default_rng(seed)
+    total = sum(counts)
+    tags = np.array(MIXED_TAGS)[rng.integers(0, len(MIXED_TAGS), total)].astype(object)
+    firsts = np.cumsum([0, *counts[:-1]])
+    for first, n, direct in zip(firsts, counts, los):
+        if direct and n:
+            tags[first] = "L"
+    paths = PathTable(
+        rng.uniform(-150.0, 30.0, total), rng.uniform(0.5, 500.0, total),
+        180.0 - rng.uniform(0.0, 360.0, total), rng.uniform(-90.0, 90.0, total),
+        180.0 - rng.uniform(0.0, 360.0, total), rng.uniform(-90.0, 90.0, total), tags,
+    )
+    if positions is None:
+        positions = [(3.0, 0.0, 1.0)] * len(counts)
+    return records_from_table(range(len(counts)), positions, TX, paths, counts)
+
+
+# n = 1, the 8-element unrolled and 128-element pairwise-sum block edges, then anything
+path_counts = st.one_of(st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 256, 257]), st.integers(1, 300))
+
+
+@st.composite
+def mixed_tables(draw):
+    counts = draw(st.lists(path_counts, min_size=1, max_size=10))
+    counts += draw(st.lists(st.sampled_from(counts), max_size=10))  # groups with R > 1
+    los = draw(st.lists(st.booleans(), min_size=len(counts), max_size=len(counts)))
+    return mixed_records(counts, los, draw(st.integers(0, 2**32 - 1)))
+
+
+class TestBlockKernels:
+    @given(mixed_tables())
+    def test_kernels_match_per_record_form(self, records):
+        for n in {len(r.paths) for r in records}:
+            group = [r.paths for r in records if len(r.paths) == n]
+            power = np.stack([p.power_mw for p in group])
+            got = rms_delay_spreads(power, np.stack([p.delay_ns for p in group]))
+            assert got.tolist() == [per_record_ds(p.power_mw, p.delay_ns) for p in group]
+            for column in ANGLE_FIELDS.values():
+                got = angular_spreads(power, np.stack([getattr(p, column) for p in group]))
+                assert got.tolist() == [per_record_as(p.power_mw, getattr(p, column)) for p in group]
+
+    @given(mixed_tables())
+    def test_record_functions_are_the_one_row_case(self, records):
+        for r in records:
+            assert rms_delay_spread(r) == per_record_ds(r.paths.power_mw, r.paths.delay_ns)
+            for kind, column in ANGLE_FIELDS.items():
+                assert angular_spread(r, kind) == per_record_as(r.paths.power_mw, getattr(r.paths, column))
+
+    @given(mixed_tables())
+    def test_summarize_matches_per_record_statistics(self, records):
+        ds = ScenarioDataset("mixed", TX, LinkBudget(), records, Provenance.SYNTHETIC)
+        s = summarize(ds)
+        assert s.params.los == per_record_block(s.params.los, ds.records_of(Condition.LOS))
+        assert s.params.nlos == per_record_block(s.params.nlos, ds.records_of(Condition.NLOS))
+
+    def test_mean_delay_squared_with_scalar_pow(self):
+        # With glibc, pow(m1, 2) of the first delay is 1 ulp below m1 * m1, which
+        # decides whether a lone 0 dBm (1 mW) path has a zero delay spread.
+        records = [record([comp(0.0, delay)]) for delay in (87.73735355102363, 254.04834808771182, 10.0)]
+        power = np.stack([r.paths.power_mw for r in records])
+        got = rms_delay_spreads(power, np.stack([r.paths.delay_ns for r in records]))
+        assert got.tolist() == [per_record_ds(r.paths.power_mw, r.paths.delay_ns) for r in records]
+
+    def test_single_path_los_records_have_infinite_k(self):
+        records = mixed_records([1, 1, 5, 1], [True, True, True, False], seed=3)
+        assert [k_factor(r) for r in records[:2]] == [math.inf, math.inf]
+        assert [rms_delay_spread(r) for r in (records[0], records[1], records[3])] == [0.0] * 3
+
+
+def _ingest_style_csv(path, seed=11, n_rx=600):
+    """A dataset CSV with 0 to 60 paths per receiver, outage and diffuse-only records."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 61, n_rx).tolist()
+    positions = rng.uniform((0.3, 0.1, 0.5), (13.2, 3.9, 1.3), (n_rx, 3))
+    records = mixed_records(counts, rng.random(n_rx) < 0.5, seed, positions)
+    save_dataset(ScenarioDataset("ingest-style", TX, LinkBudget(), records, Provenance.INGESTED), path)
+
+
+@pytest.mark.parametrize("make", [
+    *[["trace", "--preset", preset, "--max-reflections", "1"] for preset in ("BL", "CV", "RecV", "EmV")],
+    ["gen", "--preset", "BL", "--cond", "LOS", "--count", "400", "--seed", "5"],
+    ["gen", "--preset", "BL", "--cond", "NLOS", "--count", "400", "--seed", "5"],
+    "ingest-style",
+])
+def test_extract_bytes_match_per_record_form(tmp_path, make):
+    """``extract`` writes what the per-record statistics give, byte for byte."""
+    dataset = tmp_path / "ds.csv"
+    if make == "ingest-style":
+        _ingest_style_csv(dataset)
+    else:
+        assert main([*make, "--out", str(dataset)]) == 0
+    out = tmp_path / "params.csv"
+    assert main(["extract", "--in", str(dataset), "--out", str(out)]) == 0
+
+    ds = load_dataset(dataset)
+    params = summarize(ds).params
+    expected = ChannelParamSet(
+        params.name,
+        los=per_record_block(params.los, ds.records_of(Condition.LOS)),
+        nlos=per_record_block(params.nlos, ds.records_of(Condition.NLOS)),
+    )
+    write_params_csv([expected], tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()

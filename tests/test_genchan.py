@@ -11,8 +11,10 @@ from idschan.genchan import (
     draw_ds,
     draw_fades,
     draw_realization,
+    draw_realizations,
     realizations_to_dataset,
 )
+from idschan.geometry import fold_elevation_deg, wrap_azimuth_deg
 from idschan.linksim import LinkBudget
 from idschan.params import BL, GPP_INO, ChannelParamSet, ConditionParams
 from idschan.pathdata import Condition, load_dataset, save_dataset
@@ -92,6 +94,56 @@ class TestRealizationInvariants:
             draw_realization(ChannelParamSet("empty"), Condition.LOS)
         with pytest.raises(ValueError):
             draw_realization(ChannelParamSet("nokf", los=BL.nlos), Condition.LOS)
+
+
+def per_realization_draw(params, condition, n_taps, seed):
+    """The draw one realization at a time, with no blocks: the bit-level
+    oracle of ``draw_realizations``."""
+    block = params.block(condition)
+    is_los = condition is Condition.LOS
+    rng = np.random.default_rng(seed)
+    ds_target = float(draw_ds(block, rng))
+    kf_db = float(rng.normal(block.mu_kf_db, abs(block.sigma_kf_db))) if is_los else None
+    sf_db = float(rng.normal(0.0, block.sigma_sf_db))
+    delays = np.concatenate(([0.0], np.sort(rng.exponential(ds_target, n_taps - 1))))
+    weights = np.exp(-delays / ds_target)
+    if is_los:
+        k_lin = 10.0 ** (kf_db / 10.0)
+        rest = weights[1:] / weights[1:].sum() * (1.0 / (1.0 + k_lin))
+        powers = np.concatenate(([k_lin / (1.0 + k_lin)], rest))
+    else:
+        powers = weights / weights.sum()
+    powers = powers / powers.sum()
+    m1 = float(np.sum(delays * powers))
+    m2 = float(np.sum(delays**2 * powers))
+    delays = delays * (ds_target / math.sqrt(max(m2 - m1 * m1, 0.0)))
+    means = [rng.uniform(-180.0, 180.0), rng.uniform(-180.0, 180.0),
+             rng.uniform(-90.0, 90.0), rng.uniform(-90.0, 90.0)]
+    aod_az = wrap_azimuth_deg(means[0] + rng.normal(0.0, block.mu_asd_deg, n_taps))
+    aoa_az = wrap_azimuth_deg(means[1] + rng.normal(0.0, block.mu_asa_deg, n_taps))
+    aod_el = fold_elevation_deg(means[2] + rng.normal(0.0, block.mu_esd_deg, n_taps))
+    aoa_el = fold_elevation_deg(means[3] + rng.normal(0.0, block.mu_esa_deg, n_taps))
+    return ChannelRealization(condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("params", [BL, GPP_INO])
+    @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
+    @pytest.mark.parametrize("n_taps", [2, 20, 100])
+    def test_block_equals_single_draws(self, params, condition, n_taps):
+        seeds = range(7, 67)
+        reals = draw_realizations(params, condition, n_taps, seeds)
+        assert len(reals) == len(seeds)
+        for seed, real in zip(seeds, reals):
+            assert same_realization(real, draw_realization(params, condition, n_taps, seed))
+            assert same_realization(real, per_realization_draw(params, condition, n_taps, seed))
+
+    def test_arguments_checked_before_any_draw(self):
+        assert draw_realizations(BL, Condition.LOS, 20, []) == []
+        with pytest.raises(ValueError, match="n_taps"):
+            draw_realizations(BL, Condition.LOS, 101, [])
+        with pytest.raises(ValueError, match="LOS or NLOS"):
+            draw_realizations(BL, Condition.OUTAGE, 20, [])
 
 
 class TestStatisticalMoments:
