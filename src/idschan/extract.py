@@ -99,7 +99,7 @@ def k_factor(record: RxRecord) -> float | None:
         return None
     ref_idx = int(direct[0])
     powers = record.paths.power_mw.tolist()
-    rest = math.fsum(pw for i, pw in enumerate(powers) if i != ref_idx)
+    rest = math.fsum(powers[:ref_idx] + powers[ref_idx + 1:])
     if rest == 0.0:
         return math.inf
     return 10.0 * math.log10(powers[ref_idx] / rest)

@@ -213,17 +213,15 @@ def realizations_to_dataset(reals: list[ChannelRealization], name: str, budget) 
     """
     base_delay_ns = RX_DISTANCE_M / SPEED_OF_LIGHT * 1e9
     tx = (0.0, 0.0, 0.0)
-    counts = [len(real.delays_ns) for real in reals]
+    counts = np.array([len(real.delays_ns) for real in reals], dtype=np.intp)
     owner = np.repeat(np.arange(len(reals)), counts)
     powers, delays, *angles = (
         np.concatenate([getattr(real, field) for real in reals] + [np.empty(0)])
         for field in ("powers_lin", "delays_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
     )
-    tags = [
-        (Interaction.DIRECT if real.condition is Condition.LOS and i == 0 else Interaction.REFLECT).value
-        for real in reals
-        for i in range(len(real.delays_ns))
-    ]
+    is_los = np.array([real.condition is Condition.LOS for real in reals], dtype=bool)
+    tags = np.full(owner.size, Interaction.REFLECT.value)
+    tags[(np.cumsum(counts) - counts)[is_los & (counts > 0)]] = Interaction.DIRECT.value
     paths = PathTable([mw_to_dbm(p) for p in powers.tolist()], delays + base_delay_ns, *angles, tags,
                       lambda k: f"rx {owner[k]}")
     records = records_from_table(

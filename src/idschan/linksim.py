@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .genchan import draw_fades
+from .genchan import _require_finite, draw_fades
 from .params import ChannelParamSet
 from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, write_rows
 
@@ -85,7 +85,10 @@ def _normalize_channel(channel):
     condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"BER channels are LOS or NLOS, not {condition}")
-    return params.block(condition), condition
+    block = params.block(condition)
+    if condition is Condition.LOS:  # the per-block K draw needs both
+        _require_finite(block, ("mu_kf_db", "sigma_kf_db"))
+    return block, condition
 
 
 def _block_fades(chan, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +135,8 @@ def ber_bpsk(
 ) -> BerPoint:
     """Monte-Carlo BPSK bit error rate at one Eb/N0 point.
 
-    ``channel`` is "awgn" or a (ChannelParamSet, condition) pair. A fade is
+    ``channel`` is "awgn" or a (ChannelParamSet, condition) pair, whose LOS
+    block needs a finite ``mu_kf_db`` and ``sigma_kf_db``. A fade is
     held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
     from the root seed and run one after another, and their error counts are
     summed. The confidence half-width is the normal approximation of the
@@ -237,6 +241,8 @@ def ber_sweep(
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
     condition = Condition(condition)
+    for ps in presets:  # a bad block is rejected before any point runs
+        _normalize_channel((ps, condition))
 
     def run_point(point) -> BerPoint:
         (pi, ps), (gi, ebn0) = point

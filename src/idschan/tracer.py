@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -103,22 +103,11 @@ def _fresnel_gain_db(material: Material, cos_inc: np.ndarray, pol: str) -> np.nd
 # scene
 # --------------------------------------------------------------------------
 
-# Face name -> (axis, side); side 0 is the plane at coordinate 0, side 1 at the
-# cabin dimension. Vertical TX-RX polarization maps to TM on floor/ceiling
-# bounces and TE on the side and end walls.
+# Axis-major faces: face i is the plane of axis i // 2 at side i % 2, where side 0
+# is the plane at coordinate 0 and side 1 the plane at the cabin dimension.
+# Vertical TX-RX polarization maps to TM on floor/ceiling (axis 2) bounces and
+# TE on the side and end walls.
 FACES: tuple[str, ...] = ("front", "back", "left", "right", "floor", "ceiling")
-_FACE_AXIS_SIDE: dict[str, tuple[int, int]] = {
-    "front": (0, 0),
-    "back": (0, 1),
-    "left": (1, 0),
-    "right": (1, 1),
-    "floor": (2, 0),
-    "ceiling": (2, 1),
-}
-
-
-def _face_polarization(face: str) -> str:
-    return "TM" if face in ("floor", "ceiling") else "TE"
 
 
 @dataclass(frozen=True)
@@ -229,14 +218,14 @@ def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     images = []
     img = tx
     for face in seq:
-        axis, side = _FACE_AXIS_SIDE[face]
+        axis, side = divmod(FACES.index(face), 2)
         img = mirror_point(img, axis, side * dims[axis])
         images.append(img)
 
     valid = np.ones(n, dtype=bool)
     cur = rx
     for j in range(k - 1, -1, -1):
-        axis, side = _FACE_AXIS_SIDE[seq[j]]
+        axis, side = divmod(FACES.index(seq[j]), 2)
         plane_c = side * dims[axis]
         s = images[j]
         denom = s[axis] - cur[:, axis]
@@ -261,7 +250,6 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     by face sequence. A path's tags follow from its sequence's length: one
     reflection per face, or the direct path for the empty sequence."""
     rx = scene.rx_grid
-    n = rx.shape[0]
     lam = SPEED_OF_LIGHT / budget.carrier_hz
     box_min = np.array([b.min_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
@@ -272,38 +260,35 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
         valid, lengths, points = _trace_sequence(scene, rx, seq)
+        rows = np.flatnonzero(valid)  # the live receivers, narrowed by each stage below
         for j in range(len(seq) + 1):  # drop paths whose segment j crosses a blocker
-            live = np.flatnonzero(valid)
-            if live.size == 0:
+            if rows.size == 0:
                 break
-            valid[live] = ~segments_hit_boxes(points[live, j], points[live, j + 1], box_min, box_max,
-                                              clusters=clusters)
-        if not valid.any():
+            rows = rows[~segments_hit_boxes(points[rows, j], points[rows, j + 1], box_min, box_max,
+                                            clusters=clusters)]
+        if rows.size == 0:
             continue
 
-        gains_db = np.zeros(n)
+        points = points[rows]
+        gains_db = np.zeros(rows.size)
         for j, face in enumerate(seq):
-            axis, _ = _FACE_AXIS_SIDE[face]
+            axis = FACES.index(face) // 2
             seg = points[:, j + 1, :] - points[:, j, :]
             seg_len = np.linalg.norm(seg, axis=1)
             cos_inc = np.abs(seg[:, axis]) / np.where(seg_len > 0, seg_len, 1.0)
             cos_inc = np.clip(cos_inc, 0.0, 1.0)
-            gains_db += _fresnel_gain_db(
-                scene.wall_materials[face], cos_inc, _face_polarization(face)
-            )
+            gains_db += _fresnel_gain_db(scene.wall_materials[face], cos_inc, "TM" if axis == 2 else "TE")
 
-        power_dbm = budget.lossless_rx_dbm - fspl_db(lengths, lam) + gains_db
-        valid &= power_dbm >= budget.sensitivity_dbm
-        if not valid.any():
+        power_dbm = budget.lossless_rx_dbm - fspl_db(lengths[rows], lam) + gains_db
+        heard = power_dbm >= budget.sensitivity_dbm
+        if not heard.any():
             continue
 
-        keep = np.flatnonzero(valid)
-        delay_ns = lengths / SPEED_OF_LIGHT * 1e9
+        rows, points, power_dbm = rows[heard], points[heard], power_dbm[heard]
         aod_az, aod_el = spherical_angles_deg(points[:, 1, :] - points[:, 0, :])
         aoa_az, aoa_el = spherical_angles_deg(points[:, -2, :] - points[:, -1, :])
-        found.append((keep, np.full(keep.size, s), power_dbm[keep], delay_ns[keep],
-                      wrap_azimuth_deg(aod_az[keep]), aod_el[keep],
-                      wrap_azimuth_deg(aoa_az[keep]), aoa_el[keep]))
+        found.append((rows, np.full(rows.size, s), power_dbm, lengths[rows] / SPEED_OF_LIGHT * 1e9,
+                      wrap_azimuth_deg(aod_az), aod_el, wrap_azimuth_deg(aoa_az), aoa_el))
     owner, seq_idx, *columns = [np.concatenate(col) for col in zip(*found)]
     order = np.lexsort((seq_idx, owner))
     owner = owner[order]
@@ -357,23 +342,27 @@ MAX_REFLECTIONS = 6
 class CabinLayout:
     """Default cabin geometry: 12 rows x 6 seats, 2400 receivers.
 
-    Seat/passenger dimensions and the row pitch are placeholders chosen so
-    receiver planes run 0.75 m ahead of each seat row without touching the
-    previous row's boxes; all of them are overridable.
+    The fields set the cabin size, the seat rows and the receiver grid. The
+    seats, passengers and TX are fixed: two banks of three seats per row
+    against the side walls, a passenger box on every seat, and the TX near the
+    front wall under the ceiling. The box sizes and the default row pitch are
+    placeholders chosen so receiver planes run 0.75 m ahead of each seat row
+    without touching the previous row's boxes.
     """
+
+    seats_per_row: ClassVar[int] = 6
+    seat_size_m: ClassVar[tuple[float, float, float]] = (0.5, 0.5, 1.2)
+    human_size_m: ClassVar[tuple[float, float, float]] = (0.35, 0.45, 0.9)
+    human_z0_m: ClassVar[float] = 0.55
+    seat_wall_gap_m: ClassVar[float] = 0.05
+    tx_standoff_m: ClassVar[float] = 0.05
+    tx_y_m: ClassVar[float] = 1.7
+    tx_z_m: ClassVar[float] = 2.1
 
     cabin_dims_m: tuple[float, float, float] = (13.5, 4.0, 2.4)
     rows: int = 12
-    seats_per_row: int = 6
     row_pitch_m: float = 1.05
     first_row_x_m: float = 1.2
-    seat_size_m: tuple[float, float, float] = (0.5, 0.5, 1.2)
-    human_size_m: tuple[float, float, float] = (0.35, 0.45, 0.9)
-    human_z0_m: float = 0.55
-    seat_wall_gap_m: float = 0.05
-    tx_standoff_m: float = 0.05
-    tx_y_m: float = 1.7
-    tx_z_m: float = 2.1
     rx_offset_m: float = 0.75
     rx_heights_m: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9, 1.0)
     rx_lateral_step_m: float = 0.1
@@ -388,14 +377,9 @@ class CabinLayout:
                                 f"x {len(self.rx_heights_m)} heights x {lateral:g} lateral positions")
 
     def seat_centers_y(self) -> list[float]:
-        if self.seats_per_row % 2:
-            raise GeometryError("seats_per_row must be even (two banks)")
-        per_side = self.seats_per_row // 2
         w = self.seat_size_m[1]
-        width = self.cabin_dims_m[1]
-        left = [self.seat_wall_gap_m + w * (i + 0.5) for i in range(per_side)]
-        right = [width - y for y in reversed(left)]
-        return left + right
+        left = [self.seat_wall_gap_m + w * (i + 0.5) for i in range(self.seats_per_row // 2)]
+        return left + [self.cabin_dims_m[1] - y for y in reversed(left)]
 
     def row_x(self) -> list[float]:
         return [self.first_row_x_m + i * self.row_pitch_m for i in range(self.rows)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -221,6 +222,18 @@ class TestBerBpsk:
             ber_bpsk((BL, Condition.DS), 5.0, 100, rng_seed=1)
         with pytest.raises(ValueError):
             ber_bpsk("awgn", 5.0, 0, rng_seed=1)
+
+    @pytest.mark.parametrize("field", ["mu_kf_db", "sigma_kf_db"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
+    def test_los_k_field_missing_or_non_finite_rejected(self, monkeypatch, field, bad):
+        # the LOS K draw needs both fields; NLOS reads neither
+        broken = ChannelParamSet("broken", los=dataclasses.replace(BL.los, **{field: bad}), nlos=BL.nlos)
+        assert ber_bpsk((broken, Condition.NLOS), 30.0, 1000, rng_seed=1).ber == 0.0
+        monkeypatch.setattr(linksim, "_batch_samples", pytest.fail)  # rejected before the first batch
+        with pytest.raises(ValueError, match=f"parameter {field} is missing or non-finite"):
+            ber_bpsk((broken, Condition.LOS), 30.0, 1000, rng_seed=1)
+        with pytest.raises(ValueError, match=f"parameter {field} is missing or non-finite"):
+            ber_sweep([BL, broken], Condition.LOS, [0.0, 30.0], 1000, rng_seed=1, threads=2)
 
 
 class TestPerBitOracle:

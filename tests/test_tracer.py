@@ -179,6 +179,18 @@ class TestTraceLink:
         paths = trace_link(scene, (2.0, 2.0, 1.5), strict)
         assert [p.interactions for p in paths] == [(Interaction.DIRECT,)]
 
+    def test_sensitivity_threshold_is_inclusive(self):
+        # a path at exactly the sensitivity is kept; one ulp above the threshold drops it
+        scene = empty_box(order=2, walls={f: GLASS for f in FACES})
+        rx = (2.0, 2.0, 1.5)
+        powers = sorted(p.power_dbm for p in trace_link(scene, rx, LinkBudget()))
+        edge = powers[len(powers) // 2]
+        kept = [p.power_dbm for p in trace_link(scene, rx, LinkBudget(sensitivity_dbm=edge))]
+        assert sorted(kept) == [p for p in powers if p >= edge] and edge in kept
+        above = float(np.nextafter(edge, math.inf))
+        kept = [p.power_dbm for p in trace_link(scene, rx, LinkBudget(sensitivity_dbm=above))]
+        assert sorted(kept) == [p for p in powers if p > edge] and edge not in kept
+
     def test_rx_outside_cabin_rejected(self):
         scene = empty_box()
         with pytest.raises(GeometryError):
@@ -413,6 +425,30 @@ class TestBuildScenario:
         scene = build_scenario(ScenarioPreset.BL)
         assert scene.tx_position_m[1] == 1.7
         assert scene.tx_position_m[2] == 2.1
+
+    def test_bl_preset_geometry_pinned(self):
+        # the fixed seat, passenger and TX constants of the layout, as the BL preset places them
+        scene = build_scenario(ScenarioPreset.BL)
+        want = {  # blocker index -> (label, material, min corner, max corner)
+            0: ("Seat", "nylon", (0.95, 0.05, 0.0), (1.45, 0.55, 1.2)),
+            71: ("Seat", "nylon", (12.5, 3.45, 0.0), (13.0, 3.95, 1.2)),
+            72: ("Human", "human_skin", (1.025, 0.075, 0.55), (1.375, 0.525, 1.45)),
+            143: ("Human", "human_skin", (12.575, 3.475, 0.55), (12.925, 3.925, 1.45)),
+        }
+        for i, (label, material, lo, hi) in want.items():
+            b = scene.blockers[i]
+            assert (b.label, b.material.name) == (label, material)
+            assert b.min_m == pytest.approx(lo, abs=1e-12) and b.max_m == pytest.approx(hi, abs=1e-12)
+        assert scene.tx_position_m == (0.05, 1.7, 2.1)
+        assert scene.rx_grid[0] == pytest.approx((0.45, 0.05, 0.6), abs=1e-12)
+        assert scene.rx_grid[-1] == pytest.approx((12.0, 3.95, 1.0), abs=1e-12)
+
+    def test_layout_fields_are_the_settable_knobs(self):
+        assert [f.name for f in dataclasses.fields(CabinLayout)] == [
+            "cabin_dims_m", "rows", "row_pitch_m", "first_row_x_m", "rx_offset_m",
+            "rx_heights_m", "rx_lateral_step_m", "rx_lateral_margin_m"]
+        with pytest.raises(TypeError):
+            CabinLayout(seats_per_row=4)
 
 
 class TestTraceScenario:
