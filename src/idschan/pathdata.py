@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -116,7 +116,12 @@ class PathTable:
         ``where(i)`` names row ``i`` in error messages."""
         cols = [np.array(c, dtype=float) for c in
                 (power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg)]
-        distinct, inverse = np.unique(np.asarray(interactions, dtype=str), return_inverse=True)
+        raw = interactions
+        if not (isinstance(raw, np.ndarray) and raw.dtype.kind == "U"):
+            # numpy's str dtype drops trailing NULs ("R\0" would read as "R"), so
+            # codes holding a NUL stay Python strings, to fail below as unknown tags
+            raw = np.asarray(raw, dtype=object if "\0" in "".join(raw) else str)
+        distinct, inverse = np.unique(raw, return_inverse=True)
         codes = []
         for j, code in enumerate(distinct.tolist()):
             tags = [t.strip() for t in code.split("+")] if code.strip() else []
@@ -353,6 +358,17 @@ def _parse_column(tokens: Sequence[str], kind: type, name: str, lines: Sequence[
         raise
 
 
+def _parse_repeated(tokens: Sequence[str], kind: type, name: str, lines: Sequence[int]) -> list:
+    """``_parse_column`` for a column of few distinct tokens, each parsed once:
+    ``int`` and ``float`` depend on the text alone, so the values are the same."""
+    distinct = dict.fromkeys(tokens)
+    try:
+        values = dict(zip(distinct, map(kind, distinct)))
+    except ValueError:
+        return _parse_column(tokens, kind, name, lines)  # raises, naming the first bad line
+    return list(map(values.__getitem__, tokens))
+
+
 def load_dataset(path: str | Path) -> ScenarioDataset:
     """Read a dataset CSV + sidecar, recomputing every record's condition.
 
@@ -384,24 +400,70 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     return ScenarioDataset(scenario_name, tx, budget, records, provenance)
 
 
-def _chunks(reader):
-    """The reader's non-blank rows, ``_CHUNK_ROWS`` at a time, each chunk with
-    its line numbers: the rows follow the header (line 1), and a blank row
-    takes a number but no place in a chunk."""
-    rows, lines, line = [], [], 2
-    while more := list(islice(reader, _CHUNK_ROWS - len(rows))):
-        numbers = range(line, line + len(more))
-        line += len(more)
-        if not all(more):
-            keep = list(map(bool, more))
-            more, numbers = compress(more, keep), compress(numbers, keep)
-        rows += more
-        lines += numbers
-        if len(rows) == _CHUNK_ROWS:
-            yield lines, rows
-            rows, lines = [], []
-    if rows:
-        yield lines, rows
+def _take(items, n: int, blank) -> list:
+    """The next items up to and including the ``n``-th that is not ``blank``."""
+    out, kept = [], 0
+    while kept < n and (more := list(islice(items, n - kept))):
+        out += more
+        kept += len(more) - more.count(blank)
+    return out
+
+
+def _numbered(items: list, first: int, blank) -> tuple[list, list]:
+    """The numbers (counted from ``first``) and the items that are not ``blank``."""
+    numbers = range(first, first + len(items))
+    if blank not in items:
+        return list(numbers), items
+    keep = [item != blank for item in items]
+    return list(compress(numbers, keep)), list(compress(items, keep))
+
+
+def _chunks(fh, header_lines: int):
+    """The rows after the header, ``_CHUNK_ROWS`` non-blank rows at a time, as
+    (line numbers, columns of cell strings) pairs; ``header_lines`` counts
+    the file lines the header took.
+
+    Rows are numbered from 2 (the header is line 1); a blank row takes a
+    number but no place in a chunk. A chunk of plain lines, with no quote,
+    CR or NUL (which csv before Python 3.11 rejects), none longer than the
+    csv field limit and 11 cells on each, is cut with one ``str.split``. The
+    first other chunk and all after it go through ``csv.reader``, the only
+    reader of quoted cells, CR line ends and extra columns. Up to that chunk
+    rows are lines, so chunk bounds and line numbers do not depend on the
+    reader.
+    """
+    ncol, limit, line = len(CSV_COLUMNS), csv.field_size_limit(), 2
+    while raw := _take(fh, _CHUNK_ROWS, "\n"):
+        lines, plain = _numbered(raw, line, "\n")
+        if not plain:
+            return
+        text = "".join(plain)
+        if ('"' in text or "\r" in text or "\0" in text or max(map(len, plain)) > limit
+                or set(map(str.count, plain, repeat(","))) != {ncol - 1}):
+            yield from _csv_chunks(chain(raw, fh), line, header_lines + line - 2)
+            return
+        cells = text.replace("\n", ",").split(",")
+        yield lines, [cells[c:len(plain) * ncol:ncol] for c in range(ncol)]
+        line += len(raw)
+
+
+def _csv_chunks(file_lines, line: int, lines_before: int):
+    """``_chunks`` by ``csv.reader`` from row ``line`` on; ``lines_before``
+    counts the file lines before it, so that csv errors name the file line."""
+    ncol = len(CSV_COLUMNS)
+    reader = csv.reader(file_lines)
+    try:
+        while taken := _take(reader, _CHUNK_ROWS, []):
+            lines, rows = _numbered(taken, line, [])
+            line += len(taken)
+            if not rows:
+                return
+            if min(map(len, rows)) < ncol:
+                at, row = next((at, row) for at, row in zip(lines, rows) if len(row) < ncol)
+                raise DatasetFormatError(f"line {at}: expected {ncol} columns, got {len(row)}")
+            yield lines, list(zip(*rows))  # zip stops at the shortest row: extra columns drop out
+    except csv.Error as exc:
+        raise DatasetFormatError(f"line {lines_before + reader.line_num}: {exc}") from None
 
 
 def _load_rows(path: Path):
@@ -413,7 +475,7 @@ def _load_rows(path: Path):
     """
     ncol = len(CSV_COLUMNS)
     lines, rx_ids, is_path = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
-    tags = [np.empty(0, str)]
+    tags: list[str] = []
     numbers = [np.empty((9, 0))]  # x, y, z, power, then path fields, which outage rows leave NaN
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -423,17 +485,15 @@ def _load_rows(path: Path):
                 raise DatasetFormatError("line 1: empty file, expected header")
             if tuple(h.strip() for h in header[:ncol]) != CSV_COLUMNS:
                 raise DatasetFormatError("line 1: unexpected header columns")
-            for chunk_lines, rows in _chunks(reader):
-                if min(map(len, rows)) < ncol:
-                    line, row = next((line, row) for line, row in zip(chunk_lines, rows) if len(row) < ncol)
-                    raise DatasetFormatError(f"line {line}: expected {ncol} columns, got {len(row)}")
-                cols = list(zip(*rows))  # zip stops at the shortest row: extra columns drop out
-                rx_ids.append(np.array(_parse_column(cols[0], int, "rx_id", chunk_lines)))
-                has_path = np.fromiter(map(bool, map(str.strip, cols[10])), bool, len(rows))
+            for chunk_lines, cols in _chunks(fh, reader.line_num):
+                rx_ids.append(np.array(_parse_repeated(cols[0], int, "rx_id", chunk_lines)))
+                has_path = np.fromiter(map(bool, map(str.strip, cols[10])), bool, len(chunk_lines))
                 path_lines = list(compress(chunk_lines, has_path))
-                block = np.full((9, len(rows)), math.nan)
+                block = np.full((9, len(chunk_lines)), math.nan)
                 for c in range(1, 10):
-                    if c < 5:
+                    if c < 4:  # a receiver's position repeats on each of its rows
+                        block[c - 1] = _parse_repeated(cols[c], float, CSV_COLUMNS[c], chunk_lines)
+                    elif c == 4:
                         block[c - 1] = _parse_column(cols[c], float, CSV_COLUMNS[c], chunk_lines)
                     else:  # outage rows leave the path fields NaN
                         block[c - 1, has_path] = _parse_column(list(compress(cols[c], has_path)), float,
@@ -441,7 +501,7 @@ def _load_rows(path: Path):
                 numbers.append(block)
                 lines.append(np.array(chunk_lines))
                 is_path.append(has_path)
-                tags.append(np.array(cols[10], dtype=str))
+                tags += cols[10]
         except csv.Error as exc:
             raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -449,7 +509,7 @@ def _load_rows(path: Path):
     x, y, z, power, *values = np.concatenate(numbers, axis=1)
     del numbers
     # rx ids too large for int64 make an object array of Python ints
-    lines, rx_ids, is_path, tags = map(np.concatenate, (lines, rx_ids, is_path, tags))
+    lines, rx_ids, is_path = map(np.concatenate, (lines, rx_ids, is_path))
 
     def reject(bad: np.ndarray, error: type, message: str) -> None:
         """Raise for the first flagged row, named by its line and rx id."""
@@ -472,6 +532,6 @@ def _load_rows(path: Path):
 
     rows = np.flatnonzero(is_path)
     rows = rows[np.argsort(rec[rows], kind="stable")]
-    columns = [power[rows], *(v[rows] for v in values), tags[rows]]
+    columns = [power[rows], *(v[rows] for v in values), [tags[i] for i in rows.tolist()]]
     return (ids, pos[first_row].tolist(), counts, columns,
             lambda k: f"line {lines[rows[k]]}: rx {rx_ids[rows[k]]}")

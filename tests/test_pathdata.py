@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 from itertools import repeat
@@ -124,6 +125,13 @@ class TestComponentValidation:
         zeros = [0.0, 0.0, 0.0]
         with pytest.raises(DatasetValidationError, match=r"path 1: delay_ns=-2\.0"):
             PathTable([-50.0] * 3, [5.0, -2.0, 5.0], zeros, zeros, zeros, [0.0, 0.0, 91.0], ["R"] * 3)
+
+    @pytest.mark.parametrize("code, tag", [("R\0", "R\0"), ("L\0\0", "L\0\0"), ("R+S\0", "S\0")])
+    def test_nul_in_a_code_is_an_unknown_tag(self, code, tag):
+        zeros = [0.0, 0.0]
+        with pytest.raises(DatasetFormatError) as info:
+            PathTable([-50.0] * 2, [5.0] * 2, zeros, zeros, zeros, zeros, ["R", code])
+        assert str(info.value) == f"path 1: unknown interaction tag {tag!r}"
 
     def test_codes_canonical_and_rows_round_trip(self):
         t = PathTable([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
@@ -287,6 +295,14 @@ class TestWriterBytes:
         assert_csv_matches_oracle(ds, tmp_path_factory.mktemp("bytes"))
 
 
+def quote_all_rows(text):
+    """CSV text rewritten with every cell quoted; blank rows stay blank."""
+    out = io.StringIO()
+    rows = csv.reader(io.StringIO(text, newline=""))
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 class TestLoaderErrors:
     def write(self, tmp_path, body, meta=True):
         p = tmp_path / "bad.csv"
@@ -321,6 +337,13 @@ class TestLoaderErrors:
     def test_unknown_tag(self, tmp_path):
         p = self.write(tmp_path, "0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R+Q\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
+            load_dataset(p)
+
+    # numpy's str dtype drops trailing NULs, which once loaded "R\0" as "R" and "L\0\0" as "L"
+    @pytest.mark.parametrize("tag", ["R\0", "L\0\0"])
+    def test_nul_in_tag_is_an_unknown_tag(self, tmp_path, tag):
+        p = self.write(tmp_path, f"0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,{tag}\n")
+        with pytest.raises(DatasetFormatError, match="^line 2: "):
             load_dataset(p)
 
     def test_missing_sidecar(self, tmp_path):
@@ -447,11 +470,12 @@ class TestLoaderErrors:
     BAD_FLOAT = "0,1.0,0.0,1.0,-50.0,oops,0.0,0.0,0.0,0.0,R"
     BAD_X = "0,nan,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R"
 
-    def load_lines(self, tmp_path, n_lines, special):
-        """Lines 2..n_lines are GOOD rows, except those ``special`` maps to other text."""
+    def load_lines(self, tmp_path, n_lines, special, quote_all=False):
+        """Lines 2..n_lines are GOOD rows, except those ``special`` maps to other text;
+        ``quote_all`` rewrites the rows with every cell quoted."""
         assert _CHUNK_ROWS == 2048  # the expected line numbers assume it
         body = "\n".join(special.get(line, self.GOOD) for line in range(2, n_lines + 1)) + "\n"
-        return load_dataset(self.write(tmp_path, body))
+        return load_dataset(self.write(tmp_path, quote_all_rows(body) if quote_all else body))
 
     @pytest.mark.parametrize("special, message", [
         # two blanks early: the first chunk reaches line 2051, so the short row there is reported
@@ -473,8 +497,44 @@ class TestLoaderErrors:
         ({**{line: "" for line in range(2, 2051)}, 2061: BAD_FLOAT}, "line 2061: bad delay_ns value 'oops'"),
     ])
     def test_format_errors_name_the_line(self, tmp_path, special, message):
+        for quote_all in (False, True):  # csv.reader must name the same line as str.split
+            with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+                self.load_lines(tmp_path, 4200, special, quote_all)
+
+    # The first quote is on line 2100, in the second chunk: from that chunk on csv.reader reads
+    # the rows, and a row counts one line even where a quoted cell holds a newline. With ten
+    # blank rows the second chunk ends at line 4107.
+    QUOTED = GOOD[:-1] + '"R"'
+    NEWLINE_IN_CELL = GOOD[:-1] + '" R\n+S"'
+
+    @pytest.mark.parametrize("special, message", [
+        ({2100: QUOTED, 2049: BAD_FLOAT}, "line 2049: bad delay_ns value 'oops'"),
+        ({2100: QUOTED, 2101: SHORT, 2099: BAD_FLOAT}, "line 2101: expected 11 columns, got 3"),
+        ({2100: QUOTED, 3000: BAD_FLOAT}, "line 3000: bad delay_ns value 'oops'"),
+        # csv's own errors name the physical line; a line too long for csv goes through it
+        ({2100: NEWLINE_IN_CELL, 3000: "x" * (csv.field_size_limit() + 1)},
+         r"line 3001: field larger than field limit \(131072\)"),
+        ({3000: GOOD.replace("5.0", "5." + "0" * csv.field_size_limit())},
+         r"line 3000: field larger than field limit \(131072\)"),
+        ({2100: NEWLINE_IN_CELL, 3000: BAD_FLOAT}, "line 3000: bad delay_ns value 'oops'"),
+        ({2100: NEWLINE_IN_CELL, **{line: "" for line in range(4090, 4100)}, 4107: SHORT, 4108: BAD_FLOAT},
+         "line 4107: expected 11 columns, got 3"),
+        ({2100: NEWLINE_IN_CELL, **{line: "" for line in range(4090, 4100)}, 4107: BAD_FLOAT, 4108: SHORT},
+         "line 4107: bad delay_ns value 'oops'"),
+    ])
+    def test_quote_mid_file_keeps_line_numbers(self, tmp_path, special, message):
         with pytest.raises(DatasetFormatError, match=f"^{message}$"):
             self.load_lines(tmp_path, 4200, special)
+
+    def test_extra_columns_ignored_on_any_row(self, tmp_path):
+        ds = self.load_lines(tmp_path, 4200, {10: self.GOOD + ",LOS", 3000: self.GOOD + ",x,y"})
+        assert ds.records[0].paths.interactions.tolist() == ["R"] * 4199
+
+    def test_newline_in_quoted_cell_loads(self, tmp_path):
+        ds = self.load_lines(tmp_path, 4200, {2100: self.NEWLINE_IN_CELL, 3000: ""})
+        codes = ds.records[0].paths.interactions.tolist()
+        assert len(codes) == 4198 and codes[2098] == "R+S"
+        assert codes.count("R") == 4197
 
     def test_validation_error_after_blank_rows_names_the_line(self, tmp_path):
         special = {**{line: "" for line in range(2040, 2061)}, 4150: self.BAD_X}
@@ -557,7 +617,7 @@ _NUMBER = st.one_of(
 )
 _TAGS = st.one_of(
     st.sampled_from(["L", "R", "R+R", "D+S", "S", " R + S ", "L+R", "R+", "Q", "l", ""]),
-    st.text(alphabet="LRDSQ+ ", max_size=6),
+    st.text(alphabet="LRDSQ+ \x00", max_size=6),
 )
 
 
@@ -647,3 +707,22 @@ def test_loader_fuzz_rejects_typed_and_accepts_only_finite(tmp_path_factory, row
         return
     _assert_finite(ds)
 
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_ROW, max_size=6))
+def test_plain_quoted_and_cr_files_load_alike(tmp_path_factory, rows):
+    """The same rows written plain, with every cell quoted and CRLF line ends, and
+    with CR line ends give equal records, or the same error. Most plain files take
+    the str.split path; the others go through csv.reader."""
+    d = tmp_path_factory.mktemp("pin")
+    outcomes = []
+    for name, quoting, end in (("plain", csv.QUOTE_MINIMAL, "\n"), ("quoted", csv.QUOTE_ALL, "\r\n"),
+                               ("cr", csv.QUOTE_MINIMAL, "\r")):
+        with open(d / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=quoting, lineterminator=end).writerows([CSV_COLUMNS, *rows])
+        (d / f"{name}.meta.json").write_text(json.dumps(_META), encoding="utf-8")
+        try:
+            outcomes.append(load_dataset(d / f"{name}.csv").records)
+        except (DatasetFormatError, DatasetValidationError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
