@@ -116,18 +116,16 @@ class PathTable:
         ``where(i)`` names row ``i`` in error messages."""
         cols = [np.array(c, dtype=float) for c in
                 (power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg)]
-        raw = interactions
-        if not (isinstance(raw, np.ndarray) and raw.dtype.kind == "U"):
-            # numpy's str dtype drops trailing NULs ("R\0" would read as "R"), so
-            # codes holding a NUL stay Python strings, to fail below as unknown tags
-            raw = np.asarray(raw, dtype=object if "\0" in "".join(raw) else str)
-        distinct, inverse = np.unique(raw, return_inverse=True)
+        # Python strings, never numpy's str dtype, which drops trailing NULs ("R\0" would read as "R")
+        raw = interactions.tolist() if isinstance(interactions, np.ndarray) else list(interactions)
+        # the distinct codes in order of first appearance, so the first bad one is on the first bad row
+        index = {code: j for j, code in enumerate(dict.fromkeys(raw))}
         codes = []
-        for j, code in enumerate(distinct.tolist()):
+        for code in index:
             tags = [t.strip() for t in code.split("+")] if code.strip() else []
             unknown = [t for t in tags if t not in _TAG_CODES]
             if unknown or not tags or (_DIRECT in tags and tags != [_DIRECT]):
-                row = where(int(np.argmax(inverse == j)))
+                row = where(raw.index(code))
                 if unknown:
                     raise DatasetFormatError(f"{row}: unknown interaction tag {unknown[0]!r}")
                 raise DatasetValidationError(f"{row}: interactions must be non-empty, Direct alone")
@@ -150,7 +148,7 @@ class PathTable:
             raise DatasetValidationError(
                 f"{where(i)}: {FLOAT_COLUMNS[k]}={float(cols[k][i])!r}, must be {checks[k][1]}"
             )
-        cols.append(np.array(codes, dtype=str)[inverse])
+        cols.append(np.array(codes, dtype=str)[np.fromiter(map(index.__getitem__, raw), np.intp, len(raw))])
         cols.append(np.fromiter(map(dbm_to_mw, map(float, power)), dtype=float, count=len(power)))
         for name, col in zip(self.__slots__, cols):
             col.flags.writeable = False
@@ -488,7 +486,8 @@ def _load_rows(path: Path):
             for chunk_lines, cols in _chunks(fh, reader.line_num):
                 rx_ids.append(np.array(_parse_repeated(cols[0], int, "rx_id", chunk_lines)))
                 has_path = np.fromiter(map(bool, map(str.strip, cols[10])), bool, len(chunk_lines))
-                path_lines = list(compress(chunk_lines, has_path))
+                selector = has_path.tolist()  # compress reads a list faster than numpy bools
+                path_lines = list(compress(chunk_lines, selector))
                 block = np.full((9, len(chunk_lines)), math.nan)
                 for c in range(1, 10):
                     if c < 4:  # a receiver's position repeats on each of its rows
@@ -496,7 +495,7 @@ def _load_rows(path: Path):
                     elif c == 4:
                         block[c - 1] = _parse_column(cols[c], float, CSV_COLUMNS[c], chunk_lines)
                     else:  # outage rows leave the path fields NaN
-                        block[c - 1, has_path] = _parse_column(list(compress(cols[c], has_path)), float,
+                        block[c - 1, has_path] = _parse_column(list(compress(cols[c], selector)), float,
                                                                CSV_COLUMNS[c], path_lines)
                 numbers.append(block)
                 lines.append(np.array(chunk_lines))

@@ -200,48 +200,35 @@ _B_EPS = 1e-12
 
 
 def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
-    """Vectorized over receivers: geometry of one face sequence.
+    """Geometry of one face sequence, traced on the live receivers only.
 
-    Returns (valid mask (N,), unfolded lengths (N,), points (N, k+2, 3)).
+    Each bounce, from the RX back to the TX, keeps the receivers whose ray
+    meets the bounce's face strictly between its ends and within the face.
+    Returns the indices into ``rx`` of the receivers with a valid path, their
+    unfolded lengths (m,) and their points (m, k+2, 3), TX first.
     """
-    n = rx.shape[0]
-    tx = np.asarray(scene.tx_position_m, dtype=float)
     dims = np.asarray(scene.cabin_dims_m, dtype=float)
-    k = len(seq)
-    points = np.empty((n, k + 2, 3))
-    points[:, 0, :] = tx
-    points[:, -1, :] = rx
-    if k == 0:
-        lengths = np.linalg.norm(rx - tx, axis=1)
-        return np.ones(n, dtype=bool), lengths, points
-
-    images = []
-    img = tx
+    images = [np.asarray(scene.tx_position_m, dtype=float)]
     for face in seq:
         axis, side = divmod(FACES.index(face), 2)
-        img = mirror_point(img, axis, side * dims[axis])
-        images.append(img)
-
-    valid = np.ones(n, dtype=bool)
-    cur = rx
-    for j in range(k - 1, -1, -1):
+        images.append(mirror_point(images[-1], axis, side * dims[axis]))
+    rows = np.arange(len(rx))
+    points = np.empty((len(rx), len(seq) + 2, 3))
+    points[:, 0], points[:, -1] = images[0], rx
+    for j in range(len(seq) - 1, -1, -1):
         axis, side = divmod(FACES.index(seq[j]), 2)
-        plane_c = side * dims[axis]
-        s = images[j]
-        denom = s[axis] - cur[:, axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (plane_c - cur[:, axis]) / denom
-        valid &= np.isfinite(t) & (t > _T_EPS) & (t < 1.0 - _T_EPS)
-        t = np.where(valid, t, 0.5)  # keep the arithmetic finite on dead rows
-        p = cur + t[:, None] * (s[None, :] - cur)
+        plane_c, s, cur = side * dims[axis], images[j + 1], points[:, j + 2]
+        with np.errstate(all="ignore"):  # rows that divide by zero or overflow drop out below
+            t = (plane_c - cur[:, axis]) / (s[axis] - cur[:, axis])
+            p = cur + t[:, None] * (s[None, :] - cur)
         p[:, axis] = plane_c
+        live = (t > _T_EPS) & (t < 1.0 - _T_EPS)
         for ax in range(3):
             if ax != axis:
-                valid &= (p[:, ax] >= -_B_EPS) & (p[:, ax] <= dims[ax] + _B_EPS)
-        points[:, j + 1, :] = p
-        cur = p
-    lengths = np.linalg.norm(rx - images[-1][None, :], axis=1)
-    return valid, lengths, points
+                live &= (p[:, ax] >= -_B_EPS) & (p[:, ax] <= dims[ax] + _B_EPS)
+        points[:, j + 1] = p
+        rows, points = rows[live], points[live]
+    return rows, np.linalg.norm(points[:, -1] - images[-1], axis=1), points
 
 
 def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTable]:
@@ -259,17 +246,15 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
-        valid, lengths, points = _trace_sequence(scene, rx, seq)
-        rows = np.flatnonzero(valid)  # the live receivers, narrowed by each stage below
+        rows, lengths, points = _trace_sequence(scene, rx, seq)
         for j in range(len(seq) + 1):  # drop paths whose segment j crosses a blocker
             if rows.size == 0:
                 break
-            rows = rows[~segments_hit_boxes(points[rows, j], points[rows, j + 1], box_min, box_max,
-                                            clusters=clusters)]
+            clear = ~segments_hit_boxes(points[:, j], points[:, j + 1], box_min, box_max, clusters=clusters)
+            rows, lengths, points = rows[clear], lengths[clear], points[clear]
         if rows.size == 0:
             continue
 
-        points = points[rows]
         gains_db = np.zeros(rows.size)
         for j, face in enumerate(seq):
             axis = FACES.index(face) // 2
@@ -279,15 +264,15 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
             cos_inc = np.clip(cos_inc, 0.0, 1.0)
             gains_db += _fresnel_gain_db(scene.wall_materials[face], cos_inc, "TM" if axis == 2 else "TE")
 
-        power_dbm = budget.lossless_rx_dbm - fspl_db(lengths[rows], lam) + gains_db
+        power_dbm = budget.lossless_rx_dbm - fspl_db(lengths, lam) + gains_db
         heard = power_dbm >= budget.sensitivity_dbm
         if not heard.any():
             continue
 
-        rows, points, power_dbm = rows[heard], points[heard], power_dbm[heard]
+        rows, lengths, points, power_dbm = rows[heard], lengths[heard], points[heard], power_dbm[heard]
         aod_az, aod_el = spherical_angles_deg(points[:, 1, :] - points[:, 0, :])
         aoa_az, aoa_el = spherical_angles_deg(points[:, -2, :] - points[:, -1, :])
-        found.append((rows, np.full(rows.size, s), power_dbm, lengths[rows] / SPEED_OF_LIGHT * 1e9,
+        found.append((rows, np.full(rows.size, s), power_dbm, lengths / SPEED_OF_LIGHT * 1e9,
                       wrap_azimuth_deg(aod_az), aod_el, wrap_azimuth_deg(aoa_az), aoa_el))
     owner, seq_idx, *columns = [np.concatenate(col) for col in zip(*found)]
     order = np.lexsort((seq_idx, owner))
@@ -371,10 +356,18 @@ class CabinLayout:
     def __post_init__(self):  # keeps rx_points() finite and bounded
         if not (self.rx_lateral_step_m > 0.0):
             raise GeometryError(f"rx_lateral_step_m must be positive, got {self.rx_lateral_step_m!r}")
-        lateral = abs((self.cabin_dims_m[1] - 2 * self.rx_lateral_margin_m) / self.rx_lateral_step_m) + 1
-        if not (1 <= self.rows <= MAX_RECEIVERS / max(len(self.rx_heights_m), 1) / lateral):
-            raise GeometryError(f"need rows >= 1 and at most {MAX_RECEIVERS} receivers, got rows={self.rows!r} "
+        lateral = self._lateral_count()
+        if not (self.rows >= 1 and 1 <= self.rows * len(self.rx_heights_m) * lateral <= MAX_RECEIVERS):
+            raise GeometryError(f"need rows >= 1 and 1 to {MAX_RECEIVERS} receivers, got rows={self.rows!r} "
                                 f"x {len(self.rx_heights_m)} heights x {lateral:g} lateral positions")
+
+    def _lateral_count(self) -> int:
+        """Receivers across the cabin per row and height, one step apart from margin to margin."""
+        span = (self.cabin_dims_m[1] - 2 * self.rx_lateral_margin_m) / self.rx_lateral_step_m
+        if not math.isfinite(span):
+            raise GeometryError(f"need a finite number of lateral positions, got (width - 2 x "
+                                f"rx_lateral_margin_m) / rx_lateral_step_m = {span!r}")
+        return int(round(span)) + 1
 
     def seat_centers_y(self) -> list[float]:
         w = self.seat_size_m[1]
@@ -385,9 +378,7 @@ class CabinLayout:
         return [self.first_row_x_m + i * self.row_pitch_m for i in range(self.rows)]
 
     def rx_points(self) -> np.ndarray:
-        width = self.cabin_dims_m[1]
-        n_lat = int(round((width - 2 * self.rx_lateral_margin_m) / self.rx_lateral_step_m)) + 1
-        lats = [self.rx_lateral_margin_m + i * self.rx_lateral_step_m for i in range(n_lat)]
+        lats = [self.rx_lateral_margin_m + i * self.rx_lateral_step_m for i in range(self._lateral_count())]
         pts = [
             (x - self.rx_offset_m, y, z)
             for x in self.row_x()

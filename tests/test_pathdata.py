@@ -133,6 +133,19 @@ class TestComponentValidation:
             PathTable([-50.0] * 2, [5.0] * 2, zeros, zeros, zeros, zeros, ["R", code])
         assert str(info.value) == f"path 1: unknown interaction tag {tag!r}"
 
+    @pytest.mark.parametrize("codes, error, message", [
+        (["X", "A"], DatasetFormatError, "path 0: unknown interaction tag 'X'"),
+        (["R+L", "Q"], DatasetValidationError, "path 0: interactions must be non-empty, Direct alone"),
+        (["R", "S", "R+Q", "Q"], DatasetFormatError, "path 2: unknown interaction tag 'Q'"),
+    ])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_tag_error_names_first_bad_row(self, codes, error, message, as_array):
+        zeros = [0.0] * len(codes)
+        with pytest.raises(error) as info:
+            PathTable([-50.0] * len(codes), [5.0] * len(codes), zeros, zeros, zeros, zeros,
+                      np.array(codes) if as_array else codes)
+        assert str(info.value) == message
+
     def test_codes_canonical_and_rows_round_trip(self):
         t = PathTable([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                       [0.0, 0.0], [" R + S", "L"])

@@ -15,14 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_geometry import dense_hits
 
-from idschan.geometry import SPEED_OF_LIGHT
+from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, Interaction
 from idschan.tracer import (
+    _B_EPS,
+    _T_EPS,
     FACES,
     GLASS,
     GLASS_CARBON,
     MATERIALS,
+    MAX_RECEIVERS,
     MAX_REFLECTIONS,
     PEC_METAL,
     Blocker,
@@ -218,6 +221,83 @@ class TestTraceLink:
             trace_link(empty_box(), (2.0, 2.0), LinkBudget())
 
 
+def dense_trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
+    """Vectorized over receivers: geometry of one face sequence.
+
+    Returns (valid mask (N,), unfolded lengths (N,), points (N, k+2, 3)).
+
+    The tracer's former form, which runs every bounce on every receiver: the
+    reference for ``_trace_sequence``, which traces the live receivers only.
+    """
+    n = rx.shape[0]
+    tx = np.asarray(scene.tx_position_m, dtype=float)
+    dims = np.asarray(scene.cabin_dims_m, dtype=float)
+    k = len(seq)
+    points = np.empty((n, k + 2, 3))
+    points[:, 0, :] = tx
+    points[:, -1, :] = rx
+    if k == 0:
+        lengths = np.linalg.norm(rx - tx, axis=1)
+        return np.ones(n, dtype=bool), lengths, points
+
+    images = []
+    img = tx
+    for face in seq:
+        axis, side = divmod(FACES.index(face), 2)
+        img = mirror_point(img, axis, side * dims[axis])
+        images.append(img)
+
+    valid = np.ones(n, dtype=bool)
+    cur = rx
+    for j in range(k - 1, -1, -1):
+        axis, side = divmod(FACES.index(seq[j]), 2)
+        plane_c = side * dims[axis]
+        s = images[j]
+        denom = s[axis] - cur[:, axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (plane_c - cur[:, axis]) / denom
+        valid &= np.isfinite(t) & (t > _T_EPS) & (t < 1.0 - _T_EPS)
+        t = np.where(valid, t, 0.5)  # keep the arithmetic finite on dead rows
+        p = cur + t[:, None] * (s[None, :] - cur)
+        p[:, axis] = plane_c
+        for ax in range(3):
+            if ax != axis:
+                valid &= (p[:, ax] >= -_B_EPS) & (p[:, ax] <= dims[ax] + _B_EPS)
+        points[:, j + 1, :] = p
+        cur = p
+    lengths = np.linalg.norm(rx - images[-1][None, :], axis=1)
+    return valid, lengths, points
+
+
+class TestTraceSequence:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_live_rows_match_the_dense_oracle(self, seed, on_grid):
+        """Every sequence up to order 4 keeps exactly the oracle's valid rows,
+        with bit-equal lengths and points. Receivers that share coordinates
+        with the TX, or sit on a quarter-metre grid with it, meet zero
+        denominators."""
+        rng = np.random.default_rng(seed)
+        dims = np.round(rng.uniform(2.0, 8.0, 3) * 4.0) / 4.0 if on_grid else rng.uniform(2.0, 8.0, 3)
+
+        def draw(shape):
+            pts = rng.uniform(0.05, 0.95, shape) * dims
+            return np.clip(np.round(pts * 4.0) / 4.0, 0.25, dims - 0.25) if on_grid else pts
+
+        tx = draw(3)
+        rx = draw((50, 3))
+        rx = np.where(rng.random((50, 3)) < 0.3, tx, rx)  # level with the TX on some axes
+        rx = rx[np.linalg.norm(rx - tx, axis=1) >= 1e-9]
+        assume(len(rx) > 0)
+        scene = Scene("box", tuple(dims), pec_walls(), (), tuple(tx), rx, max_reflections=4)
+        for seq in reflection_sequences(4):
+            valid, lengths, points = dense_trace_sequence(scene, scene.rx_grid, seq)
+            rows, got_lengths, got_points = _trace_sequence(scene, scene.rx_grid, seq)
+            assert np.array_equal(rows, np.flatnonzero(valid))
+            assert got_lengths.tobytes() == lengths[rows].tobytes()
+            assert got_points.tobytes() == points[rows].tobytes()
+
+
 TracedPath = namedtuple("TracedPath", "faces points_m unfolded_length_m component")
 
 
@@ -228,7 +308,7 @@ def traced_paths(scene, rx, budget):
     rx_row = np.asarray(rx, dtype=float)[None, :]
     geometry = []
     for seq in reflection_sequences(scene.max_reflections):
-        valid, lengths, points = _trace_sequence(scene, rx_row, seq)
+        valid, lengths, points = dense_trace_sequence(scene, rx_row, seq)
         if valid[0]:
             geometry.append((seq, points[0], float(lengths[0])))
     paths = trace_link(scene, rx, budget)
@@ -347,13 +427,13 @@ class TestLatticeOracle:
         tx = tuple(rng.uniform(0.25, 0.75, 3) * dims)
         rx = tuple(rng.uniform(0.25, 0.75, 3) * dims)
         budget = LinkBudget(sensitivity_dbm=-1000.0)
-        for order in (0, 1, 2, 3):
+        for order in (0, 1, 2, 3, 4):
             scene = empty_box(dims, tx, rx, order=order)
             got = sorted(
                 p.delay_ns * 1e-9 * SPEED_OF_LIGHT for p in trace_link(scene, rx, budget)
             )
             want = lattice_image_distances(dims, tx, rx, order)
-            assert len(got) == len(want) == (1, 7, 25, 63)[order]
+            assert len(got) == len(want) == (1, 7, 25, 63, 129)[order]
             for g, w in zip(got, want):
                 assert math.isclose(g, w, rel_tol=1e-9)
 
@@ -362,7 +442,7 @@ class TestBlockerOracle:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 2), st.booleans())
     def test_kept_paths_are_valid_and_unblocked(self, seed, n_boxes, order, on_grid):
         """trace_scenario keeps a (receiver, sequence) path exactly when
-        _trace_sequence finds it valid and no segment hits a box under the
+        dense_trace_sequence finds it valid and no segment hits a box under the
         dense slab reference. Grid-aligned draws put segments on box faces."""
         rng = np.random.default_rng(seed)
         dims = np.array([5.0, 4.0, 3.0])
@@ -383,7 +463,7 @@ class TestBlockerOracle:
                       tuple(points[0]), points[1:13], max_reflections=order)
         want = [[] for _ in scene.rx_grid]
         for seq in reflection_sequences(order):
-            valid, lengths, pts = _trace_sequence(scene, scene.rx_grid, seq)
+            valid, lengths, pts = dense_trace_sequence(scene, scene.rx_grid, seq)
             code = "+".join("R" * len(seq)) or "L"
             for i in np.flatnonzero(valid):
                 if not any(dense_hits(pts[i, j:j + 1], pts[i, j + 1:j + 2], box_min, box_max)[0]
@@ -683,6 +763,12 @@ class TestSceneJsonRejects:
         (_cfg(carrier_hz=0.0), "carrier_hz"),
         (_cfg(carrier_hz=-28e9), "carrier_hz"),
         (_cfg(max_reflections=MAX_REFLECTIONS + 1), "max_reflections"),
+        # the receiver count is checked on the grid that rx_points builds: 3 lateral positions, not 2.5
+        ({"cabin_dims_m": [50000, 4, 2.4],
+          "rx_grid": {"rows": 40000, "heights_m": [1.0], "lateral_step_m": 1.0, "lateral_margin_m": 1.25}},
+         "^rx_grid: "),
+        ({"rx_grid": {"lateral_margin_m": 2.5}}, "^rx_grid: "),  # overlapping margins leave no position
+        ({"rx_grid": {"lateral_step_m": 1e-320}}, "^rx_grid: "),  # the lateral count overflows to inf
     ])
     def test_rejected_with_location(self, cfg, location):
         with pytest.raises(GeometryError, match=location):
@@ -726,6 +812,21 @@ class TestSceneJsonRejects:
         assert np.array_equal(scene.rx_grid, preset.rx_grid)
         assert (scene.name, scene.tx_position_m, scene.blockers, scene.wall_materials) == \
             (preset.name, preset.tx_position_m, preset.blockers, preset.wall_materials)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-1, 4000), st.lists(st.floats(0.1, 2.3), max_size=3),
+       st.one_of(st.floats(1e-3, 5.0), st.sampled_from([1e-300, 1e-320, 5e-324])),
+       st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False)),
+       st.one_of(st.floats(0.5, 50.0), st.floats(0.5, 1e308)))
+def test_built_layout_has_its_receiver_count(rows, heights, step, margin, width):
+    try:
+        layout = CabinLayout(cabin_dims_m=(13.5, width, 2.4), rows=rows, rx_heights_m=tuple(heights),
+                             rx_lateral_step_m=step, rx_lateral_margin_m=margin)
+    except GeometryError:
+        return
+    lateral = round((width - 2 * margin) / step) + 1  # margin to margin, one step apart
+    assert len(layout.rx_points()) == rows * len(heights) * lateral <= MAX_RECEIVERS
 
 
 def _readme_scene_section() -> str:
