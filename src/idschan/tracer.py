@@ -2,13 +2,15 @@
 
 The cabin is a rectangular box with one material per face. Specular paths are
 enumerated exactly by mirroring the TX across face sequences up to a maximum
-reflection order. Blockers (seats, passengers) are axis-aligned boxes that act
-as perfect absorbers: any path segment passing through one is dropped, and no
-reflections off blocker faces are generated. The blocker test is
-``geometry.segments_hit_boxes`` with the blockers clustered once per scene for
-its broad phase; the trace runs on one thread. Curved fuselages are approximated
-by the box; only the material and occupancy axes of the scenario comparison
-are synthesized.
+reflection order; sequences that meet one face twice with only other axes
+between have no path and are skipped. Blockers (seats, passengers) are
+axis-aligned boxes that act as perfect absorbers: any path segment passing
+through one is dropped, and no reflections off blocker faces are generated.
+The blocker test is ``geometry.segments_hit_boxes`` with the blockers clustered,
+and their shared bounds found, once per scene; each path's segments are tested
+from the RX side. The trace runs on one thread. Curved fuselages are
+approximated by the box; only the material and occupancy axes of the scenario
+comparison are synthesized.
 """
 
 from __future__ import annotations
@@ -195,17 +197,42 @@ def reflection_sequences(max_order: int) -> list[tuple[str, ...]]:
             if all(a != b for a, b in zip(combo, combo[1:]))]
 
 
+def _axes_alternate(seq: tuple[str, ...]) -> bool:
+    """Whether each axis's reflections in ``seq`` alternate between its two faces.
+
+    A ray that leaves a face moves away from it until it meets the opposite
+    face of that axis, so a sequence like front, left, front has no path. In
+    ``_trace_sequence`` the first such repeat, traced from the RX, puts the
+    point of the later bounce exactly on the plane and every point up to the
+    earlier bounce between that plane and the image, so the earlier bounce's
+    ``t`` is <= 0, infinite or NaN, and no row survives.
+    """
+    last = {}
+    for face in seq:
+        axis, side = divmod(FACES.index(face), 2)
+        if last.get(axis) == side:
+            return False
+        last[axis] = side
+    return True
+
+
 _T_EPS = 1e-12
-_B_EPS = 1e-12
 
 
 def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     """Geometry of one face sequence, traced on the live receivers only.
 
     Each bounce, from the RX back to the TX, keeps the receivers whose ray
-    meets the bounce's face strictly between its ends and within the face.
-    Returns the indices into ``rx`` of the receivers with a valid path, their
-    unfolded lengths (m,) and their points (m, k+2, 3), TX first.
+    meets the bounce's face plane strictly between its ends. In exact
+    arithmetic that also keeps every point within its face: unfolded, the ray
+    is one line from the RX to the last image, and the ``t`` windows put its
+    crossings of the sequence's planes in the sequence's order. On an axis
+    whose faces alternate, those planes are every lattice plane the line
+    crosses on that axis, so at each bounce the line lies in the cell that
+    folds onto the cabin; a sequence whose faces do not alternate keeps no row
+    (``_axes_alternate``). Returns the
+    indices into ``rx`` of the receivers with a valid path, their unfolded
+    lengths (m,) and their points (m, k+2, 3), TX first.
     """
     dims = np.asarray(scene.cabin_dims_m, dtype=float)
     images = [np.asarray(scene.tx_position_m, dtype=float)]
@@ -223,9 +250,6 @@ def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
             p = cur + t[:, None] * (s[None, :] - cur)
         p[:, axis] = plane_c
         live = (t > _T_EPS) & (t < 1.0 - _T_EPS)
-        for ax in range(3):
-            if ax != axis:
-                live &= (p[:, ax] >= -_B_EPS) & (p[:, ax] <= dims[ax] + _B_EPS)
         points[:, j + 1] = p
         rows, points = rows[live], points[live]
     return rows, np.linalg.norm(points[:, -1] - images[-1], axis=1), points
@@ -246,8 +270,12 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
+        if not _axes_alternate(seq):  # no path; s stays the index in the full list, which the sort keys on
+            continue
         rows, lengths, points = _trace_sequence(scene, rx, seq)
-        for j in range(len(seq) + 1):  # drop paths whose segment j crosses a blocker
+        # drop paths whose segment j crosses a blocker, RX side first: the receivers sit among the
+        # seats, so most blocked paths drop at the first test
+        for j in range(len(seq), -1, -1):
             if rows.size == 0:
                 break
             clear = ~segments_hit_boxes(points[:, j], points[:, j + 1], box_min, box_max, clusters=clusters)

@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from idschan.geometry import (
     PARALLEL_EPS,
+    SEGMENT_EPS,
     box_clusters,
     fold_elevation_deg,
     segments_hit_boxes,
@@ -111,6 +113,24 @@ class TestSegmentBoxHits:
         assert self.hit((0.0, 2.0, 1.5), (2.0, 0.0, 1.5))
         assert self.hit((0.0, 4.0, 1.5), (4.0, 0.0, 1.5))
 
+    @pytest.mark.parametrize("x_min, x_max, expected", [
+        (-1.0, SEGMENT_EPS, False),  # exit at t = SEGMENT_EPS exactly
+        (-1.0, np.nextafter(SEGMENT_EPS, np.inf), True),
+        (1.0 - SEGMENT_EPS, 5.0, False),  # entry at t = 1 - SEGMENT_EPS exactly
+        (np.nextafter(1.0 - SEGMENT_EPS, -np.inf), 5.0, True),
+    ])
+    def test_segment_window_is_open(self, x_min, x_max, expected):
+        # x from 0 to 1, so t = x; y and z stay inside the box. The box alone, with a copy,
+        # with a far box that has its y and z bounds, and with both: its x bounds then
+        # stand alone, broadcast, are one of K boxes' own, or are one of 2 pairs for 3 boxes
+        bmin, bmax = np.array([[x_min, -1.0, -1.0]]), np.array([[x_max, 1.0, 1.0]])
+        far = [10.0, 0.0, 0.0]
+        for extra in [[], [0.0], [far], [0.0, far]]:
+            box_min = np.concatenate([bmin] + [bmin + shift for shift in extra])
+            box_max = np.concatenate([bmax] + [bmax + shift for shift in extra])
+            got = segments_hit_boxes(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), box_min, box_max)
+            assert bool(got[0]) is expected, extra
+
     def test_no_boxes(self):
         out = segments_hit_boxes(
             np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 1.0]]),
@@ -154,24 +174,37 @@ SPECIAL = st.sampled_from([0.0, -0.0, PARALLEL_EPS, -PARALLEL_EPS, 5e-324, 2 * P
 
 @st.composite
 def box_sets(draw):
-    """Random boxes on the grid, or seat-row lattices (optionally with an
-    overlapping second box per seat) of up to 144 boxes."""
-    if draw(st.booleans()):
-        m = draw(st.integers(1, 40))
-        lo = np.array(draw(st.lists(GRID, min_size=3 * m, max_size=3 * m))).reshape(m, 3)
-        size = np.array(draw(st.lists(st.integers(1, 8), min_size=3 * m, max_size=3 * m)))
-        return lo, lo + 0.25 * size.reshape(m, 3)
-    rows, seats = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-    pitch = draw(st.sampled_from([0.75, 1.0, 1.25]))
-    mins, maxs = [], []
-    for r in range(rows):
-        for s in range(seats):
-            mins.append((r * pitch, 0.5 * s, 0.0))
-            maxs.append((r * pitch + 0.5, 0.5 * s + 0.5, 1.25))
-    if draw(st.booleans()):
-        mins += [(x + 0.125, y + 0.125, 0.5) for x, y, _ in mins]
-        maxs += [(x - 0.125, y - 0.125, 1.5) for x, y, _ in maxs]
-    return np.array(mins), np.array(maxs)
+    """Random boxes on the grid, seat-row lattices (optionally with an
+    overlapping second box per seat) of up to 144 boxes, or random boxes that
+    share their bounds: on one, two or all three axes each box takes one of
+    up to three (min, max) pairs, two axes may map the boxes to their pairs
+    alike, and some boxes are repeated exactly."""
+    kind = draw(st.sampled_from(["random", "lattice", "shared"]))
+    if kind == "lattice":
+        rows, seats = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+        pitch = draw(st.sampled_from([0.75, 1.0, 1.25]))
+        mins, maxs = [], []
+        for r in range(rows):
+            for s in range(seats):
+                mins.append((r * pitch, 0.5 * s, 0.0))
+                maxs.append((r * pitch + 0.5, 0.5 * s + 0.5, 1.25))
+        if draw(st.booleans()):
+            mins += [(x + 0.125, y + 0.125, 0.5) for x, y, _ in mins]
+            maxs += [(x - 0.125, y - 0.125, 1.5) for x, y, _ in maxs]
+        return np.array(mins), np.array(maxs)
+    m = draw(st.integers(1, 40))
+    lo = np.array(draw(st.lists(GRID, min_size=3 * m, max_size=3 * m))).reshape(m, 3)
+    hi = lo + 0.25 * np.array(draw(st.lists(st.integers(1, 8), min_size=3 * m, max_size=3 * m))).reshape(m, 3)
+    if kind == "shared":
+        pairs = draw(st.integers(1, min(3, m)))
+        pick = None
+        for a in sorted(draw(st.sets(st.integers(0, 2), min_size=1))):
+            if pick is None or draw(st.booleans()):
+                pick = np.array(draw(st.lists(st.integers(0, pairs - 1), min_size=m, max_size=m)))
+            lo[:, a], hi[:, a] = lo[pick, a], hi[pick, a]
+        repeat = draw(st.lists(st.integers(0, m - 1), max_size=m))
+        lo, hi = np.concatenate([lo, lo[repeat]]), np.concatenate([hi, hi[repeat]])
+    return lo, hi
 
 
 @st.composite
@@ -209,6 +242,30 @@ def segment_sets(draw, box_min, box_max):
     return np.array(out0), np.array(out1)
 
 
+def check_axis_groups(groups, bmin, bmax):
+    """Each of the three axes is in one group; a group's pairs are distinct on
+    each of its axes and, mapped back to the K boxes (3, K, 1), rebuild their
+    bounds bit for bit; no two groups map the boxes alike; groups come in
+    rising pair count, and only U of 1 or K leaves the map implicit."""
+    k = bmin.shape[1]
+    assert sorted(a for g in groups for a in g.axes) == [0, 1, 2]
+    maps, sizes = set(), []
+    for axes, pmin, pmax, index in groups:
+        u = pmin.shape[1]
+        assert pmin.shape == pmax.shape == (len(axes), u, 1)
+        assert (index is None) == (u in (1, k))
+        box_map = np.zeros(k, dtype=np.intp) if u == 1 else np.arange(k) if index is None else index
+        assert sorted(set(box_map.tolist())) == list(range(u))
+        maps.add(box_map.tobytes())
+        sizes.append(u)
+        for i, a in enumerate(axes):
+            pairs = np.stack([pmin[i, :, 0], pmax[i, :, 0]], axis=1)
+            assert len({row.tobytes() for row in pairs}) == u
+            assert pmin[i, box_map, 0].tobytes() == bmin[a, :, 0].tobytes()
+            assert pmax[i, box_map, 0].tobytes() == bmax[a, :, 0].tobytes()
+    assert len(maps) == len(groups) and sizes == sorted(sizes)
+
+
 class TestSegmentBoxHitsProperties:
     @given(st.data())
     def test_matches_dense_reference(self, data):
@@ -227,6 +284,9 @@ class TestSegmentBoxHitsProperties:
             assert np.all(clusters.lo[:, c, None] <= bmin) and np.all(bmax <= clusters.hi[:, c, None])
             seen += list(zip(map(tuple, bmin[:, :, 0].T), map(tuple, bmax[:, :, 0].T)))
         assert sorted(seen) == sorted(zip(map(tuple, box_min), map(tuple, box_max)))
+        check_axis_groups(clusters.union_groups, clusters.lo, clusters.hi)
+        for (bmin, bmax), groups in zip(clusters.members, clusters.member_groups):
+            check_axis_groups(groups, bmin, bmax)
 
     @given(
         st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),

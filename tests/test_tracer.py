@@ -19,7 +19,6 @@ from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, Interaction
 from idschan.tracer import (
-    _B_EPS,
     _T_EPS,
     FACES,
     GLASS,
@@ -34,6 +33,7 @@ from idschan.tracer import (
     Material,
     ScenarioPreset,
     Scene,
+    _axes_alternate,
     _fresnel_gain_db,
     _trace_sequence,
     build_scenario,
@@ -221,13 +221,19 @@ class TestTraceLink:
             trace_link(empty_box(), (2.0, 2.0), LinkBudget())
 
 
+# How far outside its face a bounce point may lie in the oracle below
+_B_EPS = 1e-12
+
+
 def dense_trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     """Vectorized over receivers: geometry of one face sequence.
 
     Returns (valid mask (N,), unfolded lengths (N,), points (N, k+2, 3)).
 
-    The tracer's former form, which runs every bounce on every receiver: the
-    reference for ``_trace_sequence``, which traces the live receivers only.
+    The tracer's former form, which runs every bounce on every receiver and
+    also requires each bounce point within its face: the reference for
+    ``_trace_sequence``, which traces the live receivers only and leaves the
+    face bounds to the ``t`` windows.
     """
     n = rx.shape[0]
     tx = np.asarray(scene.tx_position_m, dtype=float)
@@ -269,33 +275,70 @@ def dense_trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     return valid, lengths, points
 
 
+# how random_box_scene places its points
+PLACEMENTS = st.sampled_from(["uniform", "grid", "near_wall"])
+
+
+def random_box_scene(seed: int, placement: str, n_rx: int = 50) -> Scene:
+    """An empty PEC box with a random TX and receivers, 30% of whose
+    coordinates are copied from the TX. ``placement``: "uniform", "grid" (box
+    and points on a quarter-metre grid) or "near_wall" (40% of coordinates
+    1e-300 to 1e-3 of the box size from a wall)."""
+    rng = np.random.default_rng(seed)
+    on_grid = placement == "grid"
+    dims = np.round(rng.uniform(2.0, 8.0, 3) * 4.0) / 4.0 if on_grid else rng.uniform(2.0, 8.0, 3)
+
+    def draw(shape):
+        pts = rng.uniform(0.05, 0.95, shape) * dims
+        if placement == "near_wall":
+            gap = 10.0 ** rng.uniform(-300.0, -3.0, shape) * dims
+            wall = np.clip(np.where(rng.random(shape) < 0.5, gap, dims - gap),
+                           np.nextafter(0.0, 1.0), np.nextafter(dims, 0.0))
+            pts = np.where(rng.random(shape) < 0.4, wall, pts)
+        return np.clip(np.round(pts * 4.0) / 4.0, 0.25, dims - 0.25) if on_grid else pts
+
+    tx = draw(3)
+    rx = draw((n_rx, 3))
+    rx = np.where(rng.random((n_rx, 3)) < 0.3, tx, rx)  # level with the TX on some axes
+    rx = rx[np.linalg.norm(rx - tx, axis=1) >= 1e-9]
+    assume(len(rx) > 0)
+    return Scene("box", tuple(dims), pec_walls(), (), tuple(tx), rx, max_reflections=4)
+
+
 class TestTraceSequence:
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_live_rows_match_the_dense_oracle(self, seed, on_grid):
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), PLACEMENTS)
+    def test_live_rows_match_the_dense_oracle(self, seed, placement):
         """Every sequence up to order 4 keeps exactly the oracle's valid rows,
-        with bit-equal lengths and points. Receivers that share coordinates
+        with bit-equal lengths and points, though only the oracle checks that
+        each point lies within its face. Receivers that share coordinates
         with the TX, or sit on a quarter-metre grid with it, meet zero
         denominators."""
-        rng = np.random.default_rng(seed)
-        dims = np.round(rng.uniform(2.0, 8.0, 3) * 4.0) / 4.0 if on_grid else rng.uniform(2.0, 8.0, 3)
-
-        def draw(shape):
-            pts = rng.uniform(0.05, 0.95, shape) * dims
-            return np.clip(np.round(pts * 4.0) / 4.0, 0.25, dims - 0.25) if on_grid else pts
-
-        tx = draw(3)
-        rx = draw((50, 3))
-        rx = np.where(rng.random((50, 3)) < 0.3, tx, rx)  # level with the TX on some axes
-        rx = rx[np.linalg.norm(rx - tx, axis=1) >= 1e-9]
-        assume(len(rx) > 0)
-        scene = Scene("box", tuple(dims), pec_walls(), (), tuple(tx), rx, max_reflections=4)
+        scene = random_box_scene(seed, placement)
         for seq in reflection_sequences(4):
             valid, lengths, points = dense_trace_sequence(scene, scene.rx_grid, seq)
             rows, got_lengths, got_points = _trace_sequence(scene, scene.rx_grid, seq)
             assert np.array_equal(rows, np.flatnonzero(valid))
             assert got_lengths.tobytes() == lengths[rows].tobytes()
             assert got_points.tobytes() == points[rows].tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), PLACEMENTS)
+    def test_sequences_that_do_not_alternate_have_no_path(self, seed, placement):
+        """A sequence that meets one face twice with only other axes between,
+        like front, left, front, keeps no receiver, so the trace may skip it."""
+        scene = random_box_scene(seed, placement, n_rx=200)
+        skipped = [seq for seq in reflection_sequences(4) if not _axes_alternate(seq)]
+        assert len(skipped) == 24 + 288
+        for seq in skipped:
+            assert _trace_sequence(scene, scene.rx_grid, seq)[0].size == 0, seq
+
+    def test_alternating_sequence_counts(self):
+        # sequences left after the skip, of all up to each order
+        kept = [(sum(map(_axes_alternate, seqs)), len(seqs)) for seqs in map(reflection_sequences, range(7))]
+        assert kept == [(1, 1), (7, 7), (37, 37), (163, 187), (625, 937), (2191, 4687), (7261, 23437)]
+        assert not _axes_alternate(("front", "left", "front"))
+        assert _axes_alternate(("front", "left", "back", "floor", "front"))
 
 
 TracedPath = namedtuple("TracedPath", "faces points_m unfolded_length_m component")
