@@ -98,18 +98,15 @@ def _axis_groups(bmin: np.ndarray, bmax: np.ndarray) -> tuple[AxisGroup, ...]:
 class BoxClusters:
     """Boxes grouped for the broad phase of ``segments_hit_boxes``.
 
-    ``lo``/``hi`` (3, C, 1) are the union box of each cluster and
-    ``members[c]`` the (min, max) faces of cluster c's boxes, each (3, K_c, 1);
-    both are indexed by axis first. ``union_groups`` and ``member_groups[c]``
-    hold the same bounds as each axis's distinct (min, max) pairs
-    (``AxisGroup``), which the slab test runs on.
+    ``union_groups`` holds the union box of each cluster and
+    ``member_groups[c]`` the boxes of cluster c, each as every axis's
+    distinct (min, max) pairs (``AxisGroup``), which the slab test runs on;
+    ``sizes[c]`` is the number of boxes in cluster c.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    members: tuple[tuple[np.ndarray, np.ndarray], ...]
     union_groups: tuple[AxisGroup, ...]
     member_groups: tuple[tuple[AxisGroup, ...], ...]
+    sizes: tuple[int, ...]
 
 
 def box_clusters(box_min: np.ndarray, box_max: np.ndarray) -> BoxClusters:
@@ -130,7 +127,8 @@ def box_clusters(box_min: np.ndarray, box_max: np.ndarray) -> BoxClusters:
     )
     lo = np.stack([bmin.min(axis=1) for bmin, _ in members], axis=1)
     hi = np.stack([bmax.max(axis=1) for _, bmax in members], axis=1)
-    return BoxClusters(lo, hi, members, _axis_groups(lo, hi), tuple(_axis_groups(*m) for m in members))
+    return BoxClusters(_axis_groups(lo, hi), tuple(_axis_groups(*m) for m in members),
+                       tuple(bmin.shape[1] for bmin, _ in members))
 
 
 def _slab_hits(p0, d_safe, parallel, groups, k):
@@ -221,11 +219,11 @@ def segments_hit_boxes(
     parallel = np.abs(d) <= PARALLEL_EPS
     d_safe = np.where(parallel, PARALLEL_EPS, d)
     parallel = {a: parallel[a] for a in range(3) if parallel[a].any()}
-    broad = _slab_hits(p0, d_safe, parallel, clusters.union_groups, len(clusters.members))
-    for crosses, (bmin, _), groups in zip(broad, clusters.members, clusters.member_groups):
+    broad = _slab_hits(p0, d_safe, parallel, clusters.union_groups, len(clusters.sizes))
+    for crosses, size, groups in zip(broad, clusters.sizes, clusters.member_groups):
         seg = np.flatnonzero(crosses & ~hit)  # a segment already hit needs no more tests
         if seg.size:
             narrow = _slab_hits(p0[:, seg], d_safe[:, seg], {a: row[seg] for a, row in parallel.items()},
-                                groups, bmin.shape[1])
+                                groups, size)
             hit[seg[narrow.any(axis=0)]] = True
     return hit

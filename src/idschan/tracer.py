@@ -3,7 +3,7 @@
 The cabin is a rectangular box with one material per face. Specular paths are
 enumerated exactly by mirroring the TX across face sequences up to a maximum
 reflection order; sequences that meet one face twice with only other axes
-between have no path and are skipped. Blockers (seats, passengers) are
+between have no path and are not enumerated. Blockers (seats, passengers) are
 axis-aligned boxes that act as perfect absorbers: any path segment passing
 through one is dropped, and no reflections off blocker faces are generated.
 The blocker test is ``geometry.segments_hit_boxes`` with the blockers clustered,
@@ -15,7 +15,6 @@ comparison are synthesized.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -188,32 +187,30 @@ def fspl_db(distance_m: float | np.ndarray, wavelength_m: float):
 
 
 def reflection_sequences(max_order: int) -> list[tuple[str, ...]]:
-    """All face sequences up to max_order with no immediate face repeats.
+    """All face sequences up to max_order whose reflections on each axis
+    alternate between that axis's two faces.
 
     The empty sequence stands for the direct path. Order is deterministic:
-    by reflection count, then lexicographic in FACES index.
+    by reflection count, then lexicographic in FACES index. A ray that leaves
+    a face moves away from it until it meets the opposite face of that axis,
+    so a sequence like front, left, front has no path, and neither has an
+    immediate repeat. In ``_trace_sequence`` the first such repeat, traced
+    from the RX, puts the point of the later bounce exactly on the plane and
+    every point up to the earlier bounce between that plane and the image, so
+    the earlier bounce's ``t`` is <= 0, infinite or NaN, and no row would
+    survive; those sequences are not listed. Each sequence of order k + 1
+    extends one of order k by a face other than the last face of its axis in
+    that sequence.
     """
-    return [combo for order in range(max_order + 1) for combo in itertools.product(FACES, repeat=order)
-            if all(a != b for a, b in zip(combo, combo[1:]))]
-
-
-def _axes_alternate(seq: tuple[str, ...]) -> bool:
-    """Whether each axis's reflections in ``seq`` alternate between its two faces.
-
-    A ray that leaves a face moves away from it until it meets the opposite
-    face of that axis, so a sequence like front, left, front has no path. In
-    ``_trace_sequence`` the first such repeat, traced from the RX, puts the
-    point of the later bounce exactly on the plane and every point up to the
-    earlier bounce between that plane and the image, so the earlier bounce's
-    ``t`` is <= 0, infinite or NaN, and no row survives.
-    """
-    last = {}
-    for face in seq:
-        axis, side = divmod(FACES.index(face), 2)
-        if last.get(axis) == side:
-            return False
-        last[axis] = side
-    return True
+    seqs, level = [()], [()]
+    for _ in range(max_order):  # extending level k in FACES order keeps level k + 1 lexicographic
+        grown = []
+        for seq in level:
+            last = {FACES.index(face) // 2: face for face in seq}  # each axis's last face
+            grown += [seq + (face,) for i, face in enumerate(FACES) if last.get(i // 2) != face]
+        seqs += grown
+        level = grown
+    return seqs
 
 
 _T_EPS = 1e-12
@@ -229,10 +226,10 @@ def _trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     crossings of the sequence's planes in the sequence's order. On an axis
     whose faces alternate, those planes are every lattice plane the line
     crosses on that axis, so at each bounce the line lies in the cell that
-    folds onto the cabin; a sequence whose faces do not alternate keeps no row
-    (``_axes_alternate``). Returns the
-    indices into ``rx`` of the receivers with a valid path, their unfolded
-    lengths (m,) and their points (m, k+2, 3), TX first.
+    folds onto the cabin; a sequence whose faces do not alternate would keep
+    no row (``reflection_sequences``). Returns the indices into ``rx`` of the
+    receivers with a valid path, their unfolded lengths (m,) and their points
+    (m, k+2, 3), TX first.
     """
     dims = np.asarray(scene.cabin_dims_m, dtype=float)
     images = [np.asarray(scene.tx_position_m, dtype=float)]
@@ -270,8 +267,6 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
-        if not _axes_alternate(seq):  # no path; s stays the index in the full list, which the sort keys on
-            continue
         rows, lengths, points = _trace_sequence(scene, rx, seq)
         # drop paths whose segment j crosses a blocker, RX side first: the receivers sit among the
         # seats, so most blocked paths drop at the first test
@@ -346,8 +341,8 @@ _PRESET_WALLS = {
 
 # Larger receiver grids are rejected so that no layout exhausts memory; the presets hold 2400.
 MAX_RECEIVERS = 100_000
-# Higher orders are rejected so no trace runs for hours; this bounds the face sequences (23,437 at
-# order 6, about 5x more per order), not the paths kept.
+# Higher orders are rejected so no trace runs for hours; this bounds the face sequences (7,261 at
+# order 6, about 3.3x more per order), not the paths kept.
 MAX_REFLECTIONS = 6
 
 

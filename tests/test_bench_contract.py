@@ -37,7 +37,7 @@ def test_every_counter_runs_on_a_tiny_pipeline(tmp_path):
     spans = _spans()
     blockers = [{"min_m": [1.8, 1.0, 0.0], "max_m": [2.2, 2.0, 1.2]},
                 {"min_m": [4.0, 2.5, 0.0], "max_m": [4.5, 3.5, 1.2]}]
-    scene = {"cabin_dims_m": [6.0, 4.0, 2.4], "max_reflections": 1, "blockers": blockers,
+    scene = {"cabin_dims_m": [6.0, 4.0, 2.4], "max_reflections": 3, "blockers": blockers,
              "rx_grid": {"rows": 3, "heights_m": [0.7, 1.0], "lateral_step_m": 1.0, "lateral_margin_m": 0.5}}
     (tmp_path / "scene.json").write_text(json.dumps(scene))
     commands = [
@@ -57,7 +57,8 @@ def test_every_counter_runs_on_a_tiny_pipeline(tmp_path):
     assert segments > 0
     # the slab counter reads the boxes as the call's third positional argument
     assert counts["geometry.segments_hit_boxes.pair_tests"] == segments * len(blockers)
-    assert counts["tracer.sequences"] == len(reflection_sequences(1))
+    # only the 163 alternating face sequences up to order 3 are traced, not all 187 without repeats
+    assert counts["tracer.sequences"] == len(reflection_sequences(3)) == 163
     assert counts["tracer.candidates"] > 0 and counts["tracer.paths_kept"] > 0
     for name in ("pathdata.save_dataset.rows", "pathdata.save_dataset.mb",
                  "pathdata.load_dataset.rows", "pathdata.load_dataset.mb", "linksim.ber.bits"):

@@ -242,6 +242,21 @@ def segment_sets(draw, box_min, box_max):
     return np.array(out0), np.array(out1)
 
 
+def group_box_map(k, u, index):
+    """The map from K boxes to a group's U pairs, also where ``AxisGroup`` leaves it implicit."""
+    return np.zeros(k, dtype=np.intp) if u == 1 else np.arange(k) if index is None else index
+
+
+def boxes_from_groups(groups, k):
+    """The (3, K, 1) min and max bounds of the K boxes that ``groups`` hold."""
+    bmin, bmax = np.full((3, k, 1), np.nan), np.full((3, k, 1), np.nan)
+    for axes, pmin, pmax, index in groups:
+        box_map = group_box_map(k, pmin.shape[1], index)
+        for i, a in enumerate(axes):
+            bmin[a], bmax[a] = pmin[i, box_map], pmax[i, box_map]
+    return bmin, bmax
+
+
 def check_axis_groups(groups, bmin, bmax):
     """Each of the three axes is in one group; a group's pairs are distinct on
     each of its axes and, mapped back to the K boxes (3, K, 1), rebuild their
@@ -254,7 +269,7 @@ def check_axis_groups(groups, bmin, bmax):
         u = pmin.shape[1]
         assert pmin.shape == pmax.shape == (len(axes), u, 1)
         assert (index is None) == (u in (1, k))
-        box_map = np.zeros(k, dtype=np.intp) if u == 1 else np.arange(k) if index is None else index
+        box_map = group_box_map(k, u, index)
         assert sorted(set(box_map.tolist())) == list(range(u))
         maps.add(box_map.tobytes())
         sizes.append(u)
@@ -278,15 +293,16 @@ class TestSegmentBoxHitsProperties:
     def test_clusters_cover_every_box_once(self, boxes):
         box_min, box_max = boxes
         clusters = box_clusters(box_min, box_max)
-        assert len(clusters.members) == math.isqrt(len(box_min))
+        assert len(clusters.sizes) == math.isqrt(len(box_min))
+        lo, hi = boxes_from_groups(clusters.union_groups, len(clusters.sizes))
+        check_axis_groups(clusters.union_groups, lo, hi)
         seen = []
-        for c, (bmin, bmax) in enumerate(clusters.members):
-            assert np.all(clusters.lo[:, c, None] <= bmin) and np.all(bmax <= clusters.hi[:, c, None])
+        for c, (groups, size) in enumerate(zip(clusters.member_groups, clusters.sizes)):
+            bmin, bmax = boxes_from_groups(groups, size)
+            check_axis_groups(groups, bmin, bmax)
+            assert np.all(lo[:, c, None] <= bmin) and np.all(bmax <= hi[:, c, None])
             seen += list(zip(map(tuple, bmin[:, :, 0].T), map(tuple, bmax[:, :, 0].T)))
         assert sorted(seen) == sorted(zip(map(tuple, box_min), map(tuple, box_max)))
-        check_axis_groups(clusters.union_groups, clusters.lo, clusters.hi)
-        for (bmin, bmax), groups in zip(clusters.members, clusters.member_groups):
-            check_axis_groups(groups, bmin, bmax)
 
     @given(
         st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -33,7 +34,6 @@ from idschan.tracer import (
     Material,
     ScenarioPreset,
     Scene,
-    _axes_alternate,
     _fresnel_gain_db,
     _trace_sequence,
     build_scenario,
@@ -275,6 +275,25 @@ def dense_trace_sequence(scene: Scene, rx: np.ndarray, seq: tuple[str, ...]):
     return valid, lengths, points
 
 
+def all_sequences(max_order: int) -> list[tuple[str, ...]]:
+    """Every face sequence up to max_order with no immediate repeat, by count
+    and then lexicographic in FACES index; ``reflection_sequences`` lists the
+    alternating ones among them, in the same order."""
+    return [seq for k in range(max_order + 1) for seq in itertools.product(FACES, repeat=k)
+            if all(a != b for a, b in zip(seq, seq[1:]))]
+
+
+def alternates(seq: tuple[str, ...]) -> bool:
+    """Whether each axis's reflections in ``seq`` alternate between its two faces."""
+    last = {}
+    for face in seq:
+        axis, side = divmod(FACES.index(face), 2)
+        if last.get(axis) == side:
+            return False
+        last[axis] = side
+    return True
+
+
 # how random_box_scene places its points
 PLACEMENTS = st.sampled_from(["uniform", "grid", "near_wall"])
 
@@ -315,7 +334,7 @@ class TestTraceSequence:
         with the TX, or sit on a quarter-metre grid with it, meet zero
         denominators."""
         scene = random_box_scene(seed, placement)
-        for seq in reflection_sequences(4):
+        for seq in all_sequences(4):
             valid, lengths, points = dense_trace_sequence(scene, scene.rx_grid, seq)
             rows, got_lengths, got_points = _trace_sequence(scene, scene.rx_grid, seq)
             assert np.array_equal(rows, np.flatnonzero(valid))
@@ -326,19 +345,22 @@ class TestTraceSequence:
     @given(st.integers(0, 2**32 - 1), PLACEMENTS)
     def test_sequences_that_do_not_alternate_have_no_path(self, seed, placement):
         """A sequence that meets one face twice with only other axes between,
-        like front, left, front, keeps no receiver, so the trace may skip it."""
+        like front, left, front, keeps no receiver, so the trace need not list it."""
         scene = random_box_scene(seed, placement, n_rx=200)
-        skipped = [seq for seq in reflection_sequences(4) if not _axes_alternate(seq)]
-        assert len(skipped) == 24 + 288
-        for seq in skipped:
+        listed = set(reflection_sequences(4))
+        unlisted = [seq for seq in all_sequences(4) if seq not in listed]
+        assert len(unlisted) == 24 + 288
+        for seq in unlisted:
             assert _trace_sequence(scene, scene.rx_grid, seq)[0].size == 0, seq
 
     def test_alternating_sequence_counts(self):
-        # sequences left after the skip, of all up to each order
-        kept = [(sum(map(_axes_alternate, seqs)), len(seqs)) for seqs in map(reflection_sequences, range(7))]
-        assert kept == [(1, 1), (7, 7), (37, 37), (163, 187), (625, 937), (2191, 4687), (7261, 23437)]
-        assert not _axes_alternate(("front", "left", "front"))
-        assert _axes_alternate(("front", "left", "back", "floor", "front"))
+        # the listed order is the sort key of the traced paths, so it must be the oracle's
+        for k in range(MAX_REFLECTIONS + 1):
+            assert reflection_sequences(k) == [seq for seq in all_sequences(k) if alternates(seq)]
+        assert [len(reflection_sequences(k)) for k in range(7)] == [1, 7, 37, 163, 625, 2191, 7261]
+        assert [len(all_sequences(k)) for k in range(7)] == [1, 7, 37, 187, 937, 4687, 23437]
+        assert ("front", "left", "front") not in reflection_sequences(3)
+        assert ("front", "left", "back", "floor", "front") in reflection_sequences(5)
 
 
 TracedPath = namedtuple("TracedPath", "faces points_m unfolded_length_m component")
@@ -350,7 +372,7 @@ def traced_paths(scene, rx, budget):
     sequence must be kept: the helper is for unblocked scenes with a lax budget."""
     rx_row = np.asarray(rx, dtype=float)[None, :]
     geometry = []
-    for seq in reflection_sequences(scene.max_reflections):
+    for seq in all_sequences(scene.max_reflections):
         valid, lengths, points = dense_trace_sequence(scene, rx_row, seq)
         if valid[0]:
             geometry.append((seq, points[0], float(lengths[0])))
@@ -505,7 +527,7 @@ class TestBlockerOracle:
                       tuple(Blocker(tuple(lo), tuple(hi)) for lo, hi in zip(box_min, box_max)),
                       tuple(points[0]), points[1:13], max_reflections=order)
         want = [[] for _ in scene.rx_grid]
-        for seq in reflection_sequences(order):
+        for seq in all_sequences(order):
             valid, lengths, pts = dense_trace_sequence(scene, scene.rx_grid, seq)
             code = "+".join("R" * len(seq)) or "L"
             for i in np.flatnonzero(valid):
