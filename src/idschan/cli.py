@@ -18,7 +18,7 @@ from pathlib import Path
 from . import extract, genchan, linksim, params, pathdata, tracer
 
 DEFAULT_SEED = 12345
-# Longer Eb/N0 ranges are rejected before they are built, so a tiny step cannot exhaust memory.
+# Longer Eb/N0 grids are rejected as the command line is parsed.
 MAX_EBN0_POINTS = 10_000
 # Larger --threads values are rejected, so a pool never starts more threads than this.
 MAX_THREADS = 256
@@ -65,24 +65,41 @@ def _seed_from_env(value: int | None) -> int:
 
 
 def _parse_ebn0(text: str) -> list[float]:
-    """start:step:stop (inclusive) or a comma list of values, in dB."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"expected start:step:stop, got {text!r}")
-        start, step, stop = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, step, stop))):
-            raise ValueError(f"ebn0 start, step and stop must be finite, got {text!r}")
+    """argparse ``type=`` of ``ber --ebn0``: start:step:stop (inclusive) or a comma list, in dB.
+
+    Either form holds 1 to MAX_EBN0_POINTS values, none NaN and none above
+    ``linksim.MAX_EBN0_DB``; ``-inf`` (noise only) may appear in a comma list.
+    A rejection names the flag and the value."""
+
+    def reject(why: str) -> argparse.ArgumentTypeError:
+        return argparse.ArgumentTypeError(f"--ebn0={text} {why}")
+
+    is_range = ":" in text
+    try:
+        values = [float(p) for p in text.split(":" if is_range else ",") if p.strip()]
+    except ValueError:
+        raise reject("is not start:step:stop or a comma list of numbers") from None
+    if is_range:
+        if len(values) != 3:
+            raise reject("is not start:step:stop")
+        start, step, stop = values
+        if not all(map(math.isfinite, values)):
+            raise reject("is a range whose start, step and stop must be finite")
         if step <= 0:
-            raise ValueError("ebn0 step must be positive")
+            raise reject("is a range whose step is not positive")
         if stop < start:
-            raise ValueError(f"ebn0 range {text!r} has its stop below its start")
-        span = (stop - start) / step + 1e-9
-        if span >= MAX_EBN0_POINTS:
-            raise ValueError(f"ebn0 grid {text!r} has more than {MAX_EBN0_POINTS} points")
-        return [start + i * step for i in range(int(span) + 1)]
-    return [float(p) for p in text.split(",") if p.strip()]
+            raise reject("is a range with its stop below its start")
+        count = int((stop - start) / step + 1e-9) + 1
+        # at most one point past the bound is built, so a tiny step cannot exhaust memory
+        values = [start + i * step for i in range(min(count, MAX_EBN0_POINTS + 1))]
+    if not values:
+        raise reject("holds no value")
+    if len(values) > MAX_EBN0_POINTS:
+        raise reject(f"holds more than {MAX_EBN0_POINTS} points")
+    for v in values:
+        if not -math.inf <= v <= linksim.MAX_EBN0_DB:
+            raise reject(f"holds {v!r}; a value is -inf or a number of dB up to {linksim.MAX_EBN0_DB:g}")
+    return values
 
 
 def cmd_trace(args) -> int:
@@ -140,10 +157,9 @@ def cmd_ber(args) -> int:
         raise ValueError("--presets must name at least one parameter set")
     sets = [params.preset(n) for n in names]
     cond = pathdata.Condition(args.cond)
-    grid = _parse_ebn0(args.ebn0)
     seed = _seed_from_env(args.seed)
     sweep = linksim.ber_sweep(
-        sets, cond, grid, args.bits, seed, block_bits=args.block_bits, threads=args.threads
+        sets, cond, args.ebn0, args.bits, seed, block_bits=args.block_bits, threads=args.threads
     )
     linksim.write_ber_csv(sweep, args.out)
     for i in range(len(sets)):
@@ -200,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ber", help="Monte-Carlo BPSK BER sweep over presets")
     p.add_argument("--presets", required=True, help="comma-separated preset names")
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
-    p.add_argument("--ebn0", default="0:2:20", help="start:step:stop in dB, or comma list")
+    p.add_argument("--ebn0", type=_parse_ebn0, default="0:2:20", help="start:step:stop in dB, or comma list")
     p.add_argument("--bits", type=int, default=200_000)
     p.add_argument("--block-bits", type=int, default=100)
     p.add_argument("--target-ber", type=_target_ber, default=1e-3)

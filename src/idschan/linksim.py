@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,8 +72,12 @@ class BerPoint:
 # Blocks and bits a batch holds at most, so batches (and their random streams) depend on block_bits alone;
 # every block_bits <= 100 gets 10,000 blocks.
 _BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
+# Bits a chunk of a batch holds at most, for any block_bits: the arithmetic after a batch's draws runs
+# chunk by chunk on arrays that stay in cache. Chosen by measurement: on 2 vCPUs a 2M-bit point took
+# about the same time with chunks of 8,192 to 102,400 bits, and 1.6 times as long unchunked.
+_CHUNK_BITS = 25_600
 # Higher Eb/N0 is rejected: the linear SNR 10 ** (ebn0_db / 10) would overflow a float near 3083 dB.
-_MAX_EBN0_DB = 3000.0
+MAX_EBN0_DB = 3000.0
 
 
 def _normalize_channel(channel):
@@ -102,28 +106,44 @@ def _block_fades(chan, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Decision statistic and bits sent of one batch: ``n`` bits over ``n_blocks`` fades.
+                   rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the decision statistic and the bits sent of one batch, ``n`` bits over ``n_blocks``
+    fades, one chunk of at most ``_CHUNK_BITS`` bits at a time.
 
-    Every value comes from the same float operations, in the same order, as the per-bit form
+    The batch's draws come first, in the order that fixes the random stream: the fades, the bits,
+    then all ``2 * n`` normals (the stream puts every imaginary part after every real part, so the
+    normals cannot be drawn per chunk). The arithmetic then runs chunk by chunk, and builds no
+    other array of the batch's length. A chunk may start or end inside a block. Every value comes
+    from the same float operations, in the same order, as the per-bit form
     ``real((amp * h * s + noise) * exp(-1j * angle(h)))`` with ``h`` the fades repeated per bit.
-    Elementwise operations commute with ``np.repeat``, so the scaling and the derotation run
-    once per block.
+    Elementwise operations commute with ``np.repeat`` and with slicing, so the scaling and the
+    derotation run once per block.
     """
     fades = _block_fades(chan, n_blocks, rng)
     bits = rng.integers(0, 2, n)
     normals = rng.standard_normal(2 * n)  # the same stream as two draws of n
-    noise = np.empty(n, dtype=complex)
-    noise.real, noise.imag = normals[:n], normals[n:]
-    del normals  # lowers the peak memory of a batch
-    # a complex divide multiplies by the reciprocal, so dividing each float half would differ
-    noise /= math.sqrt(2.0)
-    y = np.repeat(amp * fades, block_bits)[:n]
-    y *= bits * 2.0 - 1.0
-    y += noise
-    # The complex product, into a separate array: numpy rounds an in-place product of one
-    # element differently, and the hand-expanded real part is not bit-identical either.
-    return np.multiply(y, np.repeat(np.exp(-1j * np.angle(fades)), block_bits)[:n], out=noise).real, bits
+    scaled, derotate = amp * fades, np.exp(-1j * np.angle(fades))
+    for lo in range(0, n, _CHUNK_BITS):
+        hi = min(lo + _CHUNK_BITS, n)
+        # bits lo..hi-1 lie in blocks b0..b1-1, each repeated once per bit of it in the chunk
+        b0, b1 = lo // block_bits, -(-hi // block_bits)
+        reps = np.diff(np.clip(np.arange(b0, b1 + 1) * block_bits, lo, hi))
+        noise = np.empty(hi - lo, dtype=complex)
+        noise.real, noise.imag = normals[lo:hi], normals[n + lo:n + hi]
+        # a complex divide multiplies by the reciprocal, so dividing each float half would differ
+        noise /= math.sqrt(2.0)
+        y = np.repeat(scaled[b0:b1], reps)
+        y *= bits[lo:hi] * 2.0 - 1.0
+        y += noise
+        # The complex product, into a separate array: numpy rounds an in-place product of one
+        # element differently, and the hand-expanded real part is not bit-identical either.
+        z = np.multiply(y, np.repeat(derotate[b0:b1], reps), out=noise).real
+        yield z, bits[lo:hi]
+
+
+def _check_ebn0(ebn0_db: float) -> None:
+    if not -math.inf <= ebn0_db <= MAX_EBN0_DB:
+        raise ValueError(f"ebn0_db must be -inf or at most {MAX_EBN0_DB:g} dB, got {ebn0_db!r}")
 
 
 def ber_bpsk(
@@ -138,16 +158,16 @@ def ber_bpsk(
     ``channel`` is "awgn" or a (ChannelParamSet, condition) pair, whose LOS
     block needs a finite ``mu_kf_db`` and ``sigma_kf_db``. A fade is
     held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
-    from the root seed and run one after another, and their error counts are
-    summed. The confidence half-width is the normal approximation of the
+    from the root seed and run one after another. Errors are counted per chunk
+    of a batch and summed, so no array of a batch's length is built after its
+    draws. The confidence half-width is the normal approximation of the
     binomial at 95%.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
     if not 1 <= block_bits <= _BATCH_BITS:
         raise ValueError(f"block_bits must be from 1 to {_BATCH_BITS}, got {block_bits}")
-    if not -math.inf <= ebn0_db <= _MAX_EBN0_DB:
-        raise ValueError(f"ebn0_db must be -inf or at most {_MAX_EBN0_DB:g} dB, got {ebn0_db!r}")
+    _check_ebn0(ebn0_db)
     chan = _normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
 
@@ -161,8 +181,8 @@ def ber_bpsk(
                                        pool_size=seed_seq.pool_size)
         blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
         batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
-        z, bits = _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child))
-        errors += int(np.count_nonzero((z > 0) != (bits == 1)))
+        for z, bits in _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child)):
+            errors += int(np.count_nonzero((z > 0) != (bits == 1)))
     ber = errors / n_bits
     ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
     return BerPoint(ebn0_db=float(ebn0_db), ber=ber, n_bits=n_bits, ci95=ci95)
@@ -234,15 +254,19 @@ def ber_sweep(
     """BER curves for several parameter sets over one Eb/N0 grid.
 
     Each (preset, grid point) owns a seed derived from the root seed, so the
-    sweep is deterministic and independent of evaluation order. With
+    sweep is deterministic and independent of evaluation order. A preset or
+    grid value that ``ber_bpsk`` rejects is rejected before any point runs. With
     ``threads`` > 1 the points run on one thread pool, and the curves are the
     same for any thread count.
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
     condition = Condition(condition)
-    for ps in presets:  # a bad block is rejected before any point runs
+    # a bad block or grid value is rejected before any point runs
+    for ps in presets:
         _normalize_channel((ps, condition))
+    for ebn0 in ebn0_grid:
+        _check_ebn0(ebn0)
 
     def run_point(point) -> BerPoint:
         (pi, ps), (gi, ebn0) = point

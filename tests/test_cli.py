@@ -1,9 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
+from idschan import linksim
 from idschan.cli import MAX_EBN0_POINTS, MAX_THREADS, build_parser, main, _parse_ebn0
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
@@ -51,23 +53,45 @@ class TestParseEbn0:
 
     @pytest.mark.parametrize("text", ["5:1:4.5", "5:1:0", "-2:0.5:-3"])
     def test_stop_below_start_rejected(self, text):
-        with pytest.raises(ValueError, match=f"ebn0 range '{text}' has its stop below its start"):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"--ebn0={text} is a range with its stop below"):
             _parse_ebn0(text)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="step"):
             _parse_ebn0("0:0:6")
 
     @pytest.mark.parametrize("text", ["0:2:inf", "-inf:2:6", "nan:1:2", "0:nan:6", "0:inf:6"])
     def test_non_finite_range_rejected(self, text):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
             _parse_ebn0(text)
 
     def test_grid_length_bounded(self):
-        assert len(_parse_ebn0(f"0:1:{MAX_EBN0_POINTS - 1}")) == MAX_EBN0_POINTS
-        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-5:1"):
-            with pytest.raises(ValueError, match=str(MAX_EBN0_POINTS)):
+        # 10,000 points of 0.25 dB stay below the 3000 dB bound
+        assert len(_parse_ebn0(f"0:0.25:{(MAX_EBN0_POINTS - 1) / 4}")) == MAX_EBN0_POINTS
+        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-5:1", ",".join(["1"] * (MAX_EBN0_POINTS + 1))):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"more than {MAX_EBN0_POINTS} points"):
                 _parse_ebn0(text)
+        assert len(_parse_ebn0(",".join(["1"] * MAX_EBN0_POINTS))) == MAX_EBN0_POINTS
+
+    @pytest.mark.parametrize("text, value", [("0,2,nan", "nan"), ("nan", "nan"), ("0,3000.5", "3000.5"),
+                                             ("inf,0", "inf"), ("0:1:3001", "3001.0")])
+    def test_nan_or_above_the_bound_rejected_in_either_form(self, text, value):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"holds {value}; "):
+            _parse_ebn0(text)
+
+    def test_minus_inf_and_the_bound_accepted_in_a_comma_list(self):
+        assert _parse_ebn0("-inf,30") == [-math.inf, 30.0]
+        assert _parse_ebn0(f"{linksim.MAX_EBN0_DB:g}") == [linksim.MAX_EBN0_DB]
+
+    @pytest.mark.parametrize("text", ["", ",", " , ,"])
+    def test_empty_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="holds no value"):
+            _parse_ebn0(text)
+
+    @pytest.mark.parametrize("text", ["x", "0,2,x", "0:1", "0::6", "1:2:3:4", "0:2:x"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"--ebn0={text} is not start:step:stop"):
+            _parse_ebn0(text)
 
 
 class TestTraceExtract:
@@ -220,18 +244,26 @@ class TestBer:
         assert rc == 2 and "block_bits" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("ebn0", ["0:2:inf", "nan", "inf", "0,nan", "4000", f"0:1:{MAX_EBN0_POINTS}"])
-    def test_bad_ebn0_is_an_error(self, tmp_path, capsys, ebn0):
+    @pytest.mark.parametrize("ebn0", [
+        "0:2:inf", "nan", "inf", "0,nan", "4000", f"0:1:{MAX_EBN0_POINTS}", "0,2,4,6,8,10,nan", "0,4000", "",
+        pytest.param(",".join(["0"] * (MAX_EBN0_POINTS + 1)), id="comma-list-past-the-point-bound"),
+    ])
+    def test_bad_ebn0_is_an_error(self, tmp_path, capsys, monkeypatch, ebn0):
+        # either form is rejected as the command line is parsed (exit code 2), before any point runs
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
         out = tmp_path / "ber.csv"
-        rc = main(["ber", "--presets", "BL", "--ebn0", ebn0, "--bits", "1", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["ber", "--presets", "BL", "--ebn0", ebn0, "--bits", "1", "--out", str(out)])
         err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("error:") and "ebn0" in err and "Traceback" not in err
+        assert exc.value.code == 2 and f"argument --ebn0: --ebn0={ebn0} " in err and "Traceback" not in err
         assert not out.exists()
 
     def test_descending_ebn0_range_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "ber.csv"
-        rc = main(["ber", "--presets", "BL", "--ebn0", "5:1:0", "--bits", "1", "--out", str(out)])
-        assert rc == 2 and "ebn0 range '5:1:0' has its stop below its start" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["ber", "--presets", "BL", "--ebn0", "5:1:0", "--bits", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--ebn0=5:1:0 is a range with its stop below its start" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gap_from_minus_inf_unavailable(self, tmp_path, capsys):

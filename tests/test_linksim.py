@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,7 +72,8 @@ def assert_batch_matches_oracle(channel, ebn0_db, n, block_bits, seed):
     chan = linksim._normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
     n_blocks = -(-n // block_bits)
-    z, bits = linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
+    chunks = list(linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed)))
+    z, bits = (np.concatenate(parts) for parts in zip(*chunks))
     z_ref, s_ref = per_bit_batch(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
     assert np.array_equal(bits * 2 - 1, s_ref)
     assert np.array_equal(z, z_ref)
@@ -210,7 +213,7 @@ class TestBerBpsk:
             assert sizes == [10_000, 1]
 
     def test_ebn0_nan_inf_or_overflowing_rejected(self):
-        assert ber_bpsk("awgn", linksim._MAX_EBN0_DB, 10, rng_seed=1).ber == 0.0
+        assert ber_bpsk("awgn", linksim.MAX_EBN0_DB, 10, rng_seed=1).ber == 0.0
         for ebn0 in (math.nan, math.inf, 4000.0):
             with pytest.raises(ValueError, match="ebn0_db"):
                 ber_bpsk("awgn", ebn0, 10, rng_seed=1)
@@ -262,6 +265,44 @@ class TestPerBitOracle:
         assert_batch_matches_oracle((BL, Condition.LOS), 6.0, n_bits, block_bits, seed)
         pt = ber_bpsk((BL, Condition.LOS), 6.0, n_bits, rng_seed=seed, block_bits=block_bits)
         assert pt.ber == per_bit_errors((BL, Condition.LOS), 6.0, n_bits, seed, block_bits) / n_bits
+
+    @given(seed=st.integers(0, 2**32 - 1), channel=st.sampled_from(list(CHANNELS)),
+           ebn0=st.sampled_from([-math.inf, 0.0, 6.0, 30.0]), block_bits=st.integers(1, 1000),
+           chunk_bits=st.integers(1, 500), full_chunks=st.integers(1, 6), last=st.integers(1, 500))
+    @example(seed=0, channel="BL-LOS", ebn0=6.0, block_bits=100, chunk_bits=256, full_chunks=3, last=1)
+    @example(seed=1, channel="BL-NLOS", ebn0=0.0, block_bits=1000, chunk_bits=300, full_chunks=6, last=299)
+    @example(seed=2, channel="awgn", ebn0=-math.inf, block_bits=7, chunk_bits=1, full_chunks=6, last=1)
+    def test_chunk_edges(self, seed, channel, ebn0, block_bits, chunk_bits, full_chunks, last):
+        # a smaller chunk splits the batch into full_chunks chunks and a last one of
+        # min(last, chunk_bits) bits; a chunk may start and end inside a block
+        n_bits = full_chunks * chunk_bits + min(last, chunk_bits)
+        with mock.patch.object(linksim, "_CHUNK_BITS", chunk_bits):
+            assert_batch_matches_oracle(self.CHANNELS[channel], ebn0, n_bits, block_bits, seed)
+            pt = ber_bpsk(self.CHANNELS[channel], ebn0, n_bits, rng_seed=seed, block_bits=block_bits)
+        assert pt.ber == per_bit_errors(self.CHANNELS[channel], ebn0, n_bits, seed, block_bits) / n_bits
+
+    def test_chunks_hold_chunk_bits_for_any_block_size(self, monkeypatch):
+        monkeypatch.setattr(linksim, "_CHUNK_BITS", 256)
+        chan, n = linksim._normalize_channel((BL, Condition.LOS)), 3 * 256 + 1
+        for block_bits in (1, 100, 1000):
+            chunks = linksim._batch_samples(chan, 1.0, -(-n // block_bits), block_bits, n, np.random.default_rng(0))
+            assert [len(z) for z, _ in chunks] == [256, 256, 256, 1]
+
+
+class TestBerMemory:
+    @pytest.mark.parametrize("block_bits", [100, 1_000_000])
+    @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
+    def test_peak_of_a_million_bit_point(self, condition, block_bits):
+        # A 1M-bit batch holds its draws whole: 8 MB of bits and 16 MB of normals. The chunks add
+        # well under 2 MiB, for any block size. Built at the batch's length, the complex arithmetic
+        # peaked at about 54 MiB.
+        tracemalloc.start()
+        try:
+            ber_bpsk((BL, condition), 6.0, 1_000_000, rng_seed=1, block_bits=block_bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestIsotonic:
@@ -333,3 +374,9 @@ class TestBerSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ber_sweep([BL], Condition.LOS, [], 1000, rng_seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 4000.0])
+    def test_bad_grid_value_rejected_before_any_point_runs(self, monkeypatch, bad):
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
+        with pytest.raises(ValueError, match="ebn0_db"):
+            ber_sweep([BL, GPP_INO], Condition.LOS, [0.0, -math.inf, bad], 1000, rng_seed=1, threads=2)
