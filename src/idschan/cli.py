@@ -156,6 +156,12 @@ def cmd_ber(args) -> int:
     if not names:
         raise ValueError("--presets must name at least one parameter set")
     sets = [params.preset(n) for n in names]
+    # lookup is case-insensitive and takes aliases, so compare the names it resolves to
+    first = {}
+    for name, ps in zip(names, sets):
+        if ps.name in first:
+            raise ValueError(f"--presets names {ps.name} twice ({first[ps.name]!r} and {name!r})")
+        first[ps.name] = name
     cond = pathdata.Condition(args.cond)
     seed = _seed_from_env(args.seed)
     sweep = linksim.ber_sweep(
@@ -217,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", required=True, help="comma-separated preset names")
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
     p.add_argument("--ebn0", type=_parse_ebn0, default="0:2:20", help="start:step:stop in dB, or comma list")
-    p.add_argument("--bits", type=int, default=200_000)
-    p.add_argument("--block-bits", type=int, default=100)
+    p.add_argument("--bits", type=_int_flag("--bits", 1), default=200_000)
+    p.add_argument("--block-bits", type=_int_flag("--block-bits", 1, linksim._BATCH_BITS), default=100)
     p.add_argument("--target-ber", type=_target_ber, default=1e-3)
     p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
     p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None)

@@ -72,9 +72,10 @@ class BerPoint:
 # Blocks and bits a batch holds at most, so batches (and their random streams) depend on block_bits alone;
 # every block_bits <= 100 gets 10,000 blocks.
 _BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
-# Bits a chunk of a batch holds at most, for any block_bits: the arithmetic after a batch's draws runs
-# chunk by chunk on arrays that stay in cache. Chosen by measurement: on 2 vCPUs a 2M-bit point took
-# about the same time with chunks of 8,192 to 102,400 bits, and 1.6 times as long unchunked.
+# Bits a chunk of a batch holds at most, for any block_bits: a batch's bits and imaginary noise parts are
+# drawn, and its arithmetic runs, chunk by chunk on arrays that stay in cache. Chosen by measurement: on
+# 2 vCPUs a 2M-bit point took about the same time with chunks of 8,192 to 102,400 bits, and 1.6 times as
+# long unchunked.
 _CHUNK_BITS = 25_600
 # Higher Eb/N0 is rejected: the linear SNR 10 ** (ebn0_db / 10) would overflow a float near 3083 dB.
 MAX_EBN0_DB = 3000.0
@@ -110,18 +111,23 @@ def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
     """Yield the decision statistic and the bits sent of one batch, ``n`` bits over ``n_blocks``
     fades, one chunk of at most ``_CHUNK_BITS`` bits at a time.
 
-    The batch's draws come first, in the order that fixes the random stream: the fades, the bits,
-    then all ``2 * n`` normals (the stream puts every imaginary part after every real part, so the
-    normals cannot be drawn per chunk). The arithmetic then runs chunk by chunk, and builds no
-    other array of the batch's length. A chunk may start or end inside a block. Every value comes
-    from the same float operations, in the same order, as the per-bit form
+    The draws keep the order that fixes the random stream: the fades, the ``n`` bits, the ``n``
+    real parts of the noise, then its ``n`` imaginary parts. The generator keeps no state between
+    calls outside its bit generator, so draws of a and then b values equal one draw of a + b. The
+    bits are therefore drawn chunk by chunk (int64, as before) into one bool array, and each
+    chunk's imaginary parts are drawn as the chunk is built; only the real parts, which the
+    stream puts before every imaginary part, are drawn whole. The arithmetic runs chunk by chunk
+    and builds no other array of the batch's length. A chunk may start or end inside a block.
+    Every value comes from the same float operations, in the same order, as the per-bit form
     ``real((amp * h * s + noise) * exp(-1j * angle(h)))`` with ``h`` the fades repeated per bit.
     Elementwise operations commute with ``np.repeat`` and with slicing, so the scaling and the
     derotation run once per block.
     """
     fades = _block_fades(chan, n_blocks, rng)
-    bits = rng.integers(0, 2, n)
-    normals = rng.standard_normal(2 * n)  # the same stream as two draws of n
+    bits = np.empty(n, dtype=bool)
+    for lo in range(0, n, _CHUNK_BITS):
+        bits[lo:lo + _CHUNK_BITS] = rng.integers(0, 2, min(_CHUNK_BITS, n - lo))
+    real = rng.standard_normal(n)
     scaled, derotate = amp * fades, np.exp(-1j * np.angle(fades))
     for lo in range(0, n, _CHUNK_BITS):
         hi = min(lo + _CHUNK_BITS, n)
@@ -129,7 +135,7 @@ def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
         b0, b1 = lo // block_bits, -(-hi // block_bits)
         reps = np.diff(np.clip(np.arange(b0, b1 + 1) * block_bits, lo, hi))
         noise = np.empty(hi - lo, dtype=complex)
-        noise.real, noise.imag = normals[lo:hi], normals[n + lo:n + hi]
+        noise.real, noise.imag = real[lo:hi], rng.standard_normal(hi - lo)
         # a complex divide multiplies by the reciprocal, so dividing each float half would differ
         noise /= math.sqrt(2.0)
         y = np.repeat(scaled[b0:b1], reps)
@@ -159,9 +165,9 @@ def ber_bpsk(
     block needs a finite ``mu_kf_db`` and ``sigma_kf_db``. A fade is
     held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
     from the root seed and run one after another. Errors are counted per chunk
-    of a batch and summed, so no array of a batch's length is built after its
-    draws. The confidence half-width is the normal approximation of the
-    binomial at 95%.
+    of a batch against its bool bits and summed; a batch holds one byte of bits
+    and one float64 real part of noise per bit, plus one chunk. The confidence
+    half-width is the normal approximation of the binomial at 95%.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -182,7 +188,7 @@ def ber_bpsk(
         blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
         batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
         for z, bits in _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child)):
-            errors += int(np.count_nonzero((z > 0) != (bits == 1)))
+            errors += int(np.count_nonzero((z > 0) != bits))
     ber = errors / n_bits
     ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
     return BerPoint(ebn0_db=float(ebn0_db), ber=ber, n_bits=n_bits, ci95=ci95)
@@ -254,15 +260,20 @@ def ber_sweep(
     """BER curves for several parameter sets over one Eb/N0 grid.
 
     Each (preset, grid point) owns a seed derived from the root seed, so the
-    sweep is deterministic and independent of evaluation order. A preset or
-    grid value that ``ber_bpsk`` rejects is rejected before any point runs. With
+    sweep is deterministic and independent of evaluation order. A repeated
+    preset name (the curves are keyed by name), or a preset or grid value that
+    ``ber_bpsk`` rejects, is rejected before any point runs. With
     ``threads`` > 1 the points run on one thread pool, and the curves are the
     same for any thread count.
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
     condition = Condition(condition)
-    # a bad block or grid value is rejected before any point runs
+    # a repeated name, a bad block or a bad grid value is rejected before any point runs
+    names = [ps.name for ps in presets]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"preset {name} appears more than once")
     for ps in presets:
         _normalize_channel((ps, condition))
     for ebn0 in ebn0_grid:

@@ -238,10 +238,26 @@ class TestBer:
         assert "gap at BER" in captured
 
     def test_block_bits_above_the_bound_is_an_error(self, tmp_path, capsys):
+        # rejected as the command line is parsed (exit code 2), by the flag's name
         out = tmp_path / "ber.csv"
-        rc = main(["ber", "--presets", "BL", "--ebn0", "0", "--bits", "10", "--block-bits", "1000001",
-                   "--out", str(out)])
-        assert rc == 2 and "block_bits" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["ber", "--presets", "BL", "--ebn0", "0", "--bits", "10", "--block-bits", "1000001",
+                  "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert "argument --block-bits: --block-bits=1000001 is not an integer from 1 to 1000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("presets, named", [
+        ("BL,BL", "BL"), ("BL,bl", "BL"), ("3GPP-InO,CV,3gpp-ino", "3GPP-InO"), ("EmV,em-v", "EmV"),
+    ])
+    def test_repeated_preset_is_an_error(self, tmp_path, capsys, monkeypatch, presets, named):
+        # a repeat after alias and case resolution is rejected before any point runs
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
+        out = tmp_path / "ber.csv"
+        rc = main(["ber", "--presets", presets, "--ebn0", "0", "--bits", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: --presets names {named} twice")
         assert not out.exists()
 
     @pytest.mark.parametrize("ebn0", [
@@ -395,6 +411,25 @@ class TestFlagBounds:
         out = tmp_path / "x.csv"
         self.rejected([*command, f"--threads={value}", "--out", str(out)], "--threads", value, capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bits", "0"), ("--bits", "-5"), ("--bits", "1.5"), ("--bits", "x"),
+        ("--block-bits", "0"), ("--block-bits", "-1"), ("--block-bits", "1000001"), ("--block-bits", "1e3"),
+    ])
+    def test_bits_outside_the_bound(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
+        out = tmp_path / "ber.csv"
+        self.rejected(["ber", "--presets", "BL", "--ebn0", "0", f"{flag}={value}", "--out", str(out)],
+                      flag, value, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, dest, value", [
+        ("--bits", "bits", 1), ("--bits", "bits", 10**12), ("--block-bits", "block_bits", 1),
+        ("--block-bits", "block_bits", 1_000_000),
+    ])
+    def test_bits_inside_the_bound(self, flag, dest, value):
+        args = build_parser().parse_args(["ber", "--presets", "BL", flag, str(value), "--out", "x"])
+        assert getattr(args, dest) == value
 
     @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
     @pytest.mark.parametrize("value", [1, 4, MAX_THREADS])

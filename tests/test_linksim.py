@@ -281,6 +281,14 @@ class TestPerBitOracle:
             pt = ber_bpsk(self.CHANNELS[channel], ebn0, n_bits, rng_seed=seed, block_bits=block_bits)
         assert pt.ber == per_bit_errors(self.CHANNELS[channel], ebn0, n_bits, seed, block_bits) / n_bits
 
+    @pytest.mark.parametrize("chunk_bits, n_bits", [(7, 7 * 300 + 5), (25_599, 3 * 25_599 + 2)])
+    @pytest.mark.parametrize("block_bits", [1, 100, 12345])
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_odd_chunk_sizes(self, monkeypatch, channel, block_bits, chunk_bits, n_bits):
+        # the chunk boundaries decide the sizes of the bit and imaginary-part draws
+        monkeypatch.setattr(linksim, "_CHUNK_BITS", chunk_bits)
+        assert_batch_matches_oracle(self.CHANNELS[channel], 6.0, n_bits, block_bits, seed=5)
+
     def test_chunks_hold_chunk_bits_for_any_block_size(self, monkeypatch):
         monkeypatch.setattr(linksim, "_CHUNK_BITS", 256)
         chan, n = linksim._normalize_channel((BL, Condition.LOS)), 3 * 256 + 1
@@ -289,20 +297,39 @@ class TestPerBitOracle:
             assert [len(z) for z, _ in chunks] == [256, 256, 256, 1]
 
 
+class TestChunkedDraws:
+    """``_batch_samples`` draws the bits and the imaginary parts one chunk at a time. That keeps the
+    random stream only if draws of a and then b values equal one draw of a + b, and leave the bit
+    generator (with PCG64's spare 32-bit half) in the same state."""
+
+    @pytest.mark.parametrize("n, chunk", [(12_345, 7), (1000, 999), (100_001, 25_599), (5, 1), (1, 3)])
+    @pytest.mark.parametrize("draw", [lambda rng, k: rng.integers(0, 2, k), lambda rng, k: rng.standard_normal(k)],
+                             ids=["integers", "standard_normal"])
+    def test_chunked_draws_equal_one_draw(self, draw, n, chunk):
+        for seed in (0, 3, 2**32 - 1):
+            whole_rng, chunked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            whole = draw(whole_rng, n)
+            chunked = np.concatenate([draw(chunked_rng, min(chunk, n - lo)) for lo in range(0, n, chunk)])
+            assert whole.dtype == chunked.dtype and np.array_equal(whole, chunked)
+            assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
 class TestBerMemory:
     @pytest.mark.parametrize("block_bits", [100, 1_000_000])
     @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
     def test_peak_of_a_million_bit_point(self, condition, block_bits):
-        # A 1M-bit batch holds its draws whole: 8 MB of bits and 16 MB of normals. The chunks add
-        # well under 2 MiB, for any block size. Built at the batch's length, the complex arithmetic
-        # peaked at about 54 MiB.
+        # A 1M-bit batch holds 1 MB of bool bits and 8 MB of real noise parts, drawn whole with
+        # standard_normal(1_000_000). The bits are drawn as int64 in chunks of 25,600, and each
+        # chunk draws its 25,600 imaginary parts; the chunks add well under 2 MiB, for any block
+        # size. The peak was 24.5 MiB with the bits (int64) and all 2M normals drawn whole, and
+        # about 54 MiB with the complex arithmetic built at the batch's length.
         tracemalloc.start()
         try:
             ber_bpsk((BL, condition), 6.0, 1_000_000, rng_seed=1, block_bits=block_bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 14 * 2**20
 
 
 class TestIsotonic:
@@ -342,6 +369,14 @@ class TestBerSweep:
         sweep = ber_sweep([lo, hi], Condition.LOS, grid, 150_000, rng_seed=6)
         gap = sweep.gap_db("lowk", "highk", 1e-2)
         assert gap is not None and gap > 0.0
+
+    def test_repeated_preset_name_rejected(self, monkeypatch):
+        # the curves are keyed by name, so a repeat would replace a curve; rejected before any point runs
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
+        twin = dataclasses.replace(GPP_INO, los=BL.los, nlos=BL.nlos)
+        for presets in ([BL, BL], [GPP_INO, BL, twin]):
+            with pytest.raises(ValueError, match=f"preset {presets[-1].name} appears more than once"):
+                ber_sweep(presets, Condition.LOS, [0.0], 10, rng_seed=1, threads=2)
 
     def test_unbracketed_target_unavailable(self):
         sweep = ber_sweep([BL], Condition.LOS, [0.0, 2.0], 20_000, rng_seed=8)
