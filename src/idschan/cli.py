@@ -41,6 +41,21 @@ def _int_flag(flag: str, lo: int, hi: int | None = None):
     return parse
 
 
+def _finite_flag(flag: str):
+    """argparse ``type=``: a finite float; a rejection names the flag and the value."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{flag}={text} is not a finite number")
+        return value
+
+    return parse
+
+
 def _target_ber(text: str) -> float:
     """argparse ``type=`` of ``ber --target-ber``: a BER in (0, 0.5]."""
     try:
@@ -134,8 +149,6 @@ def cmd_gen(args) -> int:
     pset = params.preset(args.preset)
     cond = pathdata.Condition(args.cond)
     seed = _seed_from_env(args.seed)
-    if not 1 <= args.count <= tracer.MAX_RECEIVERS:
-        raise ValueError(f"--count must be from 1 to {tracer.MAX_RECEIVERS}, got {args.count}")
     reals = genchan.draw_realizations(pset, cond, args.taps, range(seed, seed + args.count))
     ds = genchan.realizations_to_dataset(reals, f"{pset.name}-{cond.value}", pathdata.LinkBudget())
     pathdata.save_dataset(ds, args.out)
@@ -194,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=[s.value for s in tracer.ScenarioPreset])
     p.add_argument("--scene", help="scene config JSON (overrides --preset)")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-reflections", type=int, default=None)
-    p.add_argument("--sensitivity", type=float, default=None, help="path cull threshold, dBm")
+    p.add_argument("--max-reflections", type=_int_flag("--max-reflections", 0, tracer.MAX_REFLECTIONS),
+                   default=None)
+    p.add_argument("--sensitivity", type=_finite_flag("--sensitivity"), default=None,
+                   help="path cull threshold, dBm")
     p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None,
                    help="accepted and ignored: the trace runs on one thread")
     p.set_defaults(func=cmd_trace)
@@ -208,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="draw channel realizations from a preset")
     p.add_argument("--preset", required=True)
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--taps", type=int, default=20)
+    p.add_argument("--count", type=_int_flag("--count", 1, tracer.MAX_RECEIVERS), default=1000)
+    p.add_argument("--taps", type=_int_flag("--taps", 2, genchan.MAX_TAPS), default=20)
     p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,8 +74,8 @@ class BerPoint:
 # Blocks and bits a batch holds at most, so batches (and their random streams) depend on block_bits alone;
 # every block_bits <= 100 gets 10,000 blocks.
 _BATCH_BLOCKS, _BATCH_BITS = 10_000, 1_000_000
-# Bits a chunk of a batch holds at most, for any block_bits: a batch's bits and imaginary noise parts are
-# drawn, and its arithmetic runs, chunk by chunk on arrays that stay in cache. Chosen by measurement: on
+# Bits a chunk of a batch holds at most, for any block_bits: a batch's bits and noise parts are drawn,
+# and its arithmetic runs, chunk by chunk on arrays that stay in cache. Chosen by measurement: on
 # 2 vCPUs a 2M-bit point took about the same time with chunks of 8,192 to 102,400 bits, and 1.6 times as
 # long unchunked.
 _CHUNK_BITS = 25_600
@@ -106,36 +108,49 @@ def _block_fades(chan, n_blocks: int, rng: np.random.Generator) -> np.ndarray:
     return draw_fades(None, rng, n_blocks)
 
 
+def _noise_buffers(n: int) -> list[np.ndarray]:
+    """One float64 buffer per ``_CHUNK_BITS`` chunk of an ``n``-bit batch, for its real noise parts.
+    A set for n bits serves every batch of at most n bits."""
+    return [np.empty(min(_CHUNK_BITS, n - lo)) for lo in range(0, n, _CHUNK_BITS)]
+
+
+# The buffer set a ``ber_sweep`` point lends to the ``ber_bpsk`` call it makes, so that every point
+# still runs through ``ber_bpsk`` and reuses a set the sweep allocated on its calling thread.
+_lent = threading.local()
+
+
 def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
-                   rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   rng: np.random.Generator, reals: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the decision statistic and the bits sent of one batch, ``n`` bits over ``n_blocks``
     fades, one chunk of at most ``_CHUNK_BITS`` bits at a time.
 
     The draws keep the order that fixes the random stream: the fades, the ``n`` bits, the ``n``
     real parts of the noise, then its ``n`` imaginary parts. The generator keeps no state between
     calls outside its bit generator, so draws of a and then b values equal one draw of a + b. The
-    bits are therefore drawn chunk by chunk (int64, as before) into one bool array, and each
-    chunk's imaginary parts are drawn as the chunk is built; only the real parts, which the
-    stream puts before every imaginary part, are drawn whole. The arithmetic runs chunk by chunk
-    and builds no other array of the batch's length. A chunk may start or end inside a block.
+    bits are therefore drawn chunk by chunk (int64, as before) into one bool array. The real parts
+    are all drawn before any imaginary part, but chunk by chunk into ``reals``, a buffer set from
+    ``_noise_buffers`` for at least ``n`` bits whose earlier contents are overwritten; each chunk's
+    imaginary parts are drawn as the chunk is built. The arithmetic runs chunk by chunk and builds
+    no other array of the batch's length. A chunk may start or end inside a block.
     Every value comes from the same float operations, in the same order, as the per-bit form
     ``real((amp * h * s + noise) * exp(-1j * angle(h)))`` with ``h`` the fades repeated per bit.
     Elementwise operations commute with ``np.repeat`` and with slicing, so the scaling and the
     derotation run once per block.
     """
     fades = _block_fades(chan, n_blocks, rng)
+    starts = range(0, n, _CHUNK_BITS)
     bits = np.empty(n, dtype=bool)
-    for lo in range(0, n, _CHUNK_BITS):
+    for lo in starts:
         bits[lo:lo + _CHUNK_BITS] = rng.integers(0, 2, min(_CHUNK_BITS, n - lo))
-    real = rng.standard_normal(n)
+    real = [rng.standard_normal(out=reals[k][:min(_CHUNK_BITS, n - lo)]) for k, lo in enumerate(starts)]
     scaled, derotate = amp * fades, np.exp(-1j * np.angle(fades))
-    for lo in range(0, n, _CHUNK_BITS):
+    for lo, real_k in zip(starts, real):
         hi = min(lo + _CHUNK_BITS, n)
         # bits lo..hi-1 lie in blocks b0..b1-1, each repeated once per bit of it in the chunk
         b0, b1 = lo // block_bits, -(-hi // block_bits)
         reps = np.diff(np.clip(np.arange(b0, b1 + 1) * block_bits, lo, hi))
         noise = np.empty(hi - lo, dtype=complex)
-        noise.real, noise.imag = real[lo:hi], rng.standard_normal(hi - lo)
+        noise.real, noise.imag = real_k, rng.standard_normal(hi - lo)
         # a complex divide multiplies by the reciprocal, so dividing each float half would differ
         noise /= math.sqrt(2.0)
         y = np.repeat(scaled[b0:b1], reps)
@@ -152,6 +167,13 @@ def _check_ebn0(ebn0_db: float) -> None:
         raise ValueError(f"ebn0_db must be -inf or at most {MAX_EBN0_DB:g} dB, got {ebn0_db!r}")
 
 
+def _check_bits(n_bits: int, block_bits: int) -> None:
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
+    if not 1 <= block_bits <= _BATCH_BITS:
+        raise ValueError(f"block_bits must be from 1 to {_BATCH_BITS}, got {block_bits}")
+
+
 def ber_bpsk(
     channel,
     ebn0_db: float,
@@ -166,13 +188,13 @@ def ber_bpsk(
     held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
     from the root seed and run one after another. Errors are counted per chunk
     of a batch against its bool bits and summed; a batch holds one byte of bits
-    and one float64 real part of noise per bit, plus one chunk. The confidence
-    half-width is the normal approximation of the binomial at 95%.
+    per bit, plus one chunk. The real parts of the noise go into one set of
+    chunk-sized float64 buffers (8 bytes a bit of the largest batch), which
+    every batch of the call reuses: the call allocates the set, unless it runs
+    inside ``ber_sweep``, which lends it one. The confidence half-width is the
+    normal approximation of the binomial at 95%.
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    if not 1 <= block_bits <= _BATCH_BITS:
-        raise ValueError(f"block_bits must be from 1 to {_BATCH_BITS}, got {block_bits}")
+    _check_bits(n_bits, block_bits)
     _check_ebn0(ebn0_db)
     chan = _normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
@@ -180,6 +202,7 @@ def ber_bpsk(
     n_blocks_total = -(-n_bits // block_bits)
     seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
     batch_blocks = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits)
+    reals = getattr(_lent, "reals", None) or _noise_buffers(min(n_bits, _BATCH_BITS))
     errors = 0
     for batch in range(-(-n_blocks_total // batch_blocks)):
         # child ``batch`` of seed_seq.spawn(), derived on demand without advancing seed_seq
@@ -187,7 +210,7 @@ def ber_bpsk(
                                        pool_size=seed_seq.pool_size)
         blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
         batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
-        for z, bits in _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child)):
+        for z, bits in _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child), reals):
             errors += int(np.count_nonzero((z > 0) != bits))
     ber = errors / n_bits
     ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
@@ -261,15 +284,18 @@ def ber_sweep(
 
     Each (preset, grid point) owns a seed derived from the root seed, so the
     sweep is deterministic and independent of evaluation order. A repeated
-    preset name (the curves are keyed by name), or a preset or grid value that
-    ``ber_bpsk`` rejects, is rejected before any point runs. With
-    ``threads`` > 1 the points run on one thread pool, and the curves are the
-    same for any thread count.
+    preset name (the curves are keyed by name), or a preset, grid value, bit
+    count or block size that ``ber_bpsk`` rejects, is rejected before any
+    point runs. With ``threads`` > 1 the points run on one thread pool, and the
+    curves are the same for any thread count. Every point runs through
+    ``ber_bpsk``. The real-part buffer sets, one per point that can run at
+    once, are allocated on the calling thread before any point runs; a point
+    borrows a set, lends it to its ``ber_bpsk`` call and hands it back.
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
     condition = Condition(condition)
-    # a repeated name, a bad block or a bad grid value is rejected before any point runs
+    # a repeated name, a bad parameter block, bit count, block size or grid value is rejected before any point runs
     names = [ps.name for ps in presets]
     for name in names:
         if names.count(name) > 1:
@@ -278,15 +304,26 @@ def ber_sweep(
         _normalize_channel((ps, condition))
     for ebn0 in ebn0_grid:
         _check_ebn0(ebn0)
+    _check_bits(n_bits, block_bits)
+
+    points = list(itertools.product(enumerate(presets), enumerate(ebn0_grid)))
+    workers = min(threads, len(points)) if threads is not None and threads > 1 else 1
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_noise_buffers(min(n_bits, _BATCH_BITS)))
 
     def run_point(point) -> BerPoint:
         (pi, ps), (gi, ebn0) = point
         seed = np.random.SeedSequence(rng_seed, spawn_key=(pi, gi))
-        return ber_bpsk((ps, condition), ebn0, n_bits, seed, block_bits)
+        _lent.reals = free.get()
+        try:
+            return ber_bpsk((ps, condition), ebn0, n_bits, seed, block_bits)
+        finally:
+            free.put(_lent.reals)
+            _lent.reals = None
 
-    points = list(itertools.product(enumerate(presets), enumerate(ebn0_grid)))
-    if threads is not None and threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_point, points))
     else:
         results = list(map(run_point, points))

@@ -136,13 +136,6 @@ class TestTraceExtract:
         assert paths == [r.paths for r in at_60.records]
         assert paths != [r.paths for r in at_28.records]
 
-    def test_max_reflections_above_the_bound_is_an_error(self, tmp_path, scene_file, capsys):
-        out = tmp_path / "x.csv"
-        for source in (["--preset", "BL"], ["--scene", str(scene_file)]):
-            rc = main(["trace", *source, "--max-reflections", "12", "--out", str(out)])
-            assert rc == 2 and "max_reflections" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_missing_args_error(self, tmp_path, capsys):
         rc = main(["trace", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -198,20 +191,6 @@ class TestGen:
         rc = main(["gen", "--preset", "nope", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "unknown preset" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags, named", [
-        (["--count", "-3"], "-3"),
-        (["--count", "0"], "0"),
-        (["--count", "100001"], "100001"),
-        (["--count", "2", "--taps", "101"], "101"),
-        (["--count", "2", "--taps", "1"], "1"),
-    ])
-    def test_count_and_taps_bounded(self, tmp_path, capsys, flags, named):
-        out = tmp_path / "x.csv"
-        assert main(["gen", "--preset", "BL", *flags, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.rstrip().endswith(f"got {named}")
-        assert not out.exists()
 
 
 class TestRssi:
@@ -430,6 +409,46 @@ class TestFlagBounds:
     def test_bits_inside_the_bound(self, flag, dest, value):
         args = build_parser().parse_args(["ber", "--presets", "BL", flag, str(value), "--out", "x"])
         assert getattr(args, dest) == value
+
+    def test_max_reflections_above_the_bound_is_an_error(self, tmp_path, scene_file, capsys):
+        out = tmp_path / "x.csv"
+        for source in (["--preset", "BL"], ["--scene", str(scene_file)]):
+            self.rejected(["trace", *source, "--max-reflections", "12", "--out", str(out)],
+                          "--max-reflections", "12", capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--count", "-3"], "-3"),
+        (["--count", "0"], "0"),
+        (["--count", "100001"], "100001"),
+        (["--count", "2", "--taps", "101"], "101"),
+        (["--count", "2", "--taps", "1"], "1"),
+    ])
+    def test_count_and_taps_bounded(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x.csv"
+        self.rejected(["gen", "--preset", "BL", *flags, "--out", str(out)], flags[-2], named, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-reflections", "-1"), ("--max-reflections", "7"), ("--max-reflections", "1.5"),
+        ("--sensitivity", "nan"), ("--sensitivity", "inf"), ("--sensitivity", "-inf"), ("--sensitivity", "x"),
+    ])
+    def test_trace_flags_outside_the_bound(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        self.rejected(["trace", "--preset", "BL", f"{flag}={value}", "--out", str(out)], flag, value, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["trace", "--preset", "BL", "--max-reflections", "0"], "max_reflections", 0),
+        (["trace", "--preset", "BL", "--max-reflections", "6"], "max_reflections", 6),
+        (["trace", "--preset", "BL", "--sensitivity", "-90.5"], "sensitivity", -90.5),
+        (["gen", "--preset", "BL", "--count", "1"], "count", 1),
+        (["gen", "--preset", "BL", "--count", "100000"], "count", 100_000),
+        (["gen", "--preset", "BL", "--taps", "2"], "taps", 2),
+        (["gen", "--preset", "BL", "--taps", "100"], "taps", 100),
+    ])
+    def test_trace_and_gen_flags_inside_the_bound(self, argv, dest, value):
+        assert getattr(build_parser().parse_args([*argv, "--out", "x"]), dest) == value
 
     @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
     @pytest.mark.parametrize("value", [1, 4, MAX_THREADS])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -68,11 +69,13 @@ def per_bit_errors(channel, ebn0_db, n_bits, rng_seed, block_bits):
     return errors
 
 
-def assert_batch_matches_oracle(channel, ebn0_db, n, block_bits, seed):
+def assert_batch_matches_oracle(channel, ebn0_db, n, block_bits, seed, reals=None):
+    """``reals`` is the real-part buffer set; by default a fresh one for exactly ``n`` bits."""
     chan = linksim._normalize_channel(channel)
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
     n_blocks = -(-n // block_bits)
-    chunks = list(linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed)))
+    reals = linksim._noise_buffers(n) if reals is None else reals
+    chunks = list(linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed), reals))
     z, bits = (np.concatenate(parts) for parts in zip(*chunks))
     z_ref, s_ref = per_bit_batch(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
     assert np.array_equal(bits * 2 - 1, s_ref)
@@ -289,22 +292,39 @@ class TestPerBitOracle:
         monkeypatch.setattr(linksim, "_CHUNK_BITS", chunk_bits)
         assert_batch_matches_oracle(self.CHANNELS[channel], 6.0, n_bits, block_bits, seed=5)
 
+    @pytest.mark.parametrize("chunk_bits", [7, 25_599])
+    @pytest.mark.parametrize("block_bits", [1, 100, 12345])
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    def test_stale_buffers_never_reach_z(self, monkeypatch, channel, block_bits, chunk_bits):
+        # A reused set is built for the longest batch and holds what earlier batches drew; here it
+        # starts as NaN and covers two more chunks than the batch, whose last chunk holds 2 bits.
+        monkeypatch.setattr(linksim, "_CHUNK_BITS", chunk_bits)
+        n_bits = 3 * chunk_bits + 2
+        reals = linksim._noise_buffers(n_bits + 2 * chunk_bits)
+        for buf in reals:
+            buf.fill(np.nan)
+        assert_batch_matches_oracle(self.CHANNELS[channel], 6.0, n_bits, block_bits, seed=5, reals=reals)
+        assert_batch_matches_oracle(self.CHANNELS[channel], 6.0, n_bits - chunk_bits, block_bits, seed=6,
+                                    reals=reals)
+
     def test_chunks_hold_chunk_bits_for_any_block_size(self, monkeypatch):
         monkeypatch.setattr(linksim, "_CHUNK_BITS", 256)
         chan, n = linksim._normalize_channel((BL, Condition.LOS)), 3 * 256 + 1
         for block_bits in (1, 100, 1000):
-            chunks = linksim._batch_samples(chan, 1.0, -(-n // block_bits), block_bits, n, np.random.default_rng(0))
+            chunks = linksim._batch_samples(chan, 1.0, -(-n // block_bits), block_bits, n, np.random.default_rng(0),
+                                            linksim._noise_buffers(n))
             assert [len(z) for z, _ in chunks] == [256, 256, 256, 1]
 
 
 class TestChunkedDraws:
-    """``_batch_samples`` draws the bits and the imaginary parts one chunk at a time. That keeps the
-    random stream only if draws of a and then b values equal one draw of a + b, and leave the bit
-    generator (with PCG64's spare 32-bit half) in the same state."""
+    """``_batch_samples`` draws the bits, the real parts (into reused buffers) and the imaginary parts
+    one chunk at a time. That keeps the random stream only if draws of a and then b values equal one
+    draw of a + b, and leave the bit generator (with PCG64's spare 32-bit half) in the same state."""
 
     @pytest.mark.parametrize("n, chunk", [(12_345, 7), (1000, 999), (100_001, 25_599), (5, 1), (1, 3)])
-    @pytest.mark.parametrize("draw", [lambda rng, k: rng.integers(0, 2, k), lambda rng, k: rng.standard_normal(k)],
-                             ids=["integers", "standard_normal"])
+    @pytest.mark.parametrize("draw", [lambda rng, k: rng.integers(0, 2, k), lambda rng, k: rng.standard_normal(k),
+                                      lambda rng, k: rng.standard_normal(out=np.full(k + 3, np.nan)[:k])],
+                             ids=["integers", "standard_normal", "standard_normal_out"])
     def test_chunked_draws_equal_one_draw(self, draw, n, chunk):
         for seed in (0, 3, 2**32 - 1):
             whole_rng, chunked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -318,11 +338,12 @@ class TestBerMemory:
     @pytest.mark.parametrize("block_bits", [100, 1_000_000])
     @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
     def test_peak_of_a_million_bit_point(self, condition, block_bits):
-        # A 1M-bit batch holds 1 MB of bool bits and 8 MB of real noise parts, drawn whole with
-        # standard_normal(1_000_000). The bits are drawn as int64 in chunks of 25,600, and each
-        # chunk draws its 25,600 imaginary parts; the chunks add well under 2 MiB, for any block
-        # size. The peak was 24.5 MiB with the bits (int64) and all 2M normals drawn whole, and
-        # about 54 MiB with the complex arithmetic built at the batch's length.
+        # A 1M-bit point holds 1 MB of bool bits and one set of 40 real-part buffers of up to 25,600
+        # float64 values (8 MB), filled chunk by chunk with standard_normal(out=...). The bits are
+        # drawn as int64 in chunks of 25,600, and each chunk draws its 25,600 imaginary parts; the
+        # chunks add well under 2 MiB, for any block size. The peak was 24.5 MiB with the bits
+        # (int64) and all 2M normals drawn whole, and about 54 MiB with the complex arithmetic
+        # built at the batch's length.
         tracemalloc.start()
         try:
             ber_bpsk((BL, condition), 6.0, 1_000_000, rng_seed=1, block_bits=block_bits)
@@ -405,6 +426,42 @@ class TestBerSweep:
                   for t in (None, 1, 2, 3)]
         for sweep in sweeps[1:]:
             assert sweep == sweeps[0]
+
+    def test_sweep_equals_fresh_points_at_any_thread_count(self):
+        # 2,051,201 bits make batches of 1M, 1M and 51,201 bits; the last chunk holds one bit, and
+        # each set of reused buffers holds what the point before it drew
+        n_bits, grid, presets = 2_051_201, [0.0, 10.0, 20.0], [BL, GPP_INO]
+        fresh = {ps.name: tuple(ber_bpsk((ps, Condition.LOS), ebn0, n_bits,
+                                         np.random.SeedSequence(7, spawn_key=(pi, gi)))
+                                for gi, ebn0 in enumerate(grid))
+                 for pi, ps in enumerate(presets)}
+        for threads in (1, 2, 5):
+            assert ber_sweep(presets, Condition.LOS, grid, n_bits, rng_seed=7, threads=threads).curves == fresh
+
+    @pytest.mark.parametrize("threads, sets", [(None, 1), (1, 1), (2, 2), (5, 5), (8, 6)])
+    def test_one_buffer_set_per_worker_allocated_on_the_calling_thread(self, monkeypatch, threads, sets):
+        made = []
+        noise_buffers = linksim._noise_buffers
+        monkeypatch.setattr(linksim, "_noise_buffers",
+                            lambda n: made.append((threading.get_ident(), n)) or noise_buffers(n))
+        monkeypatch.setattr(linksim, "_BATCH_BITS", 1000)  # three batches a point, all on one set
+        sweep = ber_sweep([BL, GPP_INO], Condition.LOS, [0.0, 6.0, 12.0], 2500, rng_seed=3, block_bits=100,
+                          threads=threads)
+        assert made == [(threading.get_ident(), 1000)] * sets
+        # the lent set is handed back: a later call on this thread allocates its own, for its own size
+        made.clear()
+        assert ber_bpsk((BL, Condition.LOS), 0.0, 2500, np.random.SeedSequence(3, spawn_key=(0, 0))) \
+            == sweep.curves["BL"][0]
+        assert ber_bpsk("awgn", 0.0, 300, rng_seed=1).n_bits == 300
+        assert made == [(threading.get_ident(), 1000), (threading.get_ident(), 300)]
+
+    @pytest.mark.parametrize("n_bits, block_bits", [(0, 100), (1000, 0), (1000, 1_000_001)])
+    def test_bad_bits_rejected_before_any_point_runs(self, monkeypatch, n_bits, block_bits):
+        monkeypatch.setattr(linksim, "_noise_buffers", pytest.fail)
+        monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
+        with pytest.raises(ValueError, match="n_bits" if n_bits < 1 else "block_bits"):
+            ber_sweep([BL, GPP_INO], Condition.LOS, [0.0, 6.0], n_bits, rng_seed=1, block_bits=block_bits,
+                      threads=2)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
