@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-reflections", type=_int_flag("--max-reflections", 0, tracer.MAX_REFLECTIONS),
                    default=None)
     p.add_argument("--sensitivity", type=_finite_flag("--sensitivity"), default=None,
-                   help="path cull threshold, dBm")
+                   help="path cull threshold, dBm; join a value like -1e2 with '=': --sensitivity=-1e2")
     p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None,
                    help="accepted and ignored: the trace runs on one thread")
     p.set_defaults(func=cmd_trace)
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ber", help="Monte-Carlo BPSK BER sweep over presets")
     p.add_argument("--presets", required=True, help="comma-separated preset names")
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
-    p.add_argument("--ebn0", type=_parse_ebn0, default="0:2:20", help="start:step:stop in dB, or comma list")
+    p.add_argument("--ebn0", type=_parse_ebn0, default="0:2:20",
+                   help="start:step:stop in dB, or comma list; join a negative one with '=': --ebn0=-4:2:0")
     p.add_argument("--bits", type=_int_flag("--bits", 1), default=200_000)
     p.add_argument("--block-bits", type=_int_flag("--block-bits", 1, linksim._BATCH_BITS), default=100)
     p.add_argument("--target-ber", type=_target_ber, default=1e-3)

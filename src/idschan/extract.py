@@ -170,12 +170,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def _spreads(records: list[RxRecord]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """RMS delay spread and the four angular spreads of each record, in record
-    order, with one kernel call per statistic and path count."""
+def _spreads(records: list[RxRecord]) -> np.ndarray:
+    """(5, R) array: the RMS delay spread, then the angular spreads in
+    ``ANGLE_FIELDS`` order, of each record in record order, with one kernel
+    call per statistic and path count."""
     counts = np.array([len(r.paths) for r in records])
-    delay_spreads = np.empty(len(records))
-    angle_spreads = {kind: np.empty(len(records)) for kind in ANGLE_FIELDS}
+    spreads = np.empty((1 + len(ANGLE_FIELDS), len(records)))
     for n in np.unique(counts):
         rows = np.flatnonzero(counts == n)
         group = [records[i].paths for i in rows]
@@ -184,13 +184,15 @@ def _spreads(records: list[RxRecord]) -> tuple[np.ndarray, dict[str, np.ndarray]
             return np.stack([getattr(paths, column) for paths in group])
 
         power = block("power_mw")
-        delay_spreads[rows] = rms_delay_spreads(power, block("delay_ns"))
-        for kind, column in ANGLE_FIELDS.items():
-            angle_spreads[kind][rows] = angular_spreads(power, block(column))
-    return delay_spreads, angle_spreads
+        spreads[0, rows] = rms_delay_spreads(power, block("delay_ns"))
+        for k, column in enumerate(ANGLE_FIELDS.values(), 1):
+            spreads[k, rows] = angular_spreads(power, block(column))
+    return spreads
 
 
 def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionParams | None:
+    """The condition's statistics, built positionally: ConditionParams' field
+    order (fit, K-factor, then the mean and std of each spread) is the table's."""
     records = ds.records_of(condition)
     if not records:
         return None
@@ -207,27 +209,8 @@ def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionPara
         if finite:
             mu_kf, sigma_kf = _mean_std(finite)
 
-    delay_spreads, angle_spreads = _spreads(records)
-    mu_ds, sigma_ds = _mean_std(delay_spreads.tolist())
-    spreads = {kind: _mean_std(values.tolist()) for kind, values in angle_spreads.items()}
-
-    return ConditionParams(
-        a_db=a_db,
-        b=b,
-        sigma_sf_db=sigma_sf,
-        mu_kf_db=mu_kf,
-        sigma_kf_db=sigma_kf,
-        mu_ds_ns=mu_ds,
-        sigma_ds_ns=sigma_ds,
-        mu_asd_deg=spreads["ASD"][0],
-        sigma_asd_deg=spreads["ASD"][1],
-        mu_asa_deg=spreads["ASA"][0],
-        sigma_asa_deg=spreads["ASA"][1],
-        mu_esd_deg=spreads["ESD"][0],
-        sigma_esd_deg=spreads["ESD"][1],
-        mu_esa_deg=spreads["ESA"][0],
-        sigma_esa_deg=spreads["ESA"][1],
-    )
+    moments = [m for spread in _spreads(records) for m in _mean_std(spread.tolist())]
+    return ConditionParams(a_db, b, sigma_sf, mu_kf, sigma_kf, *moments)
 
 
 def summarize(ds: ScenarioDataset) -> DatasetSummary:

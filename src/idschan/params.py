@@ -131,24 +131,10 @@ def preset(name: str) -> ChannelParamSet:
     return PRESETS[key]
 
 
-# Row label -> ConditionParams attribute, in table order.
-PARAM_ROWS: tuple[tuple[str, str], ...] = (
-    ("A_dB", "a_db"),
-    ("B", "b"),
-    ("sigma_SF_dB", "sigma_sf_db"),
-    ("mu_KF_dB", "mu_kf_db"),
-    ("sigma_KF_dB", "sigma_kf_db"),
-    ("mu_DS_ns", "mu_ds_ns"),
-    ("sigma_DS_ns", "sigma_ds_ns"),
-    ("mu_ASD_deg", "mu_asd_deg"),
-    ("sigma_ASD_deg", "sigma_asd_deg"),
-    ("mu_ASA_deg", "mu_asa_deg"),
-    ("sigma_ASA_deg", "sigma_asa_deg"),
-    ("mu_ESD_deg", "mu_esd_deg"),
-    ("sigma_ESD_deg", "sigma_esd_deg"),
-    ("mu_ESA_deg", "mu_esa_deg"),
-    ("sigma_ESA_deg", "sigma_esa_deg"),
-)
+# Table row labels, in ConditionParams' field order; each label's field is ``label.lower()``.
+PARAM_ROWS = ("A_dB", "B", "sigma_SF_dB", "mu_KF_dB", "sigma_KF_dB", "mu_DS_ns", "sigma_DS_ns",
+              "mu_ASD_deg", "sigma_ASD_deg", "mu_ASA_deg", "sigma_ASA_deg",
+              "mu_ESD_deg", "sigma_ESD_deg", "mu_ESA_deg", "sigma_ESA_deg")
 
 
 def _cell(value: float | None) -> str:
@@ -166,10 +152,10 @@ def params_table(sets: Sequence[ChannelParamSet]) -> list[list[str]]:
             header.append(f"{ps.name}:{cond}")
             blocks.append(blk)
     rows = [header]
-    for label, attr in PARAM_ROWS:
+    for label in PARAM_ROWS:
         row = [label]
         for blk in blocks:
-            row.append("absent" if blk is None else _cell(getattr(blk, attr)))
+            row.append("absent" if blk is None else _cell(getattr(blk, label.lower())))
         rows.append(row)
     return rows
 
@@ -182,7 +168,6 @@ def write_ratios_csv(
     ratios_by_scenario: Sequence[tuple[str, dict[Condition, float]]], path: str | Path
 ) -> None:
     """Condition-share table: one row per scenario, columns LOS/NLOS/DS/Outage."""
-    conds = (Condition.LOS, Condition.NLOS, Condition.DS, Condition.OUTAGE)
-    write_rows(path, [["scenario"] + [c.value.lower() for c in conds]] + [
-        [name] + [format_float(ratios.get(c, 0.0)) for c in conds] for name, ratios in ratios_by_scenario
+    write_rows(path, [["scenario"] + [c.value.lower() for c in Condition]] + [
+        [name] + [format_float(ratios.get(c, 0.0)) for c in Condition] for name, ratios in ratios_by_scenario
     ])

@@ -95,15 +95,16 @@ class MultipathComponent:
 FLOAT_COLUMNS = ("power_dbm", "delay_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
 _TAG_CODES = frozenset(tag.value for tag in Interaction)
 _DIRECT = Interaction.DIRECT.value
-# 10 ** (p / 10) overflows a double above ~3082.5 dBm.
+# 10 ** (p / 10) overflows a double above ~3082.5 dBm and is subnormal below ~-3076.5 dBm,
+# so inside this bound (in dBm, both signs) power_mw is a positive normal float.
 _MAX_POWER_DBM = 3000.0
 
 
 class PathTable:
     """Paths as read-only columns, checked once when built.
 
-    Powers are in dBm, with the linear milliwatts every statistic uses
-    computed once (``power_mw``). Azimuths live in (-180, 180], elevations
+    Powers are in (-3000, 3000) dBm, with the linear milliwatts every
+    statistic uses computed once (``power_mw``). Azimuths live in (-180, 180], elevations
     in [-90, 90], delays are strictly positive nanoseconds. ``interactions``
     holds one :func:`interaction_code` per path, with "L" (direct) always alone.
     """
@@ -134,7 +135,7 @@ class PathTable:
         power, delay, aod_az, aod_el, aoa_az, aoa_el = cols
         azimuth, elevation = "in (-180, 180]", "in [-90, 90]"
         checks = [  # (rows that pass, rule), one per float column
-            (np.isfinite(power) & (power < _MAX_POWER_DBM), "finite and below 3000 dBm"),
+            (np.abs(power) < _MAX_POWER_DBM, "in (-3000, 3000) dBm"),
             ((delay > 0.0) & np.isfinite(delay), "> 0"),
             ((aod_az > -180.0) & (aod_az <= 180.0), azimuth),
             ((aod_el >= -90.0) & (aod_el <= 90.0), elevation),
@@ -393,7 +394,7 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     if len(tx) != 3 or not all(map(math.isfinite, tx)):
         raise DatasetFormatError(f"{mpath.name}: tx_position_m must be 3 finite numbers, got {tx}")
 
-    ids, positions, counts, columns, where = _load_rows(path)
+    ids, positions, counts, columns, where = _load_rows(path, tx)
     records = records_from_table(ids, positions, tx, PathTable(*columns, where), counts)
     return ScenarioDataset(scenario_name, tx, budget, records, provenance)
 
@@ -464,8 +465,8 @@ def _csv_chunks(file_lines, line: int, lines_before: int):
         raise DatasetFormatError(f"line {lines_before + reader.line_num}: {exc}") from None
 
 
-def _load_rows(path: Path):
-    """Parse and check the CSV rows, in chunks.
+def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
+    """Parse and check the CSV rows, in chunks; no receiver may sit on the TX.
 
     Returns the records' rx ids, positions and path counts, the table columns
     with the path rows grouped by record (file order within a record), and a
@@ -524,6 +525,8 @@ def _load_rows(path: Path):
     ids, first_row, rec = ids[order].tolist(), first_row[order], np.argsort(order)[inverse]
     reject((pos != pos[first_row][rec]).any(axis=1), DatasetValidationError,
            "inconsistent positions across rows")
+    reject((pos[first_row] == tx_position_m).all(axis=1)[rec], DatasetValidationError,
+           "position coincides with the TX")
     reject(~is_path & (power != -math.inf), DatasetFormatError,
            "empty interactions requires power_dbm = -INF")
     counts = np.bincount(rec[is_path], minlength=len(ids))

@@ -450,6 +450,22 @@ class TestFlagBounds:
     def test_trace_and_gen_flags_inside_the_bound(self, argv, dest, value):
         assert getattr(build_parser().parse_args([*argv, "--out", "x"]), dest) == value
 
+    @pytest.mark.parametrize("command, flag, value, dest, parsed", [
+        (["ber", "--presets", "BL"], "--ebn0", "-4:2:0", "ebn0", [-4.0, -2.0, 0.0]),
+        (["trace", "--preset", "BL"], "--sensitivity", "-1e2", "sensitivity", -100.0),
+    ])
+    def test_negative_value_needs_the_equals_form(self, tmp_path, capsys, command, flag, value, dest, parsed):
+        """argparse reads a separate token that starts with "-" and is not a plain
+        integer or decimal as a flag; joined with "=" it is the flag's value."""
+        out = tmp_path / "x.csv"
+        assert getattr(build_parser().parse_args([*command, f"{flag}={value}", "--out", str(out)]), dest) == parsed
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected one argument" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
     @pytest.mark.parametrize("value", [1, 4, MAX_THREADS])
     def test_threads_inside_the_bound(self, command, value):

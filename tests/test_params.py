@@ -1,15 +1,20 @@
 import csv
+import dataclasses
+import hashlib
 import math
 
 import pytest
 
+from idschan.cli import main
 from idschan.params import (
     BL,
     CV,
     EM_V,
     GPP_INO,
+    PARAM_ROWS,
     PRESETS,
     REC_V,
+    ConditionParams,
     params_table,
     preset,
     write_params_csv,
@@ -115,6 +120,17 @@ class TestTableCsv:
         assert [r[0] for r in rows[1:7]] == [
             "A_dB", "B", "sigma_SF_dB", "mu_KF_dB", "sigma_KF_dB", "mu_DS_ns"
         ]
+
+    def test_rows_follow_the_field_order(self, tmp_path):
+        """The table's one schema is ConditionParams' field order: each row label
+        lowercases to its field, and the presets table keeps its bytes."""
+        names = [f.name for f in dataclasses.fields(ConditionParams)]
+        assert [label.lower() for label in PARAM_ROWS] == names[:15]
+        out = tmp_path / "presets.csv"
+        assert main(["presets", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "33870f15507c4f43afe35b57ffe98f2ba30871431e7c78a829fe9a2fcd541391")
+
 
 
 def test_all_sigma_nonnegative_except_kf():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from itertools import repeat
 
 import numpy as np
@@ -120,6 +121,10 @@ class TestComponentValidation:
     def test_power_whose_milliwatts_overflow_rejected(self):
         with pytest.raises(DatasetValidationError, match="power_dbm"):
             table(comp([R], power=4000.0))
+
+    def test_power_at_the_bound_is_a_normal_float(self):
+        t = table(comp([R], power=-2999.9999999999995), comp([R], power=2999.9999999999995))
+        assert (t.power_mw >= np.finfo(float).tiny).all() and np.isfinite(t.power_mw).all()
 
     def test_error_names_first_bad_row(self):
         zeros = [0.0, 0.0, 0.0]
@@ -287,7 +292,7 @@ class TestWriterBytes:
                 st.lists(
                     st.tuples(
                         st.sampled_from([(L,), (R,), (R, R, D), (S,), (R, S), (D, S)]),
-                        st.floats(-1e300, 3000.0, exclude_max=True),
+                        st.floats(-3000.0, 3000.0, exclude_min=True, exclude_max=True),
                         st.floats(0.0, 1e300, exclude_min=True),
                         *[st.floats(-180.0, 180.0, exclude_min=True), st.floats(-90.0, 90.0)] * 2,
                     ),
@@ -409,6 +414,30 @@ class TestLoaderErrors:
         )
         p = self.write(tmp_path, body)
         with pytest.raises(DatasetValidationError, match="line 3: rx 1: non-finite position"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("row", ["4,-0.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R",
+                                     "4,0.0,-0.0,1.0,-INF,0.0,0.0,0.0,0.0,0.0,"], ids=["path", "outage"])
+    def test_rx_at_the_tx_names_line_and_rx(self, tmp_path, row):
+        # the sidecar's TX is at (0, 0, 1); a traced Scene rejects the same geometry
+        p = self.write(tmp_path, f"0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n{row}\n")
+        with pytest.raises(DatasetValidationError, match="^line 3: rx 4: position coincides with the TX$"):
+            load_dataset(p)
+
+    def test_rx_next_to_the_tx_accepted(self, tmp_path):
+        p = self.write(tmp_path, "4,5e-324,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,L\n")
+        assert load_dataset(p).records[0].distance_3d_m == 5e-324
+
+    @pytest.mark.parametrize("power", ["-3300.0", "-3000.0", "3000.0", "-1e300"])
+    def test_power_outside_the_bound_names_line_and_rx(self, tmp_path, power):
+        body = (
+            "5,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,L\n"
+            f"6,2.0,0.0,1.0,{power},5.0,0.0,0.0,0.0,0.0,R\n"
+        )
+        p = self.write(tmp_path, body)
+        with pytest.raises(DatasetValidationError,
+                           match=rf"^line 3: rx 6: power_dbm={re.escape(repr(float(power)))}, "
+                                 r"must be in \(-3000, 3000\) dBm$"):
             load_dataset(p)
 
     def test_non_finite_outage_coordinate_rejected(self, tmp_path):
@@ -699,6 +728,8 @@ def _assert_finite(ds):
                        rec.paths.aod_el_deg, rec.paths.aoa_az_deg, rec.paths.aoa_el_deg,
                        rec.paths.power_mw):
             assert np.isfinite(column).all()
+        assert (rec.paths.power_mw > 0.0).all()
+        assert rec.distance_3d_m > 0.0
 
 
 @settings(max_examples=300, deadline=None)
