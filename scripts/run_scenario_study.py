@@ -45,7 +45,7 @@ def main():
         param_sets.append(summary.params)
         ratio_rows.append((preset.value, summary.ratios))
         shares = ", ".join(f"{c.value}={v:.3f}" for c, v in summary.ratios.items() if v > 0)
-        print(f"{preset.value}: {len(ds.records)} receivers in {time.perf_counter()-t0:.1f}s ({shares})")
+        print(f"{preset.value}: {len(ds.rx_ids)} receivers in {time.perf_counter()-t0:.1f}s ({shares})")
 
     write_params_csv(param_sets, outdir / "scenario_params.csv")
     write_ratios_csv(ratio_rows, outdir / "scenario_ratios.csv")

@@ -130,7 +130,7 @@ def cmd_trace(args) -> int:
         budget = replace(budget, sensitivity_dbm=args.sensitivity)
     ds = tracer.trace_scenario(scene, budget)
     pathdata.save_dataset(ds, args.out)
-    print(f"wrote {len(ds.records)} records to {args.out}")
+    print(f"wrote {len(ds.rx_ids)} records to {args.out}")
     return 0
 
 

@@ -7,7 +7,9 @@ angular spreads via the power-weighted linear mean, wrapped deviation and
 power-weighted RMS, computed in radians and reported in degrees.
 
 ``summarize`` aggregates these over a dataset into a ChannelParamSet plus the
-LOS/NLOS/DS/Outage share vector.
+LOS/NLOS/DS/Outage share vector from the dataset's columns, converting its
+milliwatts once. A non-finite spread, K-factor or fit output raises
+DatasetValidationError naming the rx; no numpy warning escapes.
 
 The delay and angular spreads are block kernels over C-contiguous (R, n)
 power and value arrays, one row per record: ``summarize`` groups a
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .pathdata import Condition, Interaction, LinkBudget, RxRecord, ScenarioDataset
+from .pathdata import (Condition, DatasetValidationError, Interaction, LinkBudget, RxRecord, ScenarioDataset,
+                       total_powers_mw)
 from .params import ChannelParamSet, ConditionParams
 
 
@@ -59,24 +63,31 @@ class PathLossFit:
     n_points: int
 
 
+def _path_loss_db(total_power_mw: float, budget: LinkBudget) -> float:
+    return budget.lossless_rx_dbm - 10.0 * math.log10(total_power_mw)
+
+
 def path_loss_of(record: RxRecord, budget: LinkBudget) -> float:
     """Loss in dB against the total (summed) received power of the record."""
     if not record.paths:
         raise NoPathError(f"rx {record.rx_id} is in outage, path loss undefined")
-    rx_dbm = 10.0 * math.log10(record.total_power_mw)
-    return budget.lossless_rx_dbm - rx_dbm
+    return _path_loss_db(record.total_power_mw, budget)
 
 
 def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
     """Ordinary least squares of PL over 10 log10(d), against the dataset's own
     link budget; shadow fading is the sample standard deviation (n-1
     denominator) of the residuals."""
-    records = ds.records_of(condition)
-    if len(records) < 2:
-        raise FitError(f"need >= 2 {condition.value} records, have {len(records)}")
-    d = np.array([r.distance_3d_m for r in records])
-    pl = np.array([path_loss_of(r, ds.link_budget) for r in records])
-    x = 10.0 * np.log10(d)
+    return _fit_path_loss(ds, condition, total_powers_mw(ds.paths.power_mw, ds.offsets))
+
+
+def _fit_path_loss(ds: ScenarioDataset, condition: Condition, total_power_mw: list[float]) -> PathLossFit:
+    """``fit_path_loss`` given each receiver's summed power in mW."""
+    rows = np.flatnonzero(ds.conditions == condition)
+    if len(rows) < 2:
+        raise FitError(f"need >= 2 {condition.value} records, have {len(rows)}")
+    pl = np.array([_path_loss_db(total_power_mw[i], ds.link_budget) for i in rows.tolist()])
+    x = 10.0 * np.log10(ds.distances[rows])
     if np.ptp(x) < 1e-12:
         raise FitError(f"all {condition.value} records share one distance; fit is singular")
     xm = x.mean()
@@ -84,8 +95,18 @@ def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
     b = float(np.sum((x - xm) * (pl - ym)) / np.sum((x - xm) ** 2))
     a = float(ym - b * xm)
     resid = pl - (a + b * x)
-    sigma = float(np.sqrt(np.sum(resid**2) / (len(records) - 1)))
-    return PathLossFit(a_db=a, b=b, sigma_sf_db=sigma, condition=condition, n_points=len(records))
+    sigma = float(np.sqrt(np.sum(resid**2) / (len(rows) - 1)))
+    return PathLossFit(a_db=a, b=b, sigma_sf_db=sigma, condition=condition, n_points=len(rows))
+
+
+def _k_factor_db(power_mw: list[float], ref: int) -> float:
+    """K-factor in dB of one record's powers with the direct path at ``ref``;
+    +inf without other paths, -inf when the ratio underflows to zero."""
+    rest = math.fsum(power_mw[:ref] + power_mw[ref + 1:])
+    if rest == 0.0:
+        return math.inf
+    ratio = power_mw[ref] / rest
+    return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
 
 
 def k_factor(record: RxRecord) -> float | None:
@@ -97,12 +118,7 @@ def k_factor(record: RxRecord) -> float | None:
     direct = np.flatnonzero(record.paths.interactions == Interaction.DIRECT.value)
     if direct.size == 0:
         return None
-    ref_idx = int(direct[0])
-    powers = record.paths.power_mw.tolist()
-    rest = math.fsum(powers[:ref_idx] + powers[ref_idx + 1:])
-    if rest == 0.0:
-        return math.inf
-    return 10.0 * math.log10(powers[ref_idx] / rest)
+    return _k_factor_db(record.paths.power_mw.tolist(), int(direct[0]))
 
 
 def rms_delay_spreads(power_mw: np.ndarray, delay_ns: np.ndarray) -> np.ndarray:
@@ -166,51 +182,73 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     mu = math.fsum(values) / n
     if n < 2:
         return mu, 0.0
-    var = math.fsum((v - mu) ** 2 for v in values) / (n - 1)
+    try:
+        var = math.fsum((v - mu) ** 2 for v in values) / (n - 1)
+    except OverflowError:  # the squares overflow, their root does not: scale as hypot does
+        return mu, math.hypot(*(v - mu for v in values)) / math.sqrt(n - 1)
     return mu, math.sqrt(var)
 
 
-def _spreads(records: list[RxRecord]) -> np.ndarray:
+def _spreads(ds: ScenarioDataset, rows: np.ndarray, power_mw: np.ndarray) -> np.ndarray:
     """(5, R) array: the RMS delay spread, then the angular spreads in
-    ``ANGLE_FIELDS`` order, of each record in record order, with one kernel
-    call per statistic and path count."""
-    counts = np.array([len(r.paths) for r in records])
-    spreads = np.empty((1 + len(ANGLE_FIELDS), len(records)))
-    for n in np.unique(counts):
-        rows = np.flatnonzero(counts == n)
-        group = [records[i].paths for i in rows]
-
-        def block(column: str) -> np.ndarray:
-            return np.stack([getattr(paths, column) for paths in group])
-
-        power = block("power_mw")
-        spreads[0, rows] = rms_delay_spreads(power, block("delay_ns"))
+    ``ANGLE_FIELDS`` order, of each receiver in ``rows``, with one kernel call
+    per statistic and path count on blocks taken by one fancy index."""
+    counts, starts = ds.counts[rows], ds.offsets[rows]
+    spreads = np.empty((1 + len(ANGLE_FIELDS), len(rows)))
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        index = starts[group, None] + np.arange(counts[group[0]])
+        power = power_mw[index]
+        spreads[0, group] = rms_delay_spreads(power, ds.paths.delay_ns[index])
         for k, column in enumerate(ANGLE_FIELDS.values(), 1):
-            spreads[k, rows] = angular_spreads(power, block(column))
+            spreads[k, group] = angular_spreads(power, getattr(ds.paths, column)[index])
     return spreads
 
 
-def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionParams | None:
+def _require_finite(values: np.ndarray, names: Sequence[str], rows: np.ndarray, ds: ScenarioDataset) -> None:
+    """Raise naming the first receiver ``rows[i]`` (column ``i``) with a non-finite
+    statistic (row ``k``) and that statistic."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        raise DatasetValidationError(f"rx {ds.rx_ids[rows[i]]}: {names[k]} is {float(values[k, i])}, not finite")
+
+
+_SPREAD_NAMES = ("RMS delay spread", *(f"{kind} angular spread" for kind in ANGLE_FIELDS))
+
+
+def _condition_block(ds: ScenarioDataset, condition: Condition, power_mw: np.ndarray,
+                     total_power_mw: list[float]) -> ConditionParams | None:
     """The condition's statistics, built positionally: ConditionParams' field
     order (fit, K-factor, then the mean and std of each spread) is the table's."""
-    records = ds.records_of(condition)
-    if not records:
+    rows = np.flatnonzero(ds.conditions == condition)
+    if rows.size == 0:
         return None
-    try:
-        fit = fit_path_loss(ds, condition)
-        a_db, b, sigma_sf = fit.a_db, fit.b, fit.sigma_sf_db
-    except FitError:
-        a_db = b = sigma_sf = None
+    with np.errstate(all="ignore"):
+        try:
+            fit = _fit_path_loss(ds, condition, total_power_mw)
+            fit_out = [fit.a_db, fit.b, fit.sigma_sf_db]
+        except FitError:
+            fit_out = [None] * 3
+        spreads = _spreads(ds, rows, power_mw)
+    if None not in fit_out and not all(map(math.isfinite, fit_out)):
+        raise DatasetValidationError(f"{condition.value} path-loss fit (A, B, sigma_SF) = {fit_out} is not finite")
 
     mu_kf = sigma_kf = None
-    if condition is Condition.LOS:
-        kfs = [k_factor(r) for r in records]
-        finite = [k for k in kfs if k is not None and math.isfinite(k)]
-        if finite:
-            mu_kf, sigma_kf = _mean_std(finite)
+    if condition is Condition.LOS:  # single-path records have an infinite K-factor and are left out
+        multi = rows[ds.counts[rows] > 1]
+        starts, ends = ds.offsets[multi].tolist(), ds.offsets[multi + 1].tolist()
+        direct = np.flatnonzero(ds.paths.interactions == Interaction.DIRECT.value)
+        refs = direct[np.searchsorted(direct, starts)].tolist()
+        kfs = np.array([[_k_factor_db(power_mw[lo:hi].tolist(), ref - lo) for lo, hi, ref in zip(starts, ends, refs)]])
+        _require_finite(kfs, ["K-factor"], multi, ds)
+        if multi.size:
+            mu_kf, sigma_kf = _mean_std(kfs[0].tolist())
 
-    moments = [m for spread in _spreads(records) for m in _mean_std(spread.tolist())]
-    return ConditionParams(a_db, b, sigma_sf, mu_kf, sigma_kf, *moments)
+    _require_finite(spreads, _SPREAD_NAMES, rows, ds)
+    moments = [m for spread in spreads for m in _mean_std(spread.tolist())]
+    return ConditionParams(*fit_out, mu_kf, sigma_kf, *moments)
 
 
 def summarize(ds: ScenarioDataset) -> DatasetSummary:
@@ -219,16 +257,18 @@ def summarize(ds: ScenarioDataset) -> DatasetSummary:
     LOS and NLOS get full statistics blocks (absent when no records fall in
     the condition); DS and Outage records only contribute to the shares, as
     the parameter tables carry LOS/NLOS columns only. Single-path LOS records
-    have an infinite K-factor and are left out of the K-factor moments.
+    have an infinite K-factor and are left out of the K-factor moments. A
+    non-finite statistic raises DatasetValidationError naming the rx.
     """
-    if not ds.records:
+    total = len(ds.rx_ids)
+    if not total:
         raise ValueError("cannot summarize an empty dataset")
-    counts = {c: len(ds.records_of(c)) for c in Condition}
-    total = len(ds.records)
-    ratios = {c: counts[c] / total for c in Condition}
+    ratios = {c: int(np.count_nonzero(ds.conditions == c)) / total for c in Condition}
+    power_mw = ds.paths.power_mw
+    totals = total_powers_mw(power_mw, ds.offsets)
     params = ChannelParamSet(
         name=ds.scenario_name,
-        los=_condition_block(ds, Condition.LOS),
-        nlos=_condition_block(ds, Condition.NLOS),
+        los=_condition_block(ds, Condition.LOS, power_mw, totals),
+        nlos=_condition_block(ds, Condition.NLOS, power_mw, totals),
     )
     return DatasetSummary(params=params, ratios=ratios)

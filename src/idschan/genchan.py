@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .pathdata import (
     Provenance,
     ScenarioDataset,
     mw_to_dbm,
-    records_from_table,
 )
 
 
@@ -224,7 +222,5 @@ def realizations_to_dataset(reals: list[ChannelRealization], name: str, budget) 
     tags[(np.cumsum(counts) - counts)[is_los & (counts > 0)]] = Interaction.DIRECT.value
     paths = PathTable([mw_to_dbm(p) for p in powers.tolist()], delays + base_delay_ns, *angles, tags,
                       lambda k: f"rx {owner[k]}")
-    records = records_from_table(
-        range(len(reals)), repeat((RX_DISTANCE_M, 0.0, 0.0)), tx, paths, counts
-    )
-    return ScenarioDataset(name, tx, budget, records, Provenance.SYNTHETIC)
+    return ScenarioDataset(name, tx, budget, range(len(reals)), [(RX_DISTANCE_M, 0.0, 0.0)] * len(reals), paths,
+                           counts, Provenance.SYNTHETIC)

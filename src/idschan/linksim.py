@@ -22,7 +22,7 @@ import numpy as np
 
 from .genchan import _require_finite, draw_fades
 from .params import ChannelParamSet
-from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, write_rows
+from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, total_powers_mw, write_rows
 
 
 def noise_floor(budget: LinkBudget) -> float:
@@ -42,10 +42,11 @@ class RssiPoint:
 def rssi_map(ds: ScenarioDataset) -> list[RssiPoint]:
     """Total received power and SNR per receiver; outage maps to -inf."""
     nf = noise_floor(ds.link_budget)
+    totals = total_powers_mw(ds.paths.power_mw, ds.offsets)
     out = []
-    for rec in ds.records:
-        rssi = mw_to_dbm(rec.total_power_mw)
-        out.append(RssiPoint(rec.rx_id, rec.position_m, rec.condition, rssi, rssi - nf))
+    for rx_id, position, condition, total in zip(ds.rx_ids, ds.positions.tolist(), ds.conditions, totals):
+        rssi = mw_to_dbm(total)
+        out.append(RssiPoint(rx_id, tuple(position), condition, rssi, rssi - nf))
     return out
 
 

@@ -11,7 +11,6 @@ the generator for how those are consumed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -138,9 +137,8 @@ PARAM_ROWS = ("A_dB", "B", "sigma_SF_dB", "mu_KF_dB", "sigma_KF_dB", "mu_DS_ns",
 
 
 def _cell(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "n/a"
-    return format_float(value)
+    """A statistic's table cell; n/a (None) means no fit was possible, as summarize lets no NaN through."""
+    return "n/a" if value is None else format_float(value)
 
 
 def params_table(sets: Sequence[ChannelParamSet]) -> list[list[str]]:

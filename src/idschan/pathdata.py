@@ -3,8 +3,9 @@
 A dataset is a CSV with one row per (receiver, path) plus a JSON sidecar
 ``<name>.meta.json`` carrying the scenario name, TX position, link budget and
 provenance. Receivers with no paths (outage) appear as a single row with an
-empty interaction field and ``power_dbm = -INF``. In memory, the paths of a
-dataset are one :class:`PathTable`; each record's paths are a slice of it.
+empty interaction field and ``power_dbm = -INF``. In memory, a dataset is one
+:class:`PathTable` plus per-receiver columns, conditions among them, classified
+once from the code column; :class:`RxRecord` views are built only on demand.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -103,13 +106,13 @@ _MAX_POWER_DBM = 3000.0
 class PathTable:
     """Paths as read-only columns, checked once when built.
 
-    Powers are in (-3000, 3000) dBm, with the linear milliwatts every
-    statistic uses computed once (``power_mw``). Azimuths live in (-180, 180], elevations
+    Powers are in (-3000, 3000) dBm, so their milliwatts (``power_mw``, the
+    unit every statistic uses) are positive normal floats. Azimuths live in (-180, 180], elevations
     in [-90, 90], delays are strictly positive nanoseconds. ``interactions``
     holds one :func:`interaction_code` per path, with "L" (direct) always alone.
     """
 
-    __slots__ = (*FLOAT_COLUMNS, "interactions", "power_mw")
+    __slots__ = (*FLOAT_COLUMNS, "interactions")
 
     def __init__(self, power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg,
                  interactions, where=lambda i: f"path {i}"):
@@ -150,7 +153,6 @@ class PathTable:
                 f"{where(i)}: {FLOAT_COLUMNS[k]}={float(cols[k][i])!r}, must be {checks[k][1]}"
             )
         cols.append(np.array(codes, dtype=str)[np.fromiter(map(index.__getitem__, raw), np.intp, len(raw))])
-        cols.append(np.fromiter(map(dbm_to_mw, map(float, power)), dtype=float, count=len(power)))
         for name, col in zip(self.__slots__, cols):
             col.flags.writeable = False
             setattr(self, name, col)
@@ -165,6 +167,11 @@ class PathTable:
     def __len__(self) -> int:
         return len(self.power_dbm)
 
+    @property
+    def power_mw(self) -> np.ndarray:
+        """The powers in milliwatts, converted value by value with ``dbm_to_mw`` on each read."""
+        return np.fromiter(map(dbm_to_mw, self.power_dbm.tolist()), dtype=float, count=len(self))
+
     def __iter__(self):
         columns = [getattr(self, name).tolist() for name in FLOAT_COLUMNS]
         for *values, code in zip(*columns, self.interactions.tolist()):
@@ -178,33 +185,33 @@ class PathTable:
 
 
 def classify(paths: PathTable) -> Condition:
-    """Propagation condition from the interaction codes alone.
+    """Propagation condition from the interaction codes alone: the one-record
+    case of the condition column (see ``ScenarioDataset``)."""
+    return _conditions(paths.interactions, np.array([0, len(paths)]))[0]
 
-    LOS when a pure direct path is present, DS when every path involves
-    diffuse scattering, Outage when there are no paths, NLOS otherwise.
-    """
-    if len(paths) == 0:
-        return Condition.OUTAGE
-    if (paths.interactions == _DIRECT).any():
-        return Condition.LOS
-    if all(Interaction.DIFFUSE_SCATTER.value in code for code in paths.interactions.tolist()):
-        return Condition.DS
-    return Condition.NLOS
+
+def _conditions(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Condition of each record, whose codes are ``codes[offsets[i]:offsets[i + 1]]``: LOS when
+    a pure direct path is present, DS when every path involves diffuse scattering, Outage when
+    there are no paths, NLOS otherwise. Flags are counted by differences of exact cumulative sums."""
+    flags = np.zeros((2, len(codes) + 1), dtype=np.int64)
+    np.cumsum([codes == _DIRECT, np.char.find(codes, Interaction.DIFFUSE_SCATTER.value) >= 0], axis=1,
+              out=flags[:, 1:])
+    direct, scattered = flags[:, offsets[1:]] - flags[:, offsets[:-1]]
+    counts = np.diff(offsets)
+    return np.array(list(Condition), dtype=object)[np.select([counts == 0, direct > 0, scattered == counts], [3, 0, 2], 1)]
 
 
 @dataclass(frozen=True, slots=True)
 class RxRecord:
-    """A receiver position with its paths; the propagation condition is
-    derived from the paths when the record is built."""
+    """One receiver of a dataset, as a view: its paths are a slice of the
+    dataset's table, and its distance and condition are the dataset's."""
 
     rx_id: int
     position_m: tuple[float, float, float]
     distance_3d_m: float
     paths: PathTable
-    condition: Condition = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "condition", classify(self.paths))
+    condition: Condition
 
     @property
     def total_power_mw(self) -> float:
@@ -222,19 +229,14 @@ def make_record(
     rows = list(paths)
     table = PathTable(*([getattr(r, name) for r in rows] for name in FLOAT_COLUMNS),
                       [interaction_code(r.interactions) for r in rows], lambda i: f"rx {rx_id}")
-    return records_from_table([rx_id], [position_m], tx_position_m, table, [len(rows)])[0]
+    pos = tuple(float(v) for v in position_m)
+    return RxRecord(rx_id, pos, math.dist(pos, tx_position_m), table, classify(table))
 
 
-def records_from_table(rx_ids, positions, tx_position_m, paths: PathTable, counts) -> tuple[RxRecord, ...]:
-    """Records whose paths are consecutive slices of one table: the first
-    ``counts[0]`` rows belong to the first record, and so on."""
-    tx = tuple(float(v) for v in tx_position_m)
-    ends = np.cumsum(counts, dtype=np.int64).tolist()
-    records = []
-    for rx_id, pos, lo, hi in zip(rx_ids, positions, [0, *ends], ends):
-        pos = tuple(float(v) for v in pos)
-        records.append(RxRecord(rx_id, pos, math.dist(pos, tx), paths[lo:hi]))
-    return tuple(records)
+def total_powers_mw(power_mw: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """``math.fsum`` of each record's powers ``power_mw[offsets[i]:offsets[i + 1]]``; 0.0 for an outage."""
+    ends = offsets.tolist()
+    return [math.fsum(power_mw[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])]
 
 
 @dataclass(frozen=True)
@@ -279,30 +281,54 @@ class LinkBudget:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioDataset:
-    """All receiver records of one scenario plus the producing configuration."""
+    """One scenario's receivers as columns over one path table, plus the producing configuration.
+
+    Receiver ``i`` is ``rx_ids[i]`` at ``positions[i]``; its ``counts[i]`` paths are rows
+    ``offsets[i]:offsets[i + 1]`` of ``paths``. Its distance to the TX and its condition are
+    derived once per dataset, and ``records`` are views built on first read.
+    """
 
     scenario_name: str
     tx_position_m: tuple[float, float, float]
     link_budget: LinkBudget
-    records: tuple[RxRecord, ...]
+    rx_ids: Sequence[int]
+    positions: Sequence[Sequence[float]]
+    paths: PathTable
+    counts: Sequence[int]
     provenance: Provenance
+    distances: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False)
+    conditions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for rec in self.records:
-            if rec.rx_id in seen:
-                raise DatasetValidationError(f"duplicate rx_id {rec.rx_id}")
-            seen.add(rec.rx_id)
-            d = math.dist(rec.position_m, self.tx_position_m)
-            if not abs(d - rec.distance_3d_m) <= 1e-6:  # also rejects a non-finite distance
-                raise DatasetValidationError(
-                    f"rx {rec.rx_id}: distance_3d_m {rec.distance_3d_m} != TX-RX distance {d}"
-                )
+        ids = tuple(self.rx_ids)
+        counts = np.array(self.counts, dtype=np.int64).reshape(len(ids))
+        if len(set(ids)) < len(ids):
+            raise DatasetValidationError(f"duplicate rx_id {next(i for i, n in Counter(ids).items() if n > 1)}")
+        if (counts < 0).any() or counts.sum() != len(self.paths):
+            raise DatasetValidationError(f"path counts sum to {counts.sum()}, the table holds {len(self.paths)}")
+        positions = np.array(self.positions, dtype=float).reshape(len(ids), 3)
+        distances = np.array([math.dist(p, self.tx_position_m) for p in positions.tolist()])
+        good = np.isfinite(distances) & (distances > 0.0)  # as a Scene and the loader require
+        if not good.all():
+            i = int(np.argmin(good))
+            raise DatasetValidationError(f"rx {ids[i]}: TX-RX distance {distances[i]} is not positive and finite")
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        columns = (positions, counts, distances, offsets, _conditions(self.paths.interactions, offsets))
+        for name, column in zip(("positions", "counts", "distances", "offsets", "conditions"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "rx_ids", ids)
 
-    def records_of(self, condition: Condition) -> list[RxRecord]:
-        return [r for r in self.records if r.condition is condition]
+    @cached_property
+    def records(self) -> tuple[RxRecord, ...]:
+        """One read-only view per receiver, in receiver order."""
+        ends = self.offsets.tolist()
+        return tuple(RxRecord(rx_id, tuple(position), distance, self.paths[lo:hi], condition)
+                     for rx_id, position, distance, lo, hi, condition in zip(
+                         self.rx_ids, self.positions.tolist(), self.distances.tolist(), ends, ends[1:], self.conditions))
 
 
 CSV_COLUMNS = ("rx_id", "rx_x_m", "rx_y_m", "rx_z_m", *FLOAT_COLUMNS, "interactions")
@@ -322,16 +348,17 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
     values are finite floats and codes hold only tag letters and "+".
     """
     path = Path(path)
+    paths, ends = ds.paths, ds.offsets.tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in ds.records:
-            x, y, z = map(format_float, rec.position_m)
-            head = f"{rec.rx_id},{x},{y},{z},"
-            if not rec.paths:
+        for rx_id, position, lo, hi in zip(ds.rx_ids, ds.positions.tolist(), ends, ends[1:]):
+            x, y, z = map(format_float, position)
+            head = f"{rx_id},{x},{y},{z},"
+            if lo == hi:
                 fh.write(head + "-INF,0.0,0.0,0.0,0.0,0.0,\n")
                 continue
-            columns = [map(repr, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
-            rows = map(",".join, zip(*columns, rec.paths.interactions.tolist()))
+            columns = [map(repr, getattr(paths, name)[lo:hi].tolist()) for name in FLOAT_COLUMNS]
+            rows = map(",".join, zip(*columns, paths.interactions[lo:hi].tolist()))
             fh.write(head + ("\n" + head).join(rows) + "\n")
     meta = {
         "scenario_name": ds.scenario_name,
@@ -395,8 +422,9 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
         raise DatasetFormatError(f"{mpath.name}: tx_position_m must be 3 finite numbers, got {tx}")
 
     ids, positions, counts, columns, where = _load_rows(path, tx)
-    records = records_from_table(ids, positions, tx, PathTable(*columns, where), counts)
-    return ScenarioDataset(scenario_name, tx, budget, records, provenance)
+    paths = PathTable(*columns, where)
+    del columns  # the table holds its own copies; free these before the per-receiver columns are derived
+    return ScenarioDataset(scenario_name, tx, budget, ids, positions, paths, counts, provenance)
 
 
 def _take(items, n: int, blank) -> list:
@@ -535,5 +563,5 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
     rows = np.flatnonzero(is_path)
     rows = rows[np.argsort(rec[rows], kind="stable")]
     columns = [power[rows], *(v[rows] for v in values), [tags[i] for i in rows.tolist()]]
-    return (ids, pos[first_row].tolist(), counts, columns,
+    return (ids, pos[first_row], counts, columns,
             lambda k: f"line {lines[rows[k]]}: rx {rx_ids[rows[k]]}")

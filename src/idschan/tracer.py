@@ -42,7 +42,6 @@ from .pathdata import (
     Provenance,
     ScenarioDataset,
     interaction_code,
-    records_from_table,
 )
 
 
@@ -305,7 +304,7 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
 
 def trace_link(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[MultipathComponent]:
     """All specular multipath components reaching one receiver, in face-sequence order."""
-    return list(trace_scenario(replace(scene, rx_grid=[rx]), budget).records[0].paths)
+    return list(trace_scenario(replace(scene, rx_grid=[rx]), budget).paths)
 
 
 def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:
@@ -313,8 +312,8 @@ def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:
     n = scene.rx_grid.shape[0]
     owner, paths = _trace_batch(scene, budget)
     tx = tuple(float(v) for v in scene.tx_position_m)
-    records = records_from_table(range(n), scene.rx_grid.tolist(), tx, paths, np.bincount(owner, minlength=n))
-    return ScenarioDataset(scene.name, tx, budget, records, Provenance.SYNTHETIC)
+    return ScenarioDataset(scene.name, tx, budget, range(n), scene.rx_grid, paths, np.bincount(owner, minlength=n),
+                           Provenance.SYNTHETIC)
 
 
 # --------------------------------------------------------------------------

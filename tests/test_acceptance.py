@@ -11,6 +11,8 @@ import time
 import numpy as np
 from scipy.special import erfc
 
+from dataset_builder import dataset_from_records, records_of
+
 from idschan.extract import angular_spread, fit_path_loss, k_factor, rms_delay_spread, summarize
 from idschan.genchan import draw_realization, realizations_to_dataset
 from idschan.linksim import LinkBudget, ber_bpsk, ber_sweep
@@ -20,7 +22,6 @@ from idschan.pathdata import (
     Interaction,
     MultipathComponent,
     Provenance,
-    ScenarioDataset,
     make_record,
 )
 from idschan.tracer import FACES, PEC_METAL, CabinLayout, Scene, build_scenario, trace_scenario
@@ -152,7 +153,7 @@ def test_criterion_3_fit_recovery():
             comp = MultipathComponent(budget.tx_power_dbm - pl, 10.0, 0.0, 0.0, 0.0, 0.0,
                                       (Interaction.DIRECT,))
             records.append(make_record(i, (d[i], 0.0, 1.0), tx, [comp]))
-        ds = ScenarioDataset("fit", tx, budget, tuple(records), Provenance.SYNTHETIC)
+        ds = dataset_from_records("fit", tx, budget, tuple(records), Provenance.SYNTHETIC)
         fit = fit_path_loss(ds, Condition.LOS)
         good = (
             abs(fit.a_db - a_true) <= 1.0
@@ -353,8 +354,8 @@ def test_criterion_8_classification_ratios():
     budget = LinkBudget()
     bl = trace_scenario(build_scenario("BL", max_reflections=0), budget)
     emv = trace_scenario(build_scenario("EmV", max_reflections=0), budget)
-    r_bl = len(bl.records_of(Condition.LOS)) / len(bl.records)
-    r_emv = len(emv.records_of(Condition.LOS)) / len(emv.records)
+    r_bl = len(records_of(bl, Condition.LOS)) / len(bl.records)
+    r_emv = len(records_of(emv, Condition.LOS)) / len(emv.records)
     ok = r_emv >= r_bl and len(bl.records) == 2400 and len(emv.records) == 2400
     report(8, ok, f"LOS ratio EmV {r_emv:.4f} >= BL {r_bl:.4f} on the 2400-point grid")
     assert ok

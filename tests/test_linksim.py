@@ -11,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from dataset_builder import dataset_from_records
+
 from idschan import linksim
 from idschan.linksim import (
     BerPoint,
@@ -27,7 +29,6 @@ from idschan.pathdata import (
     Interaction,
     MultipathComponent,
     Provenance,
-    ScenarioDataset,
     make_record,
 )
 from idschan.tracer import ScenarioPreset, CabinLayout, build_scenario, trace_scenario
@@ -114,7 +115,7 @@ class TestRssiMap:
         rec = make_record(0, (1.0, 0.0, 1.0), tx, [
             MultipathComponent(-41.4, 3.3, 0.0, 0.0, 180.0, 0.0, (Interaction.DIRECT,))
         ])
-        ds = ScenarioDataset("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
+        ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
         (pt,) = rssi_map(ds)
         assert math.isclose(pt.rssi_dbm, -41.4, abs_tol=1e-9)
         assert math.isclose(pt.snr_db, -41.4 + 74.0, abs_tol=1e-9)
@@ -123,7 +124,7 @@ class TestRssiMap:
     def test_outage_is_minus_inf(self):
         tx = (0.0, 0.0, 1.0)
         rec = make_record(0, (1.0, 0.0, 1.0), tx, [])
-        ds = ScenarioDataset("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
+        ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
         (pt,) = rssi_map(ds)
         assert pt.rssi_dbm == -math.inf
         assert pt.snr_db == -math.inf

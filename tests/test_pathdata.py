@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -10,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from dataset_builder import classify_per_record, dataset_from_records
 
 from idschan import pathdata
 from idschan.linksim import LinkBudget
@@ -24,7 +25,6 @@ from idschan.pathdata import (
     MultipathComponent,
     PathTable,
     Provenance,
-    RxRecord,
     ScenarioDataset,
     classify,
     format_float,
@@ -176,7 +176,7 @@ def small_dataset():
         make_record(2, (7.0, 3.9, 0.6), tx, []),  # outage
         make_record(3, (2.0, 2.0, 1.0), tx, [comp([S]), comp([R, S])]),
     )
-    return ScenarioDataset("unit", tx, LinkBudget(), records, Provenance.SYNTHETIC)
+    return dataset_from_records("unit", tx, LinkBudget(), records, Provenance.SYNTHETIC)
 
 
 class TestRoundTrip:
@@ -200,7 +200,7 @@ class TestRoundTrip:
         assert len(back.records[2].paths) == 0
 
     def test_empty_dataset_header_only(self, tmp_path):
-        ds = ScenarioDataset("empty", (0, 0, 1), LinkBudget(), (), Provenance.SYNTHETIC)
+        ds = dataset_from_records("empty", (0, 0, 1), LinkBudget(), (), Provenance.SYNTHETIC)
         path = tmp_path / "empty.csv"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
@@ -238,7 +238,7 @@ class TestRoundTrip:
         records = [make_record(0, (4.0, 1.0, 1.0), tx, paths)]
         for i in range(n_outage):
             records.append(make_record(i + 1, (5.0 + i, 1.0, 1.0), tx, []))
-        ds = ScenarioDataset("prop", tx, LinkBudget(), tuple(records), Provenance.INGESTED)
+        ds = dataset_from_records("prop", tx, LinkBudget(), tuple(records), Provenance.INGESTED)
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         save_dataset(ds, path)
         assert load_dataset(path).records == ds.records
@@ -278,7 +278,7 @@ class TestWriterBytes:
             make_record(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=1e-05), comp([R, R, D])]),
             make_record(2**63, (0.1, 0.2, 0.30000000000000004), tx, [comp([S])]),
         )
-        ds = ScenarioDataset("edges", tx, LinkBudget(), records, Provenance.SYNTHETIC)
+        ds = dataset_from_records("edges", tx, LinkBudget(), records, Provenance.SYNTHETIC)
         assert [r.condition for r in records] == [Condition.DS, Condition.OUTAGE, Condition.LOS, Condition.DS]
         assert_csv_matches_oracle(ds, tmp_path)
         assert load_dataset(tmp_path / "ds.csv").records == ds.records
@@ -309,7 +309,7 @@ class TestWriterBytes:
             make_record(rx_id, position, tx, [MultipathComponent(*values, tags) for tags, *values in paths])
             for rx_id, position, paths in specs
         )
-        ds = ScenarioDataset("prop", tx, LinkBudget(), records, Provenance.INGESTED)
+        ds = dataset_from_records("prop", tx, LinkBudget(), records, Provenance.INGESTED)
         assert_csv_matches_oracle(ds, tmp_path_factory.mktemp("bytes"))
 
 
@@ -594,19 +594,27 @@ class TestDatasetInvariants:
         tx = (0.0, 0.0, 1.0)
         rec = make_record(0, (1.0, 0.0, 1.0), tx, [comp([R])])
         with pytest.raises(DatasetValidationError, match="duplicate"):
-            ScenarioDataset("d", tx, LinkBudget(), (rec, rec), Provenance.SYNTHETIC)
+            dataset_from_records("d", tx, LinkBudget(), (rec, rec), Provenance.SYNTHETIC)
 
-    def test_distance_mismatch_rejected(self):
-        tx = (0.0, 0.0, 1.0)
-        rec = RxRecord(0, (1.0, 0.0, 1.0), 2.0, table(comp([R])))
-        with pytest.raises(DatasetValidationError, match="distance"):
-            ScenarioDataset("d", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
+    def test_counts_must_sum_to_the_table(self):
+        paths = table(comp([R]), comp([L]))
+        for counts in ([1], [3], [3, -1]):
+            with pytest.raises(DatasetValidationError, match="path counts sum to"):
+                ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), range(len(counts)),
+                                [(1.0, 0.0, 1.0)] * len(counts), paths, counts, Provenance.SYNTHETIC)
+
+    @pytest.mark.parametrize("position, shown", [((1.7e308, -1.7e308, 0.0), "inf"), ((0.0, 0.0, 1.0), "0.0")])
+    def test_distance_must_be_positive_and_finite(self, position, shown):
+        with pytest.raises(DatasetValidationError, match=f"^rx 8: TX-RX distance {shown} is not positive and finite$"):
+            ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [7, 8], [(1.0, 0.0, 1.0), position],
+                            table(), [0, 0], Provenance.SYNTHETIC)
 
     def test_outage_iff_no_paths(self):
         rec = make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [])
         assert rec.condition is Condition.OUTAGE
-        assert RxRecord(0, (1.0, 0.0, 1.0), 1.0, table()).condition is Condition.OUTAGE
-        assert RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(comp([R]))).condition is not Condition.OUTAGE
+        ds = ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [0, 1, 2], [(1.0, 0.0, 1.0)] * 3,
+                             table(comp([R]), comp([S])), [1, 0, 1], Provenance.SYNTHETIC)
+        assert ds.conditions.tolist() == [Condition.NLOS, Condition.OUTAGE, Condition.DS]
 
     @pytest.mark.parametrize("rows, condition", [
         ([comp([R]), comp([L])], Condition.LOS),
@@ -615,15 +623,17 @@ class TestDatasetInvariants:
         ([], Condition.OUTAGE),
     ])
     def test_condition_derived_from_paths(self, rows, condition):
-        rec = RxRecord(0, (1.0, 0.0, 1.0), 1.0, table(*rows))
-        assert rec.condition is classify(rec.paths) is condition
-        for other in (table(), table(comp([L])), table(comp([R])), table(comp([S]))):
-            assert dataclasses.replace(rec, paths=other).condition is classify(other)
+        paths = table(*rows)
+        ds = ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [0], [(1.0, 0.0, 1.0)], paths, [len(rows)],
+                             Provenance.SYNTHETIC)
+        (rec,) = ds.records
+        assert ds.conditions[0] is rec.condition is classify(paths) is classify_per_record(paths) is condition
+        assert rec.distance_3d_m == ds.distances[0] == 1.0
 
-    def test_load_classifies_each_record_once(self, tmp_path, monkeypatch):
+    def test_load_classifies_from_the_code_column(self, tmp_path, monkeypatch):
         recs = [make_record(i, (1.0 + i, 0.0, 1.0), (0.0, 0.0, 1.0), rows)
                 for i, rows in enumerate([[comp([L])], [], [comp([R]), comp([S])], [comp([S])]])]
-        save_dataset(ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), tuple(recs), Provenance.SYNTHETIC),
+        save_dataset(dataset_from_records("d", (0.0, 0.0, 1.0), LinkBudget(), tuple(recs), Provenance.SYNTHETIC),
                      tmp_path / "d.csv")
         calls = []
 
@@ -633,7 +643,9 @@ class TestDatasetInvariants:
 
         monkeypatch.setattr(pathdata, "classify", counting_classify)
         ds = load_dataset(tmp_path / "d.csv")
-        assert calls == [1, 0, 2, 1]
+        assert calls == []
+        assert ds.conditions.tolist() == [r.condition for r in recs]
+        assert "records" not in vars(ds)  # no view is built until one is read
         assert [r.condition for r in ds.records] == [r.condition for r in recs]
 
 
@@ -645,6 +657,20 @@ def test_power_dbm_mw_helpers():
     assert mw_to_dbm(0.0) == -math.inf
     assert math.isclose(mw_to_dbm(dbm_to_mw(-37.25)), -37.25)
 
+
+def test_power_mw_is_the_per_value_conversion_on_every_read():
+    """No milliwatt column is stored: each read converts power_dbm value by value,
+    bit-equal to dbm_to_mw, on the whole table and on slices of it."""
+    from idschan.pathdata import dbm_to_mw
+
+    rng = np.random.default_rng(5)
+    power = np.concatenate([rng.uniform(-2999.9, 2999.9, 5000), [-2999.9999999999995, 2999.9999999999995, -0.0]])
+    zeros = np.zeros(len(power))
+    t = PathTable(power, np.ones(len(power)), zeros, zeros, zeros, zeros, ["R"] * len(power))
+    assert "power_mw" not in PathTable.__slots__
+    for view in (t, t[17:4000], t[::3]):
+        want = np.array([dbm_to_mw(p) for p in view.power_dbm.tolist()])
+        assert view.power_mw.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 # --------------------------------------------------------------------------
 # loader fuzz: every rejection is typed, every accepted value is finite
