@@ -8,8 +8,9 @@ it to any heatmap tool pivoted on (x, y).
 import argparse
 from pathlib import Path
 
+from idschan.cli import _number_flag, run_command
 from idschan.linksim import LinkBudget, rssi_map, write_rssi_csv
-from idschan.tracer import CabinLayout, ScenarioPreset, build_scenario, trace_scenario
+from idschan.tracer import MAX_REFLECTIONS, CabinLayout, ScenarioPreset, build_scenario, trace_scenario
 
 
 def main():
@@ -17,7 +18,7 @@ def main():
     ap.add_argument("--preset", default="CV", choices=[p.value for p in ScenarioPreset])
     ap.add_argument("--height", type=float, default=0.7)
     ap.add_argument("--out", default="out/rssi_map.csv")
-    ap.add_argument("--max-reflections", type=int, default=3)
+    ap.add_argument("--max-reflections", type=_number_flag("--max-reflections", int, 0, MAX_REFLECTIONS), default=3)
     args = ap.parse_args()
 
     layout = CabinLayout(rx_heights_m=(args.height,))
@@ -35,4 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_command(main))

@@ -10,17 +10,18 @@ import argparse
 import time
 from pathlib import Path
 
+from idschan.cli import _number_flag, run_command
 from idschan.extract import summarize
 from idschan.linksim import LinkBudget
 from idschan.params import write_params_csv, write_ratios_csv
 from idschan.pathdata import save_dataset
-from idschan.tracer import CabinLayout, ScenarioPreset, build_scenario, trace_scenario
+from idschan.tracer import MAX_REFLECTIONS, CabinLayout, ScenarioPreset, build_scenario, trace_scenario
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out/scenarios")
-    ap.add_argument("--max-reflections", type=int, default=3)
+    ap.add_argument("--max-reflections", type=_number_flag("--max-reflections", int, 0, MAX_REFLECTIONS), default=3)
     ap.add_argument("--quick", action="store_true",
                     help="reduced grid (2 heights, 0.25 m lateral step)")
     args = ap.parse_args()
@@ -53,4 +54,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_command(main))

@@ -24,47 +24,24 @@ MAX_EBN0_POINTS = 10_000
 MAX_THREADS = 256
 
 
-def _int_flag(flag: str, lo: int, hi: int | None = None):
-    """argparse ``type=``: an integer from lo to hi (no upper bound for None);
-    a rejection names the flag and the value."""
-    bound = f"from {lo} to {hi}" if hi is not None else f">= {lo}"
+def _number_flag(flag: str, kind: type, lo: float, hi: float = math.inf, domain: str | None = None):
+    """argparse ``type=``: a ``kind`` (int or float) from lo to hi, both included. The callable
+    carries ``kind``, ``lo`` and ``hi``, so the parser is the one table of flag domains. A
+    rejection names the flag, the value and ``domain`` (by default, the integers from lo to hi)."""
+    if domain is None:
+        domain = f"an integer from {lo} to {hi}" if hi < math.inf else f"an integer >= {lo}"
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"{flag}={text} is not an integer {bound}")
-        return value
-
-    return parse
-
-
-def _finite_flag(flag: str):
-    """argparse ``type=``: a finite float; a rejection names the flag and the value."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"{flag}={text} is not a finite number")
+        if not lo <= value <= hi:  # NaN fails both comparisons
+            raise argparse.ArgumentTypeError(f"{flag}={text} is not {domain}")
         return value
 
+    parse.kind, parse.lo, parse.hi = kind, lo, hi
     return parse
-
-
-def _target_ber(text: str) -> float:
-    """argparse ``type=`` of ``ber --target-ber``: a BER in (0, 0.5]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value <= 0.5:
-        raise argparse.ArgumentTypeError(f"--target-ber={text} is not a BER in (0, 0.5]")
-    return value
 
 
 def _seed_from_env(value: int | None) -> int:
@@ -72,10 +49,7 @@ def _seed_from_env(value: int | None) -> int:
         return value
     env = os.environ.get("IDS_CHAN_SEED")
     if env is not None:
-        try:
-            return _int_flag("IDS_CHAN_SEED", 0)(env)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(str(exc)) from None
+        return _number_flag("IDS_CHAN_SEED", int, 0)(env)
     return DEFAULT_SEED
 
 
@@ -207,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=[s.value for s in tracer.ScenarioPreset])
     p.add_argument("--scene", help="scene config JSON (overrides --preset)")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-reflections", type=_int_flag("--max-reflections", 0, tracer.MAX_REFLECTIONS),
-                   default=None)
-    p.add_argument("--sensitivity", type=_finite_flag("--sensitivity"), default=None,
+    p.add_argument("--max-reflections", type=_number_flag("--max-reflections", int, 0, tracer.MAX_REFLECTIONS))
+    finite = sys.float_info.max
+    p.add_argument("--sensitivity", type=_number_flag("--sensitivity", float, -finite, finite, "a finite number"),
                    help="path cull threshold, dBm; join a value like -1e2 with '=': --sensitivity=-1e2")
-    p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None,
+    p.add_argument("--threads", type=_number_flag("--threads", int, 1, MAX_THREADS),
                    help="accepted and ignored: the trace runs on one thread")
     p.set_defaults(func=cmd_trace)
 
@@ -223,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="draw channel realizations from a preset")
     p.add_argument("--preset", required=True)
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
-    p.add_argument("--count", type=_int_flag("--count", 1, tracer.MAX_RECEIVERS), default=1000)
-    p.add_argument("--taps", type=_int_flag("--taps", 2, genchan.MAX_TAPS), default=20)
-    p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
+    p.add_argument("--count", type=_number_flag("--count", int, 1, tracer.MAX_RECEIVERS), default=1000)
+    p.add_argument("--taps", type=_number_flag("--taps", int, 2, genchan.MAX_TAPS), default=20)
+    p.add_argument("--seed", type=_number_flag("--seed", int, 0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -239,11 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cond", choices=["LOS", "NLOS"], default="LOS")
     p.add_argument("--ebn0", type=_parse_ebn0, default="0:2:20",
                    help="start:step:stop in dB, or comma list; join a negative one with '=': --ebn0=-4:2:0")
-    p.add_argument("--bits", type=_int_flag("--bits", 1), default=200_000)
-    p.add_argument("--block-bits", type=_int_flag("--block-bits", 1, linksim._BATCH_BITS), default=100)
-    p.add_argument("--target-ber", type=_target_ber, default=1e-3)
-    p.add_argument("--seed", type=_int_flag("--seed", 0), default=None)
-    p.add_argument("--threads", type=_int_flag("--threads", 1, MAX_THREADS), default=None)
+    p.add_argument("--bits", type=_number_flag("--bits", int, 1), default=200_000)
+    p.add_argument("--block-bits", type=_number_flag("--block-bits", int, 1, linksim._BATCH_BITS), default=100)
+    # math.ulp(0.0) is the least positive float, so the BER is in (0, 0.5]
+    p.add_argument("--target-ber", type=_number_flag("--target-ber", float, math.ulp(0.0), 0.5, "a BER in (0, 0.5]"),
+                   default=1e-3)
+    p.add_argument("--seed", type=_number_flag("--seed", int, 0))
+    p.add_argument("--threads", type=_number_flag("--threads", int, 1, MAX_THREADS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ber)
 
@@ -257,9 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    return run_command(args.func, args)
+
+
+def run_command(func, *args) -> int | None:
+    """``func(*args)``; a rejected input prints ``error: <message>`` and returns exit status 2.
+    Every error type of the package is a ValueError, and ``IDS_CHAN_SEED`` is checked by a flag
+    type. The experiment scripts report errors through it too."""
     try:
-        return args.func(args)
-    except (KeyError, ValueError, OSError) as exc:  # every error type of the package is a ValueError
+        return func(*args)
+    except (KeyError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         # an OSError's args[0] is its errno; its text names the file and the cause
         msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)

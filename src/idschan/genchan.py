@@ -62,7 +62,7 @@ class ChannelRealization:
     target_ds_ns: float
 
 
-def _require_finite(block: ConditionParams, names: tuple[str, ...]) -> None:
+def _require_params(block: ConditionParams, names: tuple[str, ...]) -> None:
     for name in names:
         v = getattr(block, name)
         if v is None or not math.isfinite(v):
@@ -114,10 +114,10 @@ def draw_realizations(
     if not 2 <= n_taps <= MAX_TAPS:
         raise ValueError(f"n_taps must be from 2 to {MAX_TAPS}, got {n_taps}")
     block = params.block(condition)
-    _require_finite(block, ("mu_ds_ns", "sigma_ds_ns", "sigma_sf_db"))
+    _require_params(block, ("mu_ds_ns", "sigma_ds_ns", "sigma_sf_db"))
     is_los = condition is Condition.LOS
     if is_los:
-        _require_finite(block, ("mu_kf_db", "sigma_kf_db"))
+        _require_params(block, ("mu_kf_db", "sigma_kf_db"))
     angle_stds = (block.mu_asd_deg, block.mu_asa_deg, block.mu_esd_deg, block.mu_esa_deg)
 
     seeds = list(seeds)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .genchan import _require_finite, draw_fades
+from .genchan import _require_params, draw_fades
 from .params import ChannelParamSet
 from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, total_powers_mw, write_rows
 
@@ -95,7 +95,7 @@ def _normalize_channel(channel):
         raise ValueError(f"BER channels are LOS or NLOS, not {condition}")
     block = params.block(condition)
     if condition is Condition.LOS:  # the per-block K draw needs both
-        _require_finite(block, ("mu_kf_db", "sigma_kf_db"))
+        _require_params(block, ("mu_kf_db", "sigma_kf_db"))
     return block, condition
 
 

@@ -427,70 +427,57 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     return ScenarioDataset(scenario_name, tx, budget, ids, positions, paths, counts, provenance)
 
 
-def _take(items, n: int, blank) -> list:
-    """The next items up to and including the ``n``-th that is not ``blank``."""
-    out, kept = [], 0
-    while kept < n and (more := list(islice(items, n - kept))):
-        out += more
-        kept += len(more) - more.count(blank)
-    return out
+def _chunks(fh, line: int):
+    """The rows from file line ``line`` on, ``_CHUNK_ROWS`` rows at a time with
+    blank rows counted, as (line numbers, columns of cell strings) pairs; a row's
+    number is the file line it starts on, and blank rows are left out.
 
-
-def _numbered(items: list, first: int, blank) -> tuple[list, list]:
-    """The numbers (counted from ``first``) and the items that are not ``blank``."""
-    numbers = range(first, first + len(items))
-    if blank not in items:
-        return list(numbers), items
-    keep = [item != blank for item in items]
-    return list(compress(numbers, keep)), list(compress(items, keep))
-
-
-def _chunks(fh, header_lines: int):
-    """The rows after the header, ``_CHUNK_ROWS`` non-blank rows at a time, as
-    (line numbers, columns of cell strings) pairs; ``header_lines`` counts
-    the file lines the header took.
-
-    Rows are numbered from 2 (the header is line 1); a blank row takes a
-    number but no place in a chunk. A chunk of plain lines, with no quote,
-    CR or NUL (which csv before Python 3.11 rejects), none longer than the
-    csv field limit and 11 cells on each, is cut with one ``str.split``. The
-    first other chunk and all after it go through ``csv.reader``, the only
-    reader of quoted cells, CR line ends and extra columns. Up to that chunk
-    rows are lines, so chunk bounds and line numbers do not depend on the
-    reader.
+    A row is one line unless a quoted cell holds a newline. A chunk of plain
+    lines, with no quote, CR or NUL (which csv before Python 3.11 rejects), none
+    longer than the csv field limit and 11 cells on each, is cut with one
+    ``str.split``. The first other chunk and all after it go through
+    ``csv.reader``, the only reader of quoted cells, CR line ends and extra
+    columns. Up to that chunk rows are lines, so chunk bounds and line numbers
+    do not depend on the reader.
     """
-    ncol, limit, line = len(CSV_COLUMNS), csv.field_size_limit(), 2
-    while raw := _take(fh, _CHUNK_ROWS, "\n"):
-        lines, plain = _numbered(raw, line, "\n")
-        if not plain:
-            return
+    ncol, limit = len(CSV_COLUMNS), csv.field_size_limit()
+    while raw := list(islice(fh, _CHUNK_ROWS)):
+        lines, plain = range(line, line + len(raw)), raw
+        if "\n" in raw:  # blank rows
+            keep = [row != "\n" for row in raw]
+            lines, plain = list(compress(lines, keep)), list(compress(raw, keep))
         text = "".join(plain)
-        if ('"' in text or "\r" in text or "\0" in text or max(map(len, plain)) > limit
+        if ('"' in text or "\r" in text or "\0" in text or max(map(len, raw)) > limit
                 or set(map(str.count, plain, repeat(","))) != {ncol - 1}):
-            yield from _csv_chunks(chain(raw, fh), line, header_lines + line - 2)
+            yield from _csv_chunks(chain(raw, fh), line)
             return
         cells = text.replace("\n", ",").split(",")
         yield lines, [cells[c:len(plain) * ncol:ncol] for c in range(ncol)]
         line += len(raw)
 
 
-def _csv_chunks(file_lines, line: int, lines_before: int):
-    """``_chunks`` by ``csv.reader`` from row ``line`` on; ``lines_before``
-    counts the file lines before it, so that csv errors name the file line."""
-    ncol = len(CSV_COLUMNS)
-    reader = csv.reader(file_lines)
-    try:
-        while taken := _take(reader, _CHUNK_ROWS, []):
-            lines, rows = _numbered(taken, line, [])
-            line += len(taken)
-            if not rows:
-                return
-            if min(map(len, rows)) < ncol:
-                at, row = next((at, row) for at, row in zip(lines, rows) if len(row) < ncol)
-                raise DatasetFormatError(f"line {at}: expected {ncol} columns, got {len(row)}")
-            yield lines, list(zip(*rows))  # zip stops at the shortest row: extra columns drop out
-    except csv.Error as exc:
-        raise DatasetFormatError(f"line {lines_before + reader.line_num}: {exc}") from None
+def _csv_chunks(file_lines, line: int):
+    """``_chunks`` by ``csv.reader``, for the rows from file line ``line`` on."""
+    ncol, reader = len(CSV_COLUMNS), csv.reader(file_lines)
+
+    def numbered():
+        """(the file line the row starts on, the row) of each row; a csv error names that line."""
+        start = line
+        try:
+            for row in reader:
+                yield start, row
+                start = line + reader.line_num
+        except csv.Error as exc:
+            raise DatasetFormatError(f"line {start}: {exc}") from None
+
+    rows = numbered()
+    while taken := list(islice(rows, _CHUNK_ROWS)):
+        chunk = [(at, row) for at, row in taken if row]  # blank rows count toward the chunk, then drop out
+        if short := next(((at, row) for at, row in chunk if len(row) < ncol), None):
+            raise DatasetFormatError(f"line {short[0]}: expected {ncol} columns, got {len(short[1])}")
+        if chunk:
+            lines, cells = zip(*chunk)
+            yield lines, list(zip(*cells))  # zip stops at the shortest row: extra columns drop out
 
 
 def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
@@ -512,7 +499,7 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
                 raise DatasetFormatError("line 1: empty file, expected header")
             if tuple(h.strip() for h in header[:ncol]) != CSV_COLUMNS:
                 raise DatasetFormatError("line 1: unexpected header columns")
-            for chunk_lines, cols in _chunks(fh, reader.line_num):
+            for chunk_lines, cols in _chunks(fh, reader.line_num + 1):
                 rx_ids.append(np.array(_parse_repeated(cols[0], int, "rx_id", chunk_lines)))
                 has_path = np.fromiter(map(bool, map(str.strip, cols[10])), bool, len(chunk_lines))
                 selector = has_path.tolist()  # compress reads a list faster than numpy bools
@@ -530,8 +517,8 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
                 lines.append(np.array(chunk_lines))
                 is_path.append(has_path)
                 tags += cols[10]
-        except csv.Error as exc:
-            raise DatasetFormatError(f"line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # in the header; _chunks names the line of a row's error
+            raise DatasetFormatError(f"line 1: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     x, y, z, power, *values = np.concatenate(numbers, axis=1)

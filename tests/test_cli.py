@@ -1,11 +1,20 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idschan import linksim
+from idschan import genchan, linksim, tracer
 from idschan.cli import MAX_EBN0_POINTS, MAX_THREADS, build_parser, main, _parse_ebn0
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
@@ -472,3 +481,154 @@ class TestFlagBounds:
         # parsed only: no pool is started
         args = build_parser().parse_args([*command, "--threads", str(value), "--out", "x"])
         assert args.threads == value
+
+
+# --------------------------------------------------------------------------
+# the parser is the table of flag domains: every numeric flag, drawn at its bounds
+# --------------------------------------------------------------------------
+
+
+def _subcommand_actions():
+    """(command, argparse action) of every argument of every subcommand."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [(command, action) for command, p in commands.items() for action in p._actions]
+
+
+# (command, flag, dest, type) of every flag whose type= carries its bounds
+NUMERIC_FLAGS = [(command, action.option_strings[0], action.dest, action.type)
+                 for command, action in _subcommand_actions() if hasattr(action.type, "lo")]
+# what each command needs besides the flag under test, on a tiny workload
+TINY_ARGS = {"trace": ["--scene", "{scene}"], "gen": ["--preset", "BL"], "ber": ["--presets", "BL", "--ebn0=0"]}
+# the library call each command makes first; no rejected value may reach it
+ENTRY_POINTS = {"trace": (tracer, "trace_scenario"), "gen": (genchan, "draw_realizations"),
+                "ber": (linksim, "ber_sweep")}
+# in-range values that also run end to end stay this small; --threads is checked parsed only
+TINY_CAPS = {"--max-reflections": 3, "--count": 20, "--bits": 1000}
+TWO_BLOCKER_SCENE = {
+    **SCENE_CFG,
+    "rx_grid": {"rows": 1, "heights_m": [0.9], "lateral_step_m": 1.0, "lateral_margin_m": 0.5,
+                "first_row_x_m": 2.0, "row_pitch_m": 1.2},
+    "blockers": [*SCENE_CFG["blockers"],
+                 {"min_m": [4.0, 0.5, 0.0], "max_m": [4.4, 1.5, 1.3], "material": "nylon", "label": "Seat"}],
+}
+
+
+def test_flag_table_covers_every_numeric_flag():
+    # a typed argument is either a number from the one factory or the Eb/N0 grid
+    assert all(action.type in (None, _parse_ebn0) or hasattr(action.type, "lo") for _, action in _subcommand_actions())
+    assert sorted((c, f) for c, f, _, _ in NUMERIC_FLAGS) == [
+        ("ber", "--bits"), ("ber", "--block-bits"), ("ber", "--seed"), ("ber", "--target-ber"),
+        ("ber", "--threads"), ("gen", "--count"), ("gen", "--seed"), ("gen", "--taps"),
+        ("trace", "--max-reflections"), ("trace", "--sensitivity"), ("trace", "--threads"),
+    ]
+    assert {c for c, _, _, _ in NUMERIC_FLAGS} <= TINY_ARGS.keys() == ENTRY_POINTS.keys()
+
+
+def _text(kind, value) -> str:
+    return str(value) if kind is int else repr(value)
+
+
+def _probes(kind, lo, hi):
+    """(text, in range) pairs: each finite bound and the value just past it, then
+    texts that only some float domains hold, and texts that no flag takes."""
+    probes = []
+    for bound, outward in ((lo, -1), (hi, 1)):
+        if math.isfinite(bound):
+            past = bound + outward if kind is int else math.nextafter(bound, outward * math.inf)
+            probes += [(_text(kind, bound), True), (_text(kind, past), False)]
+    probes += [(text, kind is float and lo <= float(text) <= hi) for text in ("1e3", "1.5", "-1.5")]
+    return probes + [(text, False) for text in ("nan", "inf", "-inf", "", "0x10", "1,000")]
+
+
+_JUNK = st.text(string.ascii_letters + " .+-,:", max_size=8).filter(
+    lambda t: t.strip().lstrip("+-").lower() not in ("nan", "inf", "infinity"))
+
+
+def _in_range(kind, lo, hi):
+    if kind is int:
+        return st.integers(lo, hi if math.isfinite(hi) else None)
+    return st.floats(lo, hi)
+
+
+@st.composite
+def _flag_values(draw):
+    """A numeric flag and a text for it, with whether the flag's domain holds it."""
+    command, flag, dest, parse = draw(st.sampled_from(NUMERIC_FLAGS))
+    kind, lo, hi = parse.kind, parse.lo, parse.hi
+    text, ok = draw(st.one_of(
+        st.sampled_from(_probes(kind, lo, hi)),
+        _in_range(kind, lo, hi).map(lambda v: (_text(kind, v), True)),
+        _JUNK.map(lambda t: (t, False)),
+    ))
+    return command, flag, dest, kind, text, ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_flag_values())
+def test_every_numeric_flag_parses_in_range_and_names_itself_outside(case):
+    command, flag, dest, kind, text, ok = case
+    argv = [command, *TINY_ARGS[command], f"{flag}={text}", "--out", "never-written.csv"]
+    if ok:  # the value parses to itself
+        value = getattr(build_parser().parse_args(argv), dest)
+        assert type(value) is kind and value == kind(text)
+        return
+    module, name = ENTRY_POINTS[command]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(module, name, pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {flag}={text} is not " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    p = tmp_path_factory.mktemp("scene") / "two_blockers.json"
+    p.write_text(json.dumps(TWO_BLOCKER_SCENE))
+    return p
+
+
+@st.composite
+def _small_values(draw):
+    """A numeric flag other than --threads and a value in its domain, small enough to run."""
+    command, flag, _, parse = draw(st.sampled_from([f for f in NUMERIC_FLAGS if f[1] != "--threads"]))
+    hi = min(parse.hi, TINY_CAPS.get(flag, math.inf))
+    return command, flag, _text(parse.kind, draw(_in_range(parse.kind, parse.lo, hi)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_small_values())
+def test_small_in_range_values_run_end_to_end(tmp_path_factory, tiny_scene, case):
+    command, flag, text = case
+    out = tmp_path_factory.mktemp("e2e") / "out.csv"
+    base = [arg.format(scene=tiny_scene) for arg in TINY_ARGS[command]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, *base, f"{flag}={text}", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+# --------------------------------------------------------------------------
+# the experiment scripts check --max-reflections and report library rejections alike
+# --------------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_rssi_map.py", ["--max-reflections", "9"],
+     "argument --max-reflections: --max-reflections=9 is not an integer from 0 to 6"),
+    ("run_scenario_study.py", ["--quick", "--max-reflections", "-1"],
+     "argument --max-reflections: --max-reflections=-1 is not an integer from 0 to 6"),
+    ("run_scenario_study.py", ["--max-reflections=1.5"],
+     "argument --max-reflections: --max-reflections=1.5 is not an integer from 0 to 6"),
+    ("run_rssi_map.py", ["--height", "5", "--max-reflections", "0"], "error: RX 0 at "),
+])
+def test_scripts_exit_2_naming_the_rejection(tmp_path, script, args, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(tracer.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, str(SCRIPTS / script), *args, "--out" if "rssi" in script else "--outdir",
+                          str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert message in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "out").exists()

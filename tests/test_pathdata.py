@@ -504,35 +504,36 @@ class TestLoaderErrors:
         assert ds.records[0].condition is Condition.LOS
         assert ds.records[1].condition is Condition.OUTAGE
 
-    # Rows are parsed in chunks of 2048 non-blank rows. A blank row takes a line number but no
-    # place in a chunk, and the first error of the first failing chunk is reported: short rows
-    # first, then each column in turn.
+    # Rows are parsed in chunks of 2048 rows, blank rows counted, and an error names the file line
+    # its row starts on. The first error of the first failing chunk is reported: short rows first,
+    # then each column in turn. With one line per row, the first chunk is lines 2 to 2049.
     GOOD = "0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R"
     SHORT = "0,1.0,0.0"
     BAD_FLOAT = "0,1.0,0.0,1.0,-50.0,oops,0.0,0.0,0.0,0.0,R"
     BAD_X = "0,nan,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R"
 
     def load_lines(self, tmp_path, n_lines, special, quote_all=False):
-        """Lines 2..n_lines are GOOD rows, except those ``special`` maps to other text;
+        """Rows 2..n_lines (the header is row 1) are GOOD, except those ``special`` maps to other text;
         ``quote_all`` rewrites the rows with every cell quoted."""
         assert _CHUNK_ROWS == 2048  # the expected line numbers assume it
         body = "\n".join(special.get(line, self.GOOD) for line in range(2, n_lines + 1)) + "\n"
         return load_dataset(self.write(tmp_path, quote_all_rows(body) if quote_all else body))
 
     @pytest.mark.parametrize("special, message", [
-        # two blanks early: the first chunk reaches line 2051, so the short row there is reported
-        # before the bad float on line 2049 in the same chunk
-        ({100: "", 101: "", 2049: BAD_FLOAT, 2051: SHORT}, "line 2051: expected 11 columns, got 3"),
+        # two blanks early: the first chunk still ends at line 2049, so its bad float is reported
+        # before the short row on line 2051, in the second chunk
+        ({100: "", 101: "", 2049: BAD_FLOAT, 2051: SHORT}, "line 2049: bad delay_ns value 'oops'"),
         ({100: "", 101: "", 2049: BAD_FLOAT}, "line 2049: bad delay_ns value 'oops'"),
-        # blanks at the boundary: the first chunk ends at line 2051, so its bad float comes first
-        ({2049: "", 2050: "", 2051: BAD_FLOAT, 2052: SHORT}, "line 2051: bad delay_ns value 'oops'"),
+        # blanks at the boundary: lines 2051 and 2052 are both in the second chunk, so its short row
+        # comes first
+        ({2049: "", 2050: "", 2051: BAD_FLOAT, 2052: SHORT}, "line 2052: expected 11 columns, got 3"),
         ({2049: "", 2050: "", 2052: SHORT, 2053: BAD_FLOAT}, "line 2052: expected 11 columns, got 3"),
         ({2049: "", 2050: "", 2053: BAD_FLOAT}, "line 2053: bad delay_ns value 'oops'"),
-        # blanks across the boundary: the first chunk ends at line 2070
+        # blanks across the boundary: lines 2069 to 2071 are all in the second chunk
         ({**{line: "" for line in range(2040, 2061)}, 2069: BAD_FLOAT, 2070: SHORT},
          "line 2070: expected 11 columns, got 3"),
         ({**{line: "" for line in range(2040, 2061)}, 2070: BAD_FLOAT, 2071: SHORT},
-         "line 2070: bad delay_ns value 'oops'"),
+         "line 2071: expected 11 columns, got 3"),
         # a whole chunk's worth of blank rows
         ({**{line: "" for line in range(2, 2051)}, 2060: SHORT, 2061: BAD_FLOAT},
          "line 2060: expected 11 columns, got 3"),
@@ -543,9 +544,10 @@ class TestLoaderErrors:
             with pytest.raises(DatasetFormatError, match=f"^{message}$"):
                 self.load_lines(tmp_path, 4200, special, quote_all)
 
-    # The first quote is on line 2100, in the second chunk: from that chunk on csv.reader reads
-    # the rows, and a row counts one line even where a quoted cell holds a newline. With ten
-    # blank rows the second chunk ends at line 4107.
+    # The first quote is in row 2100, in the second chunk: from that chunk on csv.reader reads the
+    # rows. The keys below number rows, not lines: a row whose quoted cell holds a newline takes
+    # two lines, so each later row starts one line past its number, and its errors name that line.
+    # The third chunk starts at row 4098; the ten blank rows before it count toward the chunks.
     QUOTED = GOOD[:-1] + '"R"'
     NEWLINE_IN_CELL = GOOD[:-1] + '" R\n+S"'
 
@@ -553,16 +555,16 @@ class TestLoaderErrors:
         ({2100: QUOTED, 2049: BAD_FLOAT}, "line 2049: bad delay_ns value 'oops'"),
         ({2100: QUOTED, 2101: SHORT, 2099: BAD_FLOAT}, "line 2101: expected 11 columns, got 3"),
         ({2100: QUOTED, 3000: BAD_FLOAT}, "line 3000: bad delay_ns value 'oops'"),
-        # csv's own errors name the physical line; a line too long for csv goes through it
+        # csv's own errors name the line too; a line too long for csv goes through it
         ({2100: NEWLINE_IN_CELL, 3000: "x" * (csv.field_size_limit() + 1)},
          r"line 3001: field larger than field limit \(131072\)"),
         ({3000: GOOD.replace("5.0", "5." + "0" * csv.field_size_limit())},
          r"line 3000: field larger than field limit \(131072\)"),
-        ({2100: NEWLINE_IN_CELL, 3000: BAD_FLOAT}, "line 3000: bad delay_ns value 'oops'"),
+        ({2100: NEWLINE_IN_CELL, 3000: BAD_FLOAT}, "line 3001: bad delay_ns value 'oops'"),
         ({2100: NEWLINE_IN_CELL, **{line: "" for line in range(4090, 4100)}, 4107: SHORT, 4108: BAD_FLOAT},
-         "line 4107: expected 11 columns, got 3"),
+         "line 4108: expected 11 columns, got 3"),
         ({2100: NEWLINE_IN_CELL, **{line: "" for line in range(4090, 4100)}, 4107: BAD_FLOAT, 4108: SHORT},
-         "line 4107: bad delay_ns value 'oops'"),
+         "line 4109: expected 11 columns, got 3"),
     ])
     def test_quote_mid_file_keeps_line_numbers(self, tmp_path, special, message):
         with pytest.raises(DatasetFormatError, match=f"^{message}$"):
@@ -717,6 +719,8 @@ _ROW = st.builds(
     st.one_of(st.none(), st.tuples(st.integers(0, 12), st.one_of(_NUMBER, _TAGS))),
     st.sampled_from([None, None, None, None, 0, 3, 10]),
 )
+# 300 examples, or the active profile's count where that is larger (--hypothesis-profile=ci)
+_AT_LEAST_300 = max(300, settings.default.max_examples)
 _VALUE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(), _TEXT, st.none(),
                    st.lists(st.one_of(st.floats(-5, 5), st.floats(allow_nan=True), _TEXT), max_size=4))
 _BUDGET_KEYS = ["tx_power_dbm", "bandwidth_hz", "noise_figure_db", "carrier_hz", "bogus"]
@@ -778,7 +782,7 @@ def test_loader_fuzz_rejects_typed_and_accepts_only_finite(tmp_path_factory, row
     _assert_finite(ds)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_AT_LEAST_300, deadline=None)
 @given(rows=st.lists(_ROW, max_size=6))
 def test_plain_quoted_and_cr_files_load_alike(tmp_path_factory, rows):
     """The same rows written plain, with every cell quoted and CRLF line ends, and
@@ -796,3 +800,54 @@ def test_plain_quoted_and_cr_files_load_alike(tmp_path_factory, rows):
         except (DatasetFormatError, DatasetValidationError) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# (quoting, line end): plain, every cell quoted with CRLF, and CR
+_WRITE_STYLES = ((csv.QUOTE_MINIMAL, "\n"), (csv.QUOTE_ALL, "\r\n"), (csv.QUOTE_MINIMAL, "\r"))
+# a bad cell in column 5 (delay_ns), or a row cut short: the message after "line N: "
+_BAD_CELLS = {"float": ("oops", "bad delay_ns value 'oops'"),
+              "oversized": ("5." + "0" * csv.field_size_limit(), "field larger than field limit"),
+              "short": (None, "expected 11 columns, got 3")}
+
+
+def _write_with_a_bad_row(entries, bad_index, bad, quoting, end):
+    """The file text of ``entries`` ("row", "blank" or "newline", a row whose quoted cell
+    holds the line end ``end``) with entry ``bad_index`` made bad, and the line that entry
+    starts on, counted in the text: each CRLF, CR or LF ends a line."""
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator=end)
+    writer.writerow(CSV_COLUMNS)
+    for i, entry in enumerate(entries):
+        if i == bad_index:
+            line = 1 + len(re.findall(r"\r\n|\r|\n", out.getvalue()))
+        if entry == "blank":
+            out.write(end)
+            continue
+        row = ["0", "1.0", "0.0", "1.0", "-50.0", repr(1.0 + i), "0.0", "0.0", "0.0", "0.0",
+               f" R{end}+S" if entry == "newline" else "R"]
+        if i == bad_index:
+            cell = _BAD_CELLS[bad][0]
+            row = row[:3] if cell is None else [*row[:5], cell, *row[6:]]
+        writer.writerow(row)
+    return out.getvalue(), line
+
+
+@given(entries=st.lists(st.sampled_from(["row", "row", "row", "blank", "newline"]), min_size=1, max_size=24),
+       pick=st.integers(0, 23), bad=st.sampled_from(sorted(_BAD_CELLS)), chunk_rows=st.integers(1, 6))
+def test_errors_name_the_line_their_row_starts_on(tmp_path_factory, entries, pick, bad, chunk_rows):
+    """One bad row among good, blank and multi-line rows, written plain, with every cell
+    quoted and CRLF line ends, and with CR line ends: the error names the file line that
+    row starts on, whichever reader reads it and wherever the chunks (shortened here) end."""
+    entries = [*entries, "row"]
+    rows = [i for i, entry in enumerate(entries) if entry != "blank"]
+    bad_index = rows[pick % len(rows)]
+    d = tmp_path_factory.mktemp("lines")
+    (d / "ds.meta.json").write_text(json.dumps(_META), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathdata, "_CHUNK_ROWS", chunk_rows)
+        for quoting, end in _WRITE_STYLES:
+            text, line = _write_with_a_bad_row(entries, bad_index, bad, quoting, end)
+            with open(d / "ds.csv", "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            with pytest.raises(DatasetFormatError, match=f"^line {line}: {re.escape(_BAD_CELLS[bad][1])}"):
+                load_dataset(d / "ds.csv")
