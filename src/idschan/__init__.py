@@ -9,14 +9,11 @@ from .pathdata import (
     Condition,
     Interaction,
     LinkBudget,
-    MultipathComponent,
     PathTable,
     Provenance,
     RxRecord,
     ScenarioDataset,
-    classify,
     load_dataset,
-    make_record,
     save_dataset,
 )
 from .tracer import (
@@ -28,7 +25,6 @@ from .tracer import (
     ScenarioPreset,
     build_scenario,
     scene_from_json,
-    trace_link,
     trace_scenario,
 )
 from .params import ChannelParamSet, ConditionParams, PRESETS, preset
@@ -37,11 +33,10 @@ from .extract import (
     angular_spread,
     fit_path_loss,
     k_factor,
-    path_loss_of,
     rms_delay_spread,
     summarize,
 )
-from .genchan import ChannelRealization, draw_realization, realizations_to_dataset
+from .genchan import ChannelRealization, draw_realization, draw_realizations, realizations_to_dataset
 from .linksim import BerPoint, BerSweep, ber_bpsk, ber_sweep, noise_floor, rssi_map
 
 __version__ = "0.1.0"
@@ -49,14 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Condition",
     "Interaction",
-    "MultipathComponent",
     "PathTable",
     "Provenance",
     "RxRecord",
     "ScenarioDataset",
-    "classify",
     "load_dataset",
-    "make_record",
     "save_dataset",
     "Blocker",
     "CabinLayout",
@@ -66,7 +58,6 @@ __all__ = [
     "ScenarioPreset",
     "build_scenario",
     "scene_from_json",
-    "trace_link",
     "trace_scenario",
     "ChannelParamSet",
     "ConditionParams",
@@ -76,11 +67,11 @@ __all__ = [
     "angular_spread",
     "fit_path_loss",
     "k_factor",
-    "path_loss_of",
     "rms_delay_spread",
     "summarize",
     "ChannelRealization",
     "draw_realization",
+    "draw_realizations",
     "realizations_to_dataset",
     "BerPoint",
     "BerSweep",

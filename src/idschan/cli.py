@@ -78,9 +78,10 @@ def _parse_ebn0(text: str) -> list[float]:
             raise reject("is a range whose step is not positive")
         if stop < start:
             raise reject("is a range with its stop below its start")
-        count = int((stop - start) / step + 1e-9) + 1
-        # at most one point past the bound is built, so a tiny step cannot exhaust memory
-        values = [start + i * step for i in range(min(count, MAX_EBN0_POINTS + 1))]
+        count = (stop - start) / step + 1e-9  # inf when the quotient overflows, so bound it before int()
+        if count >= MAX_EBN0_POINTS:
+            raise reject(f"holds more than {MAX_EBN0_POINTS} points")
+        values = [start + i * step for i in range(int(count) + 1)]
     if not values:
         raise reject("holds no value")
     if len(values) > MAX_EBN0_POINTS:

@@ -67,13 +67,7 @@ def _path_loss_db(total_power_mw: float, budget: LinkBudget) -> float:
     return budget.lossless_rx_dbm - 10.0 * math.log10(total_power_mw)
 
 
-def path_loss_of(record: RxRecord, budget: LinkBudget) -> float:
-    """Loss in dB against the total (summed) received power of the record."""
-    if not record.paths:
-        raise NoPathError(f"rx {record.rx_id} is in outage, path loss undefined")
-    return _path_loss_db(record.total_power_mw, budget)
-
-
+# No command calls it (summarize calls _fit_path_loss); kept as the benchmark's patch point (ROADMAP item 10).
 def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
     """Ordinary least squares of PL over 10 log10(d), against the dataset's own
     link budget; shadow fading is the sample standard deviation (n-1
@@ -109,6 +103,7 @@ def _k_factor_db(power_mw: list[float], ref: int) -> float:
     return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
 
 
+# Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).
 def k_factor(record: RxRecord) -> float | None:
     """K-factor in dB: direct-path power over the summed power of the rest.
 
@@ -147,6 +142,7 @@ def angular_spreads(power_mw: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
     return np.degrees(np.sqrt(np.sum(dev**2 * power_mw, axis=1) / psum))
 
 
+# Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).
 def rms_delay_spread(record: RxRecord) -> float:
     """Power-weighted RMS spread of the path delays, in ns."""
     if not record.paths:
@@ -154,6 +150,7 @@ def rms_delay_spread(record: RxRecord) -> float:
     return float(rms_delay_spreads(record.paths.power_mw[None], record.paths.delay_ns[None])[0])
 
 
+# Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).
 def angular_spread(record: RxRecord, which: str) -> float:
     """RMS angular spread in degrees for one of ASD, ASA, ESD, ESA (see ``angular_spreads``)."""
     key = which.upper()

@@ -14,12 +14,14 @@ a fixed order, so a seed pins the result bit-for-bit):
 6. per-tap departure/arrival angles from wrapped Gaussians around a
    per-realization mean, with std equal to the corresponding mean spread.
 
-``draw_realizations`` makes every generator call per realization, in this
-order, and then runs the arithmetic of steps 2-6 once on (R, n_taps) blocks,
-one row per realization: every operation there is elementwise or a row sum,
-which is bit-identical to the same operation on the row alone. The linear K
-stays a Python float ``**`` per value. ``draw_realization`` is its one-seed
-case.
+``draw_realizations`` returns R realizations as one block, a
+:class:`ChannelRealization` whose per-tap arrays are (R, n_taps), one row per
+realization. It makes every generator call per realization, in this order,
+and then runs the arithmetic of steps 2-6 once on the blocks: every operation
+there is elementwise or a row sum, which is bit-identical to the same
+operation on the row alone. The linear K stays a Python float ``**`` per
+value. ``realizations_to_dataset`` ravels the block into a dataset with
+``n_taps`` paths per receiver.
 
 Negative sigma_KF preset entries are used via their absolute value. The
 spread-of-spreads across realizations is not reproduced for the angular
@@ -48,7 +50,10 @@ from .pathdata import (
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Normalized tapped profile of per-tap arrays: powers sum to 1, first tap at delay 0."""
+    """R normalized tapped profiles of one condition, one row each: the six
+    per-tap fields are (R, n_taps) arrays whose powers sum to 1 along a row and
+    whose first tap is at delay 0; ``kf_db`` (None for NLOS), ``sf_db`` and
+    ``target_ds_ns`` are length-R arrays."""
 
     condition: Condition
     delays_ns: np.ndarray
@@ -57,9 +62,9 @@ class ChannelRealization:
     aod_el_deg: np.ndarray
     aoa_az_deg: np.ndarray
     aoa_el_deg: np.ndarray
-    kf_db: float | None
-    sf_db: float
-    target_ds_ns: float
+    kf_db: np.ndarray | None
+    sf_db: np.ndarray
+    target_ds_ns: np.ndarray
 
 
 def _require_params(block: ConditionParams, names: tuple[str, ...]) -> None:
@@ -104,10 +109,9 @@ def draw_realizations(
     condition: Condition | str,
     n_taps: int,
     seeds: Iterable[int],
-) -> list[ChannelRealization]:
-    """One tapped realization per seed, each deterministic given (params,
-    condition, n_taps, seed); the arrays of realization i are row i of
-    (R, n_taps) blocks."""
+) -> ChannelRealization:
+    """One tapped realization per seed, as one block whose row i is deterministic
+    given (params, condition, n_taps, seed i)."""
     condition = Condition(condition)
     if condition not in (Condition.LOS, Condition.NLOS):
         raise ValueError(f"can only generate LOS or NLOS realizations, not {condition}")
@@ -153,21 +157,20 @@ def draw_realizations(
     angles += means
     azimuths = wrap_azimuth_deg(angles[:, :2])
     elevations = fold_elevation_deg(angles[:, 2:])
-    return [
-        ChannelRealization(condition, delays[i], powers[i], azimuths[i, 0], elevations[i, 0],
-                           azimuths[i, 1], elevations[i, 1], kf_dbs[i], sf_dbs[i], targets[i])
-        for i in range(len(seeds))
-    ]
+    return ChannelRealization(condition, delays, powers, azimuths[:, 0], elevations[:, 0], azimuths[:, 1],
+                              elevations[:, 1], np.array(kf_dbs) if is_los else None, np.array(sf_dbs),
+                              np.array(targets))
 
 
+# Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).
 def draw_realization(
     params: ChannelParamSet,
     condition: Condition | str,
     n_taps: int = 20,
     rng_seed: int = 0,
 ) -> ChannelRealization:
-    """One tapped realization; deterministic given (params, condition, n_taps, seed)."""
-    return draw_realizations(params, condition, n_taps, [rng_seed])[0]
+    """The R = 1 block of one seed; deterministic given (params, condition, n_taps, seed)."""
+    return draw_realizations(params, condition, n_taps, [rng_seed])
 
 
 # --------------------------------------------------------------------------
@@ -200,27 +203,23 @@ def draw_fades(kf_db, rng: np.random.Generator, size: int) -> np.ndarray:
 RX_DISTANCE_M = 1.0
 
 
-def realizations_to_dataset(reals: list[ChannelRealization], name: str, budget) -> ScenarioDataset:
-    """Pack realizations as a dataset at the nominal TX-RX separation
-    RX_DISTANCE_M, so they round-trip through the CSV schema and the
-    extraction pipeline.
+def realizations_to_dataset(reals: ChannelRealization, name: str, budget) -> ScenarioDataset:
+    """Pack a block of realizations as a dataset, receiver i from row i, at the
+    nominal TX-RX separation RX_DISTANCE_M, so they round-trip through the CSV
+    schema and the extraction pipeline.
 
     Tap 0 of a LOS realization becomes the direct path, every other tap a
     reflection; normalized linear powers map to dBm, and delays get the
     line-of-flight offset so they stay strictly positive.
     """
     base_delay_ns = RX_DISTANCE_M / SPEED_OF_LIGHT * 1e9
-    tx = (0.0, 0.0, 0.0)
-    counts = np.array([len(real.delays_ns) for real in reals], dtype=np.intp)
-    owner = np.repeat(np.arange(len(reals)), counts)
-    powers, delays, *angles = (
-        np.concatenate([getattr(real, field) for real in reals] + [np.empty(0)])
-        for field in ("powers_lin", "delays_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
-    )
-    is_los = np.array([real.condition is Condition.LOS for real in reals], dtype=bool)
-    tags = np.full(owner.size, Interaction.REFLECT.value)
-    tags[(np.cumsum(counts) - counts)[is_los & (counts > 0)]] = Interaction.DIRECT.value
-    paths = PathTable([mw_to_dbm(p) for p in powers.tolist()], delays + base_delay_ns, *angles, tags,
-                      lambda k: f"rx {owner[k]}")
-    return ScenarioDataset(name, tx, budget, range(len(reals)), [(RX_DISTANCE_M, 0.0, 0.0)] * len(reals), paths,
-                           counts, Provenance.SYNTHETIC)
+    n, n_taps = reals.delays_ns.shape
+    tags = np.full((n, n_taps), Interaction.REFLECT.value)
+    if reals.condition is Condition.LOS:
+        tags[:, 0] = Interaction.DIRECT.value
+    angles = (reals.aod_az_deg, reals.aod_el_deg, reals.aoa_az_deg, reals.aoa_el_deg)
+    paths = PathTable([mw_to_dbm(p) for p in reals.powers_lin.ravel().tolist()],
+                      reals.delays_ns.ravel() + base_delay_ns, *(a.ravel() for a in angles), tags.ravel(),
+                      lambda k: f"rx {k // n_taps}")
+    return ScenarioDataset(name, (0.0, 0.0, 0.0), budget, range(n), [(RX_DISTANCE_M, 0.0, 0.0)] * n, paths,
+                           [n_taps] * n, Provenance.SYNTHETIC)

@@ -82,19 +82,6 @@ def interaction_code(tags: Iterable[Interaction]) -> str:
     return "+".join(tag.value for tag in tags)
 
 
-@dataclass(frozen=True, slots=True)
-class MultipathComponent:
-    """One ray path at a receiver, as a plain row; checked when it joins a PathTable."""
-
-    power_dbm: float
-    delay_ns: float
-    aod_az_deg: float
-    aod_el_deg: float
-    aoa_az_deg: float
-    aoa_el_deg: float
-    interactions: tuple[Interaction, ...]
-
-
 FLOAT_COLUMNS = ("power_dbm", "delay_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
 _TAG_CODES = frozenset(tag.value for tag in Interaction)
 _DIRECT = Interaction.DIRECT.value
@@ -158,7 +145,10 @@ class PathTable:
             setattr(self, name, col)
 
     def __getitem__(self, rows: slice) -> PathTable:
-        """A read-only view of a slice of rows, not checked again."""
+        """A read-only view of a slice of rows, not checked again. Only a slice:
+        a table has no row objects, so an index (and so iteration) is a TypeError."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"a PathTable takes a slice of rows, not {type(rows).__name__}")
         out = object.__new__(PathTable)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name)[rows])
@@ -172,22 +162,11 @@ class PathTable:
         """The powers in milliwatts, converted value by value with ``dbm_to_mw`` on each read."""
         return np.fromiter(map(dbm_to_mw, self.power_dbm.tolist()), dtype=float, count=len(self))
 
-    def __iter__(self):
-        columns = [getattr(self, name).tolist() for name in FLOAT_COLUMNS]
-        for *values, code in zip(*columns, self.interactions.tolist()):
-            yield MultipathComponent(*values, tuple(map(Interaction, code.split("+"))))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathTable):
             return NotImplemented
         names = (*FLOAT_COLUMNS, "interactions")
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
-
-
-def classify(paths: PathTable) -> Condition:
-    """Propagation condition from the interaction codes alone: the one-record
-    case of the condition column (see ``ScenarioDataset``)."""
-    return _conditions(paths.interactions, np.array([0, len(paths)]))[0]
 
 
 def _conditions(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -202,6 +181,7 @@ def _conditions(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.array(list(Condition), dtype=object)[np.select([counts == 0, direct > 0, scattered == counts], [3, 0, 2], 1)]
 
 
+# Kept, with ``paths``, only because the benchmark's per-layer mode reads them (ROADMAP item 10).
 @dataclass(frozen=True, slots=True)
 class RxRecord:
     """One receiver of a dataset, as a view: its paths are a slice of the
@@ -212,25 +192,6 @@ class RxRecord:
     distance_3d_m: float
     paths: PathTable
     condition: Condition
-
-    @property
-    def total_power_mw(self) -> float:
-        return math.fsum(self.paths.power_mw.tolist())
-
-
-def make_record(
-    rx_id: int,
-    position_m: Sequence[float],
-    tx_position_m: Sequence[float],
-    paths: Iterable[MultipathComponent],
-) -> RxRecord:
-    """Build a record from path rows, checked as a table; the distance and
-    condition are derived, not trusted."""
-    rows = list(paths)
-    table = PathTable(*([getattr(r, name) for r in rows] for name in FLOAT_COLUMNS),
-                      [interaction_code(r.interactions) for r in rows], lambda i: f"rx {rx_id}")
-    pos = tuple(float(v) for v in position_m)
-    return RxRecord(rx_id, pos, math.dist(pos, tx_position_m), table, classify(table))
 
 
 def total_powers_mw(power_mw: np.ndarray, offsets: np.ndarray) -> list[float]:
@@ -322,6 +283,7 @@ class ScenarioDataset:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "rx_ids", ids)
 
+    # Kept only because the benchmark's per-layer mode reads it (ROADMAP item 10).
     @cached_property
     def records(self) -> tuple[RxRecord, ...]:
         """One read-only view per receiver, in receiver order."""

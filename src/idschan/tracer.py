@@ -19,10 +19,10 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .geometry import (
 from .pathdata import (
     Interaction,
     LinkBudget,
-    MultipathComponent,
     PathTable,
     Provenance,
     ScenarioDataset,
@@ -300,11 +299,6 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     order = np.lexsort((seq_idx, owner))
     owner = owner[order]
     return owner, PathTable(*(col[order] for col in columns), codes[seq_idx[order]], lambda k: f"rx {owner[k]}")
-
-
-def trace_link(scene: Scene, rx: Sequence[float], budget: LinkBudget) -> list[MultipathComponent]:
-    """All specular multipath components reaching one receiver, in face-sequence order."""
-    return list(trace_scenario(replace(scene, rx_grid=[rx]), budget).paths)
 
 
 def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:

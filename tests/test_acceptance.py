@@ -11,19 +11,13 @@ import time
 import numpy as np
 from scipy.special import erfc
 
-from dataset_builder import dataset_from_records, records_of
+from dataset_builder import PathRow, record_from_rows, records_of
 
 from idschan.extract import angular_spread, fit_path_loss, k_factor, rms_delay_spread, summarize
-from idschan.genchan import draw_realization, realizations_to_dataset
+from idschan.genchan import draw_realizations, realizations_to_dataset
 from idschan.linksim import LinkBudget, ber_bpsk, ber_sweep
 from idschan.params import BL, GPP_INO
-from idschan.pathdata import (
-    Condition,
-    Interaction,
-    MultipathComponent,
-    Provenance,
-    make_record,
-)
+from idschan.pathdata import Condition, Interaction, PathTable, Provenance, ScenarioDataset
 from idschan.tracer import FACES, PEC_METAL, CabinLayout, Scene, build_scenario, trace_scenario
 from idschan.cli import main
 
@@ -110,10 +104,10 @@ def test_criterion_2_statistics_oracle_equivalence():
         comps = []
         for j in range(n):
             tags = (Interaction.DIRECT,) if (los and j == 0) else (Interaction.REFLECT,)
-            comps.append(MultipathComponent(
+            comps.append(PathRow(
                 powers[j], delays[j], angles["ASD"][j], angles["ESD"][j],
                 angles["ASA"][j], angles["ESA"][j], tags))
-        rec = make_record(i, (3.0, 0.0, 1.0), tx, comps)
+        rec = record_from_rows(i, (3.0, 0.0, 1.0), tx, comps)
         p_mw = [10 ** (p / 10.0) for p in powers]
 
         def rel(a, b):
@@ -147,13 +141,12 @@ def test_criterion_3_fit_recovery():
         rng = np.random.default_rng(1000 + seed)
         d = 10.0 ** rng.uniform(0.0, math.log10(13.5), 2400)
         noise = rng.normal(0.0, sf_true, 2400)
-        records = []
-        for i in range(2400):
-            pl = a_true + 10.0 * b_true * math.log10(d[i]) + noise[i]
-            comp = MultipathComponent(budget.tx_power_dbm - pl, 10.0, 0.0, 0.0, 0.0, 0.0,
-                                      (Interaction.DIRECT,))
-            records.append(make_record(i, (d[i], 0.0, 1.0), tx, [comp]))
-        ds = dataset_from_records("fit", tx, budget, tuple(records), Provenance.SYNTHETIC)
+        # one direct path per receiver, at the power its distance and shadow fade give
+        power = [budget.tx_power_dbm - (a_true + 10.0 * b_true * math.log10(d[i]) + noise[i]) for i in range(2400)]
+        zeros = np.zeros(2400)
+        paths = PathTable(power, np.full(2400, 10.0), zeros, zeros, zeros, zeros, [Interaction.DIRECT.value] * 2400)
+        ds = ScenarioDataset("fit", tx, budget, range(2400), [(d[i], 0.0, 1.0) for i in range(2400)], paths,
+                             [1] * 2400, Provenance.SYNTHETIC)
         fit = fit_path_loss(ds, Condition.LOS)
         good = (
             abs(fit.a_db - a_true) <= 1.0
@@ -178,29 +171,26 @@ def test_criterion_3_fit_recovery():
 
 def test_criterion_4_generator_round_trip():
     t0 = time.perf_counter()
-    reals = [draw_realization(BL, Condition.LOS, n_taps=20, rng_seed=s) for s in range(2400)]
-    ds = realizations_to_dataset(reals, "BL-LOS-gen", LinkBudget())
+    ds = realizations_to_dataset(draw_realizations(BL, Condition.LOS, 20, range(2400)), "BL-LOS-gen", LinkBudget())
     summary = summarize(ds)
     los = summary.params.los
     mu_ds_err = abs(los.mu_ds_ns - BL.los.mu_ds_ns) / BL.los.mu_ds_ns
     mu_kf_err = abs(los.mu_kf_db - BL.los.mu_kf_db)
 
     violations = 0
-    for seed in range(10_000):
-        real = draw_realization(BL, Condition.LOS, n_taps=20, rng_seed=seed)
-        p = real.powers_lin
-        t = real.delays_ns
+    reals = draw_realizations(BL, Condition.LOS, 20, range(10_000))
+    for p, t, target_ds_ns, kf_db in zip(reals.powers_lin, reals.delays_ns, reals.target_ds_ns, reals.kf_db):
         if abs(p.sum() - 1.0) > 1e-12:
             violations += 1
             continue
         m1 = float(np.sum(t * p))
         m2 = float(np.sum(t * t * p))
         ds_realized = math.sqrt(max(m2 - m1 * m1, 0.0))
-        if abs(ds_realized - real.target_ds_ns) > 1e-9 * real.target_ds_ns:
+        if abs(ds_realized - target_ds_ns) > 1e-9 * target_ds_ns:
             violations += 1
             continue
         ratio = p[0] / p[1:].sum()
-        if abs(ratio - 10 ** (real.kf_db / 10.0)) > 1e-9 * max(ratio, 1.0):
+        if abs(ratio - 10 ** (kf_db / 10.0)) > 1e-9 * max(ratio, 1.0):
             violations += 1
     dt = time.perf_counter() - t0
     ok = mu_ds_err <= 0.10 and mu_kf_err <= 1.0 and violations == 0 and dt < 30.0

@@ -77,7 +77,9 @@ class TestParseEbn0:
     def test_grid_length_bounded(self):
         # 10,000 points of 0.25 dB stay below the 3000 dB bound
         assert len(_parse_ebn0(f"0:0.25:{(MAX_EBN0_POINTS - 1) / 4}")) == MAX_EBN0_POINTS
-        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-5:1", ",".join(["1"] * (MAX_EBN0_POINTS + 1))):
+        # the last two ranges' point counts overflow to inf: a subnormal step, and a span beyond the largest float
+        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-5:1", ",".join(["1"] * (MAX_EBN0_POINTS + 1)),
+                     "0:1e-320:1", "-1e308:1:1e308"):
             with pytest.raises(argparse.ArgumentTypeError, match=f"more than {MAX_EBN0_POINTS} points"):
                 _parse_ebn0(text)
         assert len(_parse_ebn0(",".join(["1"] * MAX_EBN0_POINTS))) == MAX_EBN0_POINTS
@@ -250,6 +252,7 @@ class TestBer:
 
     @pytest.mark.parametrize("ebn0", [
         "0:2:inf", "nan", "inf", "0,nan", "4000", f"0:1:{MAX_EBN0_POINTS}", "0,2,4,6,8,10,nan", "0,4000", "",
+        "0:1e-320:1", "-1e308:1:1e308",
         pytest.param(",".join(["0"] * (MAX_EBN0_POINTS + 1)), id="comma-list-past-the-point-bound"),
     ])
     def test_bad_ebn0_is_an_error(self, tmp_path, capsys, monkeypatch, ebn0):
@@ -257,7 +260,8 @@ class TestBer:
         monkeypatch.setattr(linksim, "ber_bpsk", pytest.fail)
         out = tmp_path / "ber.csv"
         with pytest.raises(SystemExit) as exc:
-            main(["ber", "--presets", "BL", "--ebn0", ebn0, "--bits", "1", "--out", str(out)])
+            # joined with '=', so that a value starting with '-' is read as the flag's value
+            main(["ber", "--presets", "BL", f"--ebn0={ebn0}", "--bits", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and f"argument --ebn0: --ebn0={ebn0} " in err and "Traceback" not in err
         assert not out.exists()

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idschan
-from dataset_builder import classify_per_record, dataset_from_records, records_of
+from dataset_builder import (PathRow, classify_per_record, dataset_from_records, path_loss_per_record, records_of,
+                             record_from_rows)
 from idschan.cli import main
 from idschan.extract import (
     ANGLE_FIELDS,
@@ -24,7 +25,6 @@ from idschan.extract import (
     angular_spreads,
     fit_path_loss,
     k_factor,
-    path_loss_of,
     rms_delay_spread,
     rms_delay_spreads,
     summarize,
@@ -38,12 +38,10 @@ from idschan.pathdata import (
     DatasetFormatError,
     DatasetValidationError,
     Interaction,
-    MultipathComponent,
     PathTable,
     Provenance,
     ScenarioDataset,
     load_dataset,
-    make_record,
     mw_to_dbm,
     save_dataset,
 )
@@ -54,11 +52,11 @@ TX = (0.0, 0.0, 1.0)
 
 
 def comp(power, delay=10.0, tags=(R,), aod_az=0.0, aod_el=0.0, aoa_az=0.0, aoa_el=0.0):
-    return MultipathComponent(power, delay, aod_az, aod_el, aoa_az, aoa_el, tuple(tags))
+    return PathRow(power, delay, aod_az, aod_el, aoa_az, aoa_el, tuple(tags))
 
 
 def record(paths, rx_id=0, pos=(3.0, 0.0, 1.0)):
-    return make_record(rx_id, pos, TX, paths)
+    return record_from_rows(rx_id, pos, TX, paths)
 
 
 # --------------------------------------------------------------------------
@@ -90,16 +88,12 @@ def oracle_kf(direct_mw, others_mw):
 class TestPathLoss:
     def test_friis_single_path(self):
         rec = record([comp(-41.4, tags=(L,))])
-        assert math.isclose(path_loss_of(rec, LinkBudget()), 61.4, abs_tol=1e-12)
+        assert math.isclose(path_loss_per_record(rec, LinkBudget()), 61.4, abs_tol=1e-12)
 
     def test_two_equal_paths_gain_3db(self):
         rec = record([comp(-50.0, tags=(L,)), comp(-50.0, 12.0)])
-        pl = path_loss_of(rec, LinkBudget())
+        pl = path_loss_per_record(rec, LinkBudget())
         assert math.isclose(pl, 70.0 - 10.0 * math.log10(2.0), abs_tol=1e-12)
-
-    def test_outage_errors(self):
-        with pytest.raises(NoPathError):
-            path_loss_of(record([]), LinkBudget())
 
 
 def dataset_on_line(a, b, sigma_pattern=None, distances=None, tags=(L,)):
@@ -158,7 +152,7 @@ class TestFitPathLoss:
         ds = dataset_from_records("f", TX, budget, tuple(records), Provenance.SYNTHETIC)
         fit = fit_path_loss(ds, Condition.LOS)
         x = np.column_stack([np.ones(60), 10.0 * np.log10(d)])
-        pl = np.array([path_loss_of(r, budget) for r in records])
+        pl = np.array([path_loss_per_record(r, budget) for r in records])
         coef, *_ = np.linalg.lstsq(x, pl, rcond=None)
         assert math.isclose(fit.a_db, coef[0], rel_tol=1e-9)
         assert math.isclose(fit.b, coef[1], rel_tol=1e-9)
@@ -252,7 +246,7 @@ class TestInvarianceProperties:
                  comp(-52.0, 9.0, aoa_az=-48.0),
                  comp(-60.0, 14.0, aoa_az=101.0)]
         shifted = [
-            MultipathComponent(
+            PathRow(
                 p.power_dbm + shift_db, p.delay_ns, p.aod_az_deg, p.aod_el_deg,
                 p.aoa_az_deg, p.aoa_el_deg, p.interactions)
             for p in paths
@@ -264,13 +258,13 @@ class TestInvarianceProperties:
             assert math.isclose(angular_spread(r0, kind), angular_spread(r1, kind),
                                 rel_tol=1e-9, abs_tol=1e-12)
         b = LinkBudget()
-        assert math.isclose(path_loss_of(r0, b) - path_loss_of(r1, b), shift_db, abs_tol=1e-9)
+        assert math.isclose(path_loss_per_record(r0, b) - path_loss_per_record(r1, b), shift_db, abs_tol=1e-9)
 
     @given(st.floats(0.0, 1000.0))
     def test_delay_shift(self, shift_ns):
         paths = [comp(-45.0, 5.0), comp(-52.0, 9.0), comp(-60.0, 14.0)]
         shifted = [
-            MultipathComponent(
+            PathRow(
                 p.power_dbm, p.delay_ns + shift_ns, p.aod_az_deg, p.aod_el_deg,
                 p.aoa_az_deg, p.aoa_el_deg, p.interactions)
             for p in paths
@@ -543,7 +537,8 @@ class TestColumnOracles:
         assert s.params.los == per_record_block(s.params.los, records_of(ds, Condition.LOS))
         assert s.params.nlos == per_record_block(s.params.nlos, records_of(ds, Condition.NLOS))
         assert s.ratios == {c: len(records_of(ds, c)) / len(ds.records) for c in Condition}
-        assert [p.rssi_dbm for p in rssi_map(ds)] == [mw_to_dbm(r.total_power_mw) for r in ds.records]
+        totals_mw = [math.fsum(r.paths.power_mw.tolist()) for r in ds.records]
+        assert [p.rssi_dbm for p in rssi_map(ds)] == [mw_to_dbm(total) for total in totals_mw]
 
 
 @pytest.mark.parametrize("make", ["traced", "gen", "ingest-style"])

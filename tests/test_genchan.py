@@ -1,9 +1,12 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy import stats
+
+from dataset_builder import realizations_to_dataset_per_realization
 
 from idschan.extract import k_factor, rms_delay_spread
 from idschan.genchan import (
@@ -30,9 +33,8 @@ def degenerate_preset(mu_ds=5.0, sigma_ds=0.0, mu_kf=3.0, sigma_kf=0.0):
     return ChannelParamSet("degenerate", los=blk, nlos=blk)
 
 
-def realized_rms_ds(real: ChannelRealization) -> float:
-    p = real.powers_lin
-    t = real.delays_ns
+def realized_rms_ds(p: np.ndarray, t: np.ndarray) -> float:
+    """RMS delay spread of one realization's tap powers ``p`` and delays ``t``."""
     m1 = float(np.sum(t * p))
     m2 = float(np.sum(t * t * p))
     return math.sqrt(max(m2 - m1 * m1, 0.0))
@@ -48,28 +50,29 @@ def same_realization(a: ChannelRealization, b: ChannelRealization) -> bool:
 class TestRealizationInvariants:
     @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
     def test_invariants_over_seeds(self, condition):
-        for seed in range(300):
-            real = draw_realization(BL, condition, n_taps=20, rng_seed=seed)
-            p = real.powers_lin
-            t = real.delays_ns
+        block = draw_realizations(BL, condition, 20, range(300))
+        assert block.condition is condition and block.delays_ns.shape == (300, 20)
+        assert block.sf_db.shape == block.target_ds_ns.shape == (300,)
+        if condition is Condition.NLOS:
+            assert block.kf_db is None
+        for i in range(300):
+            p = block.powers_lin[i]
+            t = block.delays_ns[i]
             assert abs(p.sum() - 1.0) <= 1e-12
             assert t[0] == 0.0
             assert np.all(np.diff(t) >= 0.0)
             assert np.all(t >= 0.0)
-            assert math.isclose(realized_rms_ds(real), real.target_ds_ns, rel_tol=1e-9)
+            assert math.isclose(realized_rms_ds(p, t), block.target_ds_ns[i], rel_tol=1e-9)
             if condition is Condition.LOS:
                 ratio = p[0] / p[1:].sum()
-                assert math.isclose(ratio, 10 ** (real.kf_db / 10.0), rel_tol=1e-9)
-            else:
-                assert real.kf_db is None
+                assert math.isclose(ratio, 10 ** (block.kf_db[i] / 10.0), rel_tol=1e-9)
 
     def test_angles_within_domains(self):
-        for seed in range(100):
-            real = draw_realization(BL, Condition.LOS, rng_seed=seed)
-            for az in (real.aod_az_deg, real.aoa_az_deg):
-                assert np.all((-180.0 < az) & (az <= 180.0))
-            for el in (real.aod_el_deg, real.aoa_el_deg):
-                assert np.all((-90.0 <= el) & (el <= 90.0))
+        real = draw_realizations(BL, Condition.LOS, 20, range(100))
+        for az in (real.aod_az_deg, real.aoa_az_deg):
+            assert np.all((-180.0 < az) & (az <= 180.0))
+        for el in (real.aod_el_deg, real.aoa_el_deg):
+            assert np.all((-90.0 <= el) & (el <= 90.0))
 
     def test_deterministic_given_seed(self):
         a = draw_realization(BL, Condition.LOS, n_taps=16, rng_seed=99)
@@ -80,10 +83,10 @@ class TestRealizationInvariants:
 
     def test_degenerate_sigma_ds_exact(self):
         ps = degenerate_preset(mu_ds=5.0, sigma_ds=0.0)
-        for seed in range(20):
-            real = draw_realization(ps, Condition.LOS, rng_seed=seed)
-            assert real.target_ds_ns == 5.0
-            assert math.isclose(realized_rms_ds(real), 5.0, rel_tol=1e-9)
+        real = draw_realizations(ps, Condition.LOS, 20, range(20))
+        assert (real.target_ds_ns == 5.0).all()
+        for p, t in zip(real.powers_lin, real.delays_ns):
+            assert math.isclose(realized_rms_ds(p, t), 5.0, rel_tol=1e-9)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -94,6 +97,30 @@ class TestRealizationInvariants:
             draw_realization(ChannelParamSet("empty"), Condition.LOS)
         with pytest.raises(ValueError):
             draw_realization(ChannelParamSet("nokf", los=BL.nlos), Condition.LOS)
+
+
+class SingleRealization(NamedTuple):
+    """One realization: ChannelRealization's fields with 1-D per-tap arrays and scalars."""
+
+    condition: Condition
+    delays_ns: np.ndarray
+    powers_lin: np.ndarray
+    aod_az_deg: np.ndarray
+    aod_el_deg: np.ndarray
+    aoa_az_deg: np.ndarray
+    aoa_el_deg: np.ndarray
+    kf_db: float | None
+    sf_db: float
+    target_ds_ns: float
+
+
+def is_row(block: ChannelRealization, i: int, single: SingleRealization) -> bool:
+    """Whether row ``i`` of ``block`` holds exactly ``single``'s values."""
+    kf = None if block.kf_db is None else block.kf_db[i]
+    return block.condition is single.condition and kf == single.kf_db and all(
+        np.array_equal(getattr(block, name)[i], getattr(single, name))
+        for name in SingleRealization._fields[1:] if name != "kf_db"
+    )
 
 
 def per_realization_draw(params, condition, n_taps, seed):
@@ -123,7 +150,7 @@ def per_realization_draw(params, condition, n_taps, seed):
     aoa_az = wrap_azimuth_deg(means[1] + rng.normal(0.0, block.mu_asa_deg, n_taps))
     aod_el = fold_elevation_deg(means[2] + rng.normal(0.0, block.mu_esd_deg, n_taps))
     aoa_el = fold_elevation_deg(means[3] + rng.normal(0.0, block.mu_esa_deg, n_taps))
-    return ChannelRealization(condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target)
+    return SingleRealization(condition, delays, powers, aod_az, aod_el, aoa_az, aoa_el, kf_db, sf_db, ds_target)
 
 
 class TestBlockDraws:
@@ -132,14 +159,27 @@ class TestBlockDraws:
     @pytest.mark.parametrize("n_taps", [2, 20, 100])
     def test_block_equals_single_draws(self, params, condition, n_taps):
         seeds = range(7, 67)
-        reals = draw_realizations(params, condition, n_taps, seeds)
-        assert len(reals) == len(seeds)
-        for seed, real in zip(seeds, reals):
-            assert same_realization(real, draw_realization(params, condition, n_taps, seed))
-            assert same_realization(real, per_realization_draw(params, condition, n_taps, seed))
+        block = draw_realizations(params, condition, n_taps, seeds)
+        assert block.delays_ns.shape == (len(seeds), n_taps)
+        for i, seed in enumerate(seeds):
+            single = per_realization_draw(params, condition, n_taps, seed)
+            assert is_row(block, i, single)
+            assert is_row(draw_realization(params, condition, n_taps, seed), 0, single)
+
+    @pytest.mark.parametrize("condition", [Condition.LOS, Condition.NLOS])
+    @pytest.mark.parametrize("n_taps", [2, 20, 100])
+    def test_saved_bytes_equal_the_per_realization_oracle(self, tmp_path, condition, n_taps):
+        seeds = range(1, 601)
+        block = draw_realizations(BL, condition, n_taps, seeds)
+        save_dataset(realizations_to_dataset(block, "BL", LinkBudget()), tmp_path / "block.csv")
+        singles = [per_realization_draw(BL, condition, n_taps, seed) for seed in seeds]
+        save_dataset(realizations_to_dataset_per_realization(singles, "BL", LinkBudget()), tmp_path / "oracle.csv")
+        for suffix in (".csv", ".meta.json"):
+            assert (tmp_path / "block").with_suffix(suffix).read_bytes() == \
+                (tmp_path / "oracle").with_suffix(suffix).read_bytes()
 
     def test_arguments_checked_before_any_draw(self):
-        assert draw_realizations(BL, Condition.LOS, 20, []) == []
+        assert draw_realizations(BL, Condition.LOS, 20, []).delays_ns.shape == (0, 20)
         with pytest.raises(ValueError, match="n_taps"):
             draw_realizations(BL, Condition.LOS, 101, [])
         with pytest.raises(ValueError, match="LOS or NLOS"):
@@ -149,7 +189,7 @@ class TestBlockDraws:
 class TestStatisticalMoments:
     def test_kf_sample_mean_matches_preset(self):
         n = 4000
-        vals = [draw_realization(BL, Condition.LOS, rng_seed=s).kf_db for s in range(n)]
+        vals = draw_realizations(BL, Condition.LOS, 20, range(n)).kf_db
         se = abs(BL.los.sigma_kf_db) / math.sqrt(n)
         assert abs(np.mean(vals) - BL.los.mu_kf_db) < 3 * se
 
@@ -168,7 +208,7 @@ class TestStatisticalMoments:
         assert draws.max() < 1e4
 
     def test_sf_draw_zero_mean(self):
-        vals = [draw_realization(BL, Condition.NLOS, rng_seed=s).sf_db for s in range(4000)]
+        vals = draw_realizations(BL, Condition.NLOS, 20, range(4000)).sf_db
         se = BL.nlos.sigma_sf_db / math.sqrt(len(vals))
         assert abs(np.mean(vals)) < 3 * se
 
@@ -205,22 +245,23 @@ class TestNarrowbandGain:
 
 class TestDatasetExport:
     def test_round_trip_recovers_kf_and_ds(self, tmp_path):
-        reals = [draw_realization(BL, Condition.LOS, rng_seed=s) for s in range(40)]
+        reals = draw_realizations(BL, Condition.LOS, 20, range(40))
         ds = realizations_to_dataset(reals, "BL-LOS", LinkBudget())
         path = tmp_path / "gen.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
-        for real, rec in zip(reals, back.records):
+        assert back.counts.tolist() == [20] * 40
+        for kf_db, ds_ns, rec in zip(reals.kf_db, reals.target_ds_ns, back.records):
             assert rec.condition is Condition.LOS
-            assert math.isclose(k_factor(rec), real.kf_db, rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(rms_delay_spread(rec), real.target_ds_ns, rel_tol=1e-6)
+            assert math.isclose(k_factor(rec), kf_db, rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(rms_delay_spread(rec), ds_ns, rel_tol=1e-6)
 
     def test_nlos_export_classifies_nlos(self):
-        reals = [draw_realization(BL, Condition.NLOS, rng_seed=s) for s in range(5)]
+        reals = draw_realizations(BL, Condition.NLOS, 20, range(5))
         ds = realizations_to_dataset(reals, "BL-NLOS", LinkBudget())
-        assert all(r.condition is Condition.NLOS for r in ds.records)
+        assert ds.conditions.tolist() == [Condition.NLOS] * 5
+        assert set(ds.paths.interactions.tolist()) == {"R"}
 
     def test_delays_strictly_positive(self):
-        reals = [draw_realization(BL, Condition.LOS, rng_seed=1)]
-        ds = realizations_to_dataset(reals, "x", LinkBudget())
-        assert all(p.delay_ns > 0 for p in ds.records[0].paths)
+        ds = realizations_to_dataset(draw_realization(BL, Condition.LOS, rng_seed=1), "x", LinkBudget())
+        assert len(ds.paths) == 20 and (ds.paths.delay_ns > 0).all()

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from dataset_builder import dataset_from_records
+from dataset_builder import PathRow, dataset_from_records, record_from_rows
 
 from idschan import linksim
 from idschan.linksim import (
@@ -27,9 +27,7 @@ from idschan.params import BL, GPP_INO, ChannelParamSet, ConditionParams
 from idschan.pathdata import (
     Condition,
     Interaction,
-    MultipathComponent,
     Provenance,
-    make_record,
 )
 from idschan.tracer import ScenarioPreset, CabinLayout, build_scenario, trace_scenario
 
@@ -112,8 +110,8 @@ class TestNoiseFloor:
 class TestRssiMap:
     def test_single_path_snr(self):
         tx = (0.0, 0.0, 1.0)
-        rec = make_record(0, (1.0, 0.0, 1.0), tx, [
-            MultipathComponent(-41.4, 3.3, 0.0, 0.0, 180.0, 0.0, (Interaction.DIRECT,))
+        rec = record_from_rows(0, (1.0, 0.0, 1.0), tx, [
+            PathRow(-41.4, 3.3, 0.0, 0.0, 180.0, 0.0, (Interaction.DIRECT,))
         ])
         ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
         (pt,) = rssi_map(ds)
@@ -123,7 +121,7 @@ class TestRssiMap:
 
     def test_outage_is_minus_inf(self):
         tx = (0.0, 0.0, 1.0)
-        rec = make_record(0, (1.0, 0.0, 1.0), tx, [])
+        rec = record_from_rows(0, (1.0, 0.0, 1.0), tx, [])
         ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
         (pt,) = rssi_map(ds)
         assert pt.rssi_dbm == -math.inf

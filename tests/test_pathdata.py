@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataset_builder import classify_per_record, dataset_from_records
+from dataset_builder import PathRow, classify_per_record, dataset_from_records, path_rows, record_from_rows
 
 from idschan import pathdata
 from idschan.linksim import LinkBudget
@@ -22,14 +22,11 @@ from idschan.pathdata import (
     DatasetFormatError,
     DatasetValidationError,
     Interaction,
-    MultipathComponent,
     PathTable,
     Provenance,
     ScenarioDataset,
-    classify,
     format_float,
     load_dataset,
-    make_record,
     save_dataset,
 )
 
@@ -52,25 +49,32 @@ def comp(tags, power=-50.0, delay=10.0, **kw):
         interactions=tuple(tags),
     )
     defaults.update(kw)
-    return MultipathComponent(**defaults)
+    return PathRow(**defaults)
 
 
 def table(*rows):
-    return make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), rows).paths
+    return record_from_rows(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), rows).paths
+
+
+def condition_of(*rows):
+    """The condition column's entry for one receiver with these path rows."""
+    paths = table(*rows)
+    return ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [0], [(1.0, 0.0, 1.0)], paths, [len(paths)],
+                           Provenance.SYNTHETIC).conditions[0]
 
 
 class TestClassify:
     def test_direct_present_is_los(self):
-        assert classify(table(comp([L]), comp([R]))) is Condition.LOS
+        assert condition_of(comp([L]), comp([R])) is Condition.LOS
 
     def test_no_direct_not_all_scatter_is_nlos(self):
-        assert classify(table(comp([R, R]), comp([D]))) is Condition.NLOS
+        assert condition_of(comp([R, R]), comp([D])) is Condition.NLOS
 
     def test_all_paths_scattered_is_ds(self):
-        assert classify(table(comp([S]), comp([R, S]))) is Condition.DS
+        assert condition_of(comp([S]), comp([R, S])) is Condition.DS
 
     def test_empty_is_outage(self):
-        assert classify(table()) is Condition.OUTAGE
+        assert condition_of() is Condition.OUTAGE
 
     @given(
         st.lists(
@@ -83,15 +87,15 @@ class TestClassify:
         paths = [comp(t) for t in tag_lists]
         shuffled = paths[:]
         rnd.shuffle(shuffled)
-        assert classify(table(*paths)) is classify(table(*shuffled))
+        assert condition_of(*paths) is condition_of(*shuffled)
 
 
 class TestComponentValidation:
-    """Rows are validated when they become a table, e.g. in make_record."""
+    """Rows are validated when they become a table, e.g. in record_from_rows."""
 
     def test_nonpositive_delay_rejected(self):
         with pytest.raises(DatasetValidationError, match="rx 4"):
-            make_record(4, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [comp([R], delay=-1.0)])
+            record_from_rows(4, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [comp([R], delay=-1.0)])
         with pytest.raises(DatasetValidationError):
             table(comp([R], delay=0.0))
 
@@ -155,10 +159,10 @@ class TestComponentValidation:
         t = PathTable([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                       [0.0, 0.0], [" R + S", "L"])
         assert t.interactions.tolist() == ["R+S", "L"]
-        assert list(t) == [comp([R, S], power=-50.0, delay=5.0, aod_az_deg=0.0, aod_el_deg=0.0,
-                                aoa_az_deg=0.0, aoa_el_deg=0.0),
-                           comp([L], power=-60.0, delay=6.0, aod_az_deg=0.0, aod_el_deg=0.0,
-                                aoa_az_deg=0.0, aoa_el_deg=0.0)]
+        assert path_rows(t) == [comp([R, S], power=-50.0, delay=5.0, aod_az_deg=0.0, aod_el_deg=0.0,
+                                     aoa_az_deg=0.0, aoa_el_deg=0.0),
+                                comp([L], power=-60.0, delay=6.0, aod_az_deg=0.0, aod_el_deg=0.0,
+                                     aoa_az_deg=0.0, aoa_el_deg=0.0)]
         assert t.power_mw.tolist() == [1e-05, 1e-06]
 
     def test_columns_read_only(self):
@@ -171,10 +175,10 @@ class TestComponentValidation:
 def small_dataset():
     tx = (0.0, 1.7, 2.1)
     records = (
-        make_record(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=11.0), comp([R, R])]),
-        make_record(1, (5.5, 0.3, 0.7), tx, [comp([R]), comp([D, S])]),
-        make_record(2, (7.0, 3.9, 0.6), tx, []),  # outage
-        make_record(3, (2.0, 2.0, 1.0), tx, [comp([S]), comp([R, S])]),
+        record_from_rows(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=11.0), comp([R, R])]),
+        record_from_rows(1, (5.5, 0.3, 0.7), tx, [comp([R]), comp([D, S])]),
+        record_from_rows(2, (7.0, 3.9, 0.6), tx, []),  # outage
+        record_from_rows(3, (2.0, 2.0, 1.0), tx, [comp([S]), comp([R, S])]),
     )
     return dataset_from_records("unit", tx, LinkBudget(), records, Provenance.SYNTHETIC)
 
@@ -213,7 +217,7 @@ class TestRoundTrip:
         save_dataset(ds, path)
         back = load_dataset(path)
         for rec in back.records:
-            assert rec.condition is classify(rec.paths)
+            assert rec.condition is classify_per_record(rec.paths)
 
     @given(
         specs=st.lists(
@@ -235,9 +239,9 @@ class TestRoundTrip:
             comp(tags, power=p, delay=d, aod_az_deg=az, aoa_el_deg=el)
             for tags, p, d, az, el in specs
         ]
-        records = [make_record(0, (4.0, 1.0, 1.0), tx, paths)]
+        records = [record_from_rows(0, (4.0, 1.0, 1.0), tx, paths)]
         for i in range(n_outage):
-            records.append(make_record(i + 1, (5.0 + i, 1.0, 1.0), tx, []))
+            records.append(record_from_rows(i + 1, (5.0 + i, 1.0, 1.0), tx, []))
         ds = dataset_from_records("prop", tx, LinkBudget(), tuple(records), Provenance.INGESTED)
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         save_dataset(ds, path)
@@ -270,13 +274,13 @@ class TestWriterBytes:
         tx = (0.0, 1.7, 2.1)
         tiny = 5e-324  # the smallest subnormal
         records = (
-            make_record(2**64 + 3, (-0.0, tiny, 1.0), tx, [
+            record_from_rows(2**64 + 3, (-0.0, tiny, 1.0), tx, [
                 comp([S], power=-0.0, delay=tiny, aod_az_deg=180.0, aod_el_deg=-0.0),
                 comp([R, S], power=-2999.5, delay=1e16, aoa_az_deg=-179.99999999999997, aoa_el_deg=-90.0),
             ]),
-            make_record(-7, (2.2250738585072014e-308, -0.0, -0.0), tx, []),  # outage
-            make_record(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=1e-05), comp([R, R, D])]),
-            make_record(2**63, (0.1, 0.2, 0.30000000000000004), tx, [comp([S])]),
+            record_from_rows(-7, (2.2250738585072014e-308, -0.0, -0.0), tx, []),  # outage
+            record_from_rows(0, (3.0, 1.7, 0.9), tx, [comp([L], power=-45.0, delay=1e-05), comp([R, R, D])]),
+            record_from_rows(2**63, (0.1, 0.2, 0.30000000000000004), tx, [comp([S])]),
         )
         ds = dataset_from_records("edges", tx, LinkBudget(), records, Provenance.SYNTHETIC)
         assert [r.condition for r in records] == [Condition.DS, Condition.OUTAGE, Condition.LOS, Condition.DS]
@@ -306,7 +310,7 @@ class TestWriterBytes:
     def test_matches_csv_writer(self, tmp_path_factory, specs):
         tx = (0.0, 0.0, 1.0)
         records = tuple(
-            make_record(rx_id, position, tx, [MultipathComponent(*values, tags) for tags, *values in paths])
+            record_from_rows(rx_id, position, tx, [PathRow(*values, tags) for tags, *values in paths])
             for rx_id, position, paths in specs
         )
         ds = dataset_from_records("prop", tx, LinkBudget(), records, Provenance.INGESTED)
@@ -594,7 +598,7 @@ class TestLoaderErrors:
 class TestDatasetInvariants:
     def test_duplicate_rx_id_rejected(self):
         tx = (0.0, 0.0, 1.0)
-        rec = make_record(0, (1.0, 0.0, 1.0), tx, [comp([R])])
+        rec = record_from_rows(0, (1.0, 0.0, 1.0), tx, [comp([R])])
         with pytest.raises(DatasetValidationError, match="duplicate"):
             dataset_from_records("d", tx, LinkBudget(), (rec, rec), Provenance.SYNTHETIC)
 
@@ -612,7 +616,7 @@ class TestDatasetInvariants:
                             table(), [0, 0], Provenance.SYNTHETIC)
 
     def test_outage_iff_no_paths(self):
-        rec = make_record(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [])
+        rec = record_from_rows(0, (1.0, 0.0, 1.0), (0.0, 0.0, 1.0), [])
         assert rec.condition is Condition.OUTAGE
         ds = ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [0, 1, 2], [(1.0, 0.0, 1.0)] * 3,
                              table(comp([R]), comp([S])), [1, 0, 1], Provenance.SYNTHETIC)
@@ -629,23 +633,15 @@ class TestDatasetInvariants:
         ds = ScenarioDataset("d", (0.0, 0.0, 1.0), LinkBudget(), [0], [(1.0, 0.0, 1.0)], paths, [len(rows)],
                              Provenance.SYNTHETIC)
         (rec,) = ds.records
-        assert ds.conditions[0] is rec.condition is classify(paths) is classify_per_record(paths) is condition
+        assert ds.conditions[0] is rec.condition is classify_per_record(paths) is condition
         assert rec.distance_3d_m == ds.distances[0] == 1.0
 
-    def test_load_classifies_from_the_code_column(self, tmp_path, monkeypatch):
-        recs = [make_record(i, (1.0 + i, 0.0, 1.0), (0.0, 0.0, 1.0), rows)
+    def test_load_classifies_from_the_code_column(self, tmp_path):
+        recs = [record_from_rows(i, (1.0 + i, 0.0, 1.0), (0.0, 0.0, 1.0), rows)
                 for i, rows in enumerate([[comp([L])], [], [comp([R]), comp([S])], [comp([S])]])]
         save_dataset(dataset_from_records("d", (0.0, 0.0, 1.0), LinkBudget(), tuple(recs), Provenance.SYNTHETIC),
                      tmp_path / "d.csv")
-        calls = []
-
-        def counting_classify(paths):
-            calls.append(len(paths))
-            return classify(paths)
-
-        monkeypatch.setattr(pathdata, "classify", counting_classify)
         ds = load_dataset(tmp_path / "d.csv")
-        assert calls == []
         assert ds.conditions.tolist() == [r.condition for r in recs]
         assert "records" not in vars(ds)  # no view is built until one is read
         assert [r.condition for r in ds.records] == [r.condition for r in recs]

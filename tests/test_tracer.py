@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_geometry import dense_hits
 
-from dataset_builder import records_of
+from dataset_builder import records_of, trace_one_rx
 
 from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
@@ -42,7 +42,6 @@ from idschan.tracer import (
     fspl_db,
     scene_from_json,
     reflection_sequences,
-    trace_link,
     trace_scenario,
 )
 
@@ -136,7 +135,7 @@ class TestTraceLink:
     def test_friis_single_direct_path(self):
         scene = empty_box()
         budget = LinkBudget()
-        (path,) = trace_link(scene, (2.0, 2.0, 1.5), budget)
+        (path,) = trace_one_rx(scene, (2.0, 2.0, 1.5), budget)
         lam = SPEED_OF_LIGHT / 28e9
         expected = 20.0 - 20.0 * math.log10(4.0 * math.pi * 1.0 / lam)
         assert path.interactions == (Interaction.DIRECT,)
@@ -155,14 +154,14 @@ class TestTraceLink:
             rx_grid=[(2.0, 2.0, 1.5)],
             max_reflections=0,
         )
-        assert trace_link(scene, (2.0, 2.0, 1.5), LinkBudget()) == []
+        assert trace_one_rx(scene, (2.0, 2.0, 1.5), LinkBudget()) == []
 
     def test_pec_box_first_order_has_seven_paths(self):
         dims = (5.0, 4.0, 3.0)
         tx = np.array([1.0, 2.0, 1.5])
         rx = np.array([2.0, 2.0, 1.5])
         scene = empty_box(dims, tuple(tx), tuple(rx), order=1)
-        paths = trace_link(scene, tuple(rx), LinkBudget())
+        paths = trace_one_rx(scene, tuple(rx), LinkBudget())
         assert len(paths) == 7
         # expected unfolded distances, one per face image, plus direct
         expected = {round(float(np.linalg.norm(rx - tx)), 9)}
@@ -181,25 +180,25 @@ class TestTraceLink:
     def test_sensitivity_culls_weak_paths(self):
         scene = empty_box(order=1)
         strict = LinkBudget(sensitivity_dbm=-45.0)
-        paths = trace_link(scene, (2.0, 2.0, 1.5), strict)
+        paths = trace_one_rx(scene, (2.0, 2.0, 1.5), strict)
         assert [p.interactions for p in paths] == [(Interaction.DIRECT,)]
 
     def test_sensitivity_threshold_is_inclusive(self):
         # a path at exactly the sensitivity is kept; one ulp above the threshold drops it
         scene = empty_box(order=2, walls={f: GLASS for f in FACES})
         rx = (2.0, 2.0, 1.5)
-        powers = sorted(p.power_dbm for p in trace_link(scene, rx, LinkBudget()))
+        powers = sorted(p.power_dbm for p in trace_one_rx(scene, rx, LinkBudget()))
         edge = powers[len(powers) // 2]
-        kept = [p.power_dbm for p in trace_link(scene, rx, LinkBudget(sensitivity_dbm=edge))]
+        kept = [p.power_dbm for p in trace_one_rx(scene, rx, LinkBudget(sensitivity_dbm=edge))]
         assert sorted(kept) == [p for p in powers if p >= edge] and edge in kept
         above = float(np.nextafter(edge, math.inf))
-        kept = [p.power_dbm for p in trace_link(scene, rx, LinkBudget(sensitivity_dbm=above))]
+        kept = [p.power_dbm for p in trace_one_rx(scene, rx, LinkBudget(sensitivity_dbm=above))]
         assert sorted(kept) == [p for p in powers if p > edge] and edge not in kept
 
     def test_rx_outside_cabin_rejected(self):
         scene = empty_box()
         with pytest.raises(GeometryError):
-            trace_link(scene, (9.0, 2.0, 1.5), LinkBudget())
+            trace_one_rx(scene, (9.0, 2.0, 1.5), LinkBudget())
 
     def test_rx_inside_blocker_rejected(self):
         scene = Scene(
@@ -212,15 +211,15 @@ class TestTraceLink:
             max_reflections=0,
         )
         with pytest.raises(GeometryError):
-            trace_link(scene, (3.0, 2.0, 1.5), LinkBudget())
+            trace_one_rx(scene, (3.0, 2.0, 1.5), LinkBudget())
 
     def test_rx_at_tx_rejected(self):
         with pytest.raises(GeometryError, match="RX 0 coincides with the TX"):
-            trace_link(empty_box(order=1), (1.0, 2.0, 1.5), LinkBudget())
+            trace_one_rx(empty_box(order=1), (1.0, 2.0, 1.5), LinkBudget())
 
     def test_rx_with_two_coordinates_rejected(self):
         with pytest.raises(GeometryError, match="rx_grid"):
-            trace_link(empty_box(), (2.0, 2.0), LinkBudget())
+            trace_one_rx(empty_box(), (2.0, 2.0), LinkBudget())
 
 
 # How far outside its face a bounce point may lie in the oracle below
@@ -369,7 +368,7 @@ TracedPath = namedtuple("TracedPath", "faces points_m unfolded_length_m componen
 
 
 def traced_paths(scene, rx, budget):
-    """trace_link's paths, each with its face sequence, folded points and
+    """trace_one_rx's paths, each with its face sequence, folded points and
     unfolded length from the tracer's per-sequence geometry. Every valid
     sequence must be kept: the helper is for unblocked scenes with a lax budget."""
     rx_row = np.asarray(rx, dtype=float)[None, :]
@@ -378,7 +377,7 @@ def traced_paths(scene, rx, budget):
         valid, lengths, points = dense_trace_sequence(scene, rx_row, seq)
         if valid[0]:
             geometry.append((seq, points[0], float(lengths[0])))
-    paths = trace_link(scene, rx, budget)
+    paths = trace_one_rx(scene, rx, budget)
     assert len(paths) == len(geometry)
     for (_, _, length), comp in zip(geometry, paths):
         assert math.isclose(comp.delay_ns * 1e-9 * SPEED_OF_LIGHT, length, rel_tol=1e-12)
@@ -497,7 +496,7 @@ class TestLatticeOracle:
         for order in (0, 1, 2, 3, 4):
             scene = empty_box(dims, tx, rx, order=order)
             got = sorted(
-                p.delay_ns * 1e-9 * SPEED_OF_LIGHT for p in trace_link(scene, rx, budget)
+                p.delay_ns * 1e-9 * SPEED_OF_LIGHT for p in trace_one_rx(scene, rx, budget)
             )
             want = lattice_image_distances(dims, tx, rx, order)
             assert len(got) == len(want) == (1, 7, 25, 63, 129)[order]
@@ -770,7 +769,7 @@ class TestSceneValidationRejects:
         scene = self.scene(blockers=(Blocker((2.5, 1.5, 1.0), (3.5, 2.5, 2.0)),))
         for rx in ((math.nan, 2.0, 1.5), (3.5, 2.0, 1.5), (5.0, 2.0, 1.5)):
             with pytest.raises(GeometryError, match="RX"):
-                trace_link(scene, rx, LinkBudget())
+                trace_one_rx(scene, rx, LinkBudget())
 
     def test_layout_grid_bounded(self):
         with pytest.raises(GeometryError, match="rx_lateral_step_m"):
