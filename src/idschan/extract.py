@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pathdata import (Condition, DatasetValidationError, Interaction, LinkBudget, RxRecord, ScenarioDataset,
+from .pathdata import (Condition, DatasetValidationError, LinkBudget, RxRecord, ScenarioDataset,
                        total_powers_mw)
 from .params import ChannelParamSet, ConditionParams
 
@@ -110,7 +110,7 @@ def k_factor(record: RxRecord) -> float | None:
     Records without an unobstructed direct path (NLOS/DS/Outage) yield None;
     a single-path record has an empty "rest" and yields +inf.
     """
-    direct = np.flatnonzero(record.paths.interactions == Interaction.DIRECT.value)
+    direct = np.flatnonzero(record.paths.direct)
     if direct.size == 0:
         return None
     return _k_factor_db(record.paths.power_mw.tolist(), int(direct[0]))
@@ -236,7 +236,7 @@ def _condition_block(ds: ScenarioDataset, condition: Condition, power_mw: np.nda
     if condition is Condition.LOS:  # single-path records have an infinite K-factor and are left out
         multi = rows[ds.counts[rows] > 1]
         starts, ends = ds.offsets[multi].tolist(), ds.offsets[multi + 1].tolist()
-        direct = np.flatnonzero(ds.paths.interactions == Interaction.DIRECT.value)
+        direct = np.flatnonzero(ds.paths.direct)
         refs = direct[np.searchsorted(direct, starts)].tolist()
         kfs = np.array([[_k_factor_db(power_mw[lo:hi].tolist(), ref - lo) for lo, hi, ref in zip(starts, ends, refs)]])
         _require_finite(kfs, ["K-factor"], multi, ds)

@@ -214,12 +214,12 @@ def realizations_to_dataset(reals: ChannelRealization, name: str, budget) -> Sce
     """
     base_delay_ns = RX_DISTANCE_M / SPEED_OF_LIGHT * 1e9
     n, n_taps = reals.delays_ns.shape
-    tags = np.full((n, n_taps), Interaction.REFLECT.value)
-    if reals.condition is Condition.LOS:
-        tags[:, 0] = Interaction.DIRECT.value
+    tags = np.zeros((n, n_taps), dtype=np.uint8)  # indices into (REFLECT, DIRECT)
+    tags[:, 0] = reals.condition is Condition.LOS  # tap 0 is the direct path of a LOS realization
     angles = (reals.aod_az_deg, reals.aod_el_deg, reals.aoa_az_deg, reals.aoa_el_deg)
     paths = PathTable([mw_to_dbm(p) for p in reals.powers_lin.ravel().tolist()],
-                      reals.delays_ns.ravel() + base_delay_ns, *(a.ravel() for a in angles), tags.ravel(),
+                      reals.delays_ns.ravel() + base_delay_ns, *(a.ravel() for a in angles),
+                      (Interaction.REFLECT.value, Interaction.DIRECT.value), tags.ravel(),
                       lambda k: f"rx {k // n_taps}")
     return ScenarioDataset(name, (0.0, 0.0, 0.0), budget, range(n), [(RX_DISTANCE_M, 0.0, 0.0)] * n, paths,
                            [n_taps] * n, Provenance.SYNTHETIC)

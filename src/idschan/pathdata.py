@@ -77,12 +77,8 @@ def mw_to_dbm(p_mw: float) -> float:
     return 10.0 * math.log10(p_mw)
 
 
-def interaction_code(tags: Iterable[Interaction]) -> str:
-    """Canonical code of one path's tags: their letters joined by "+", e.g. "R+S"."""
-    return "+".join(tag.value for tag in tags)
-
-
 FLOAT_COLUMNS = ("power_dbm", "delay_ns", "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg")
+_INDEXED_COLUMNS = (*FLOAT_COLUMNS, "code_index")  # a PathTable's per-path columns
 _TAG_CODES = frozenset(tag.value for tag in Interaction)
 _DIRECT = Interaction.DIRECT.value
 # 10 ** (p / 10) overflows a double above ~3082.5 dBm and is subnormal below ~-3076.5 dBm,
@@ -95,32 +91,33 @@ class PathTable:
 
     Powers are in (-3000, 3000) dBm, so their milliwatts (``power_mw``, the
     unit every statistic uses) are positive normal floats. Azimuths live in (-180, 180], elevations
-    in [-90, 90], delays are strictly positive nanoseconds. ``interactions``
-    holds one :func:`interaction_code` per path, with "L" (direct) always alone.
+    in [-90, 90], delays are strictly positive nanoseconds. Path ``i`` has the code ``codes[code_index[i]]``:
+    its tags joined by "+" (e.g. "R+S"), "L" (direct) always alone. ``codes`` holds each code once.
     """
 
-    __slots__ = (*FLOAT_COLUMNS, "interactions")
+    __slots__ = (*_INDEXED_COLUMNS, "codes")
 
     def __init__(self, power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg,
-                 interactions, where=lambda i: f"path {i}"):
-        """Check copies of the columns; tags may carry spaces around them, and
-        ``where(i)`` names row ``i`` in error messages."""
+                 codes, code_index, where=lambda i: f"path {i}"):
+        """Check copies of the columns; ``codes`` may carry spaces around tags, repeat a
+        code or hold codes no row uses, and ``where(i)`` names row ``i`` in error messages."""
         cols = [np.array(c, dtype=float) for c in
                 (power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg)]
-        # Python strings, never numpy's str dtype, which drops trailing NULs ("R\0" would read as "R")
-        raw = interactions.tolist() if isinstance(interactions, np.ndarray) else list(interactions)
-        # the distinct codes in order of first appearance, so the first bad one is on the first bad row
-        index = {code: j for j, code in enumerate(dict.fromkeys(raw))}
-        codes = []
-        for code in index:
-            tags = [t.strip() for t in code.split("+")] if code.strip() else []
+        index = np.asarray(code_index) if len(code_index) else np.empty(0, dtype=np.uint8)
+        if index.size and (index.min() < 0 or index.max() >= len(codes)):
+            raise ValueError(f"code_index must be from 0 to {len(codes) - 1}")
+        # each given code's first row, len(index) if unused: in that order, the first bad code has the first bad row
+        first = np.full(len(codes), len(index))
+        np.minimum.at(first, index, np.arange(len(index)))
+        canonical, lut = {}, np.zeros(len(codes), dtype=np.intp)
+        for j in np.argsort(first, kind="stable")[:np.count_nonzero(first < len(index))].tolist():
+            tags = [t.strip() for t in codes[j].split("+")] if codes[j].strip() else []
             unknown = [t for t in tags if t not in _TAG_CODES]
-            if unknown or not tags or (_DIRECT in tags and tags != [_DIRECT]):
-                row = where(raw.index(code))
-                if unknown:
-                    raise DatasetFormatError(f"{row}: unknown interaction tag {unknown[0]!r}")
-                raise DatasetValidationError(f"{row}: interactions must be non-empty, Direct alone")
-            codes.append("+".join(tags))
+            if unknown:
+                raise DatasetFormatError(f"{where(int(first[j]))}: unknown interaction tag {unknown[0]!r}")
+            if not tags or (_DIRECT in tags and tags != [_DIRECT]):
+                raise DatasetValidationError(f"{where(int(first[j]))}: interactions must be non-empty, Direct alone")
+            lut[j] = canonical.setdefault("+".join(tags), len(canonical))
 
         power, delay, aod_az, aod_el, aoa_az, aoa_el = cols
         azimuth, elevation = "in (-180, 180]", "in [-90, 90]"
@@ -139,19 +136,21 @@ class PathTable:
             raise DatasetValidationError(
                 f"{where(i)}: {FLOAT_COLUMNS[k]}={float(cols[k][i])!r}, must be {checks[k][1]}"
             )
-        cols.append(np.array(codes, dtype=str)[np.fromiter(map(index.__getitem__, raw), np.intp, len(raw))])
-        for name, col in zip(self.__slots__, cols):
+        cols.append(lut.astype(np.min_scalar_type(max(len(canonical) - 1, 0)))[index])
+        for name, col in zip(_INDEXED_COLUMNS, cols):
             col.flags.writeable = False
             setattr(self, name, col)
+        self.codes = tuple(canonical)
 
     def __getitem__(self, rows: slice) -> PathTable:
-        """A read-only view of a slice of rows, not checked again. Only a slice:
-        a table has no row objects, so an index (and so iteration) is a TypeError."""
+        """A read-only view of a slice of rows, not checked again, holding its table's ``codes``. Only a
+        slice: a table has no row objects, so an index (and so iteration) is a TypeError."""
         if not isinstance(rows, slice):
             raise TypeError(f"a PathTable takes a slice of rows, not {type(rows).__name__}")
         out = object.__new__(PathTable)
-        for name in self.__slots__:
+        for name in _INDEXED_COLUMNS:
             setattr(out, name, getattr(self, name)[rows])
+        out.codes = self.codes
         return out
 
     def __len__(self) -> int:
@@ -162,20 +161,26 @@ class PathTable:
         """The powers in milliwatts, converted value by value with ``dbm_to_mw`` on each read."""
         return np.fromiter(map(dbm_to_mw, self.power_dbm.tolist()), dtype=float, count=len(self))
 
+    @property
+    def direct(self) -> np.ndarray:
+        """Whether each path is the direct path, the code "L", tested once per code."""
+        return np.array([code == _DIRECT for code in self.codes], dtype=bool)[self.code_index]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathTable):
             return NotImplemented
-        names = (*FLOAT_COLUMNS, "interactions")
-        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in names)
+        same = (np.array_equal(getattr(self, n), getattr(other, n)) for n in FLOAT_COLUMNS)
+        mine = np.array([self.codes.index(c) if c in self.codes else -1 for c in other.codes], dtype=np.intp)
+        return np.array_equal(self.code_index, mine[other.code_index]) and all(same)
 
 
-def _conditions(codes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Condition of each record, whose codes are ``codes[offsets[i]:offsets[i + 1]]``: LOS when
+def _conditions(paths: PathTable, offsets: np.ndarray) -> np.ndarray:
+    """Condition of each record, whose paths are ``paths[offsets[i]:offsets[i + 1]]``: LOS when
     a pure direct path is present, DS when every path involves diffuse scattering, Outage when
     there are no paths, NLOS otherwise. Flags are counted by differences of exact cumulative sums."""
-    flags = np.zeros((2, len(codes) + 1), dtype=np.int64)
-    np.cumsum([codes == _DIRECT, np.char.find(codes, Interaction.DIFFUSE_SCATTER.value) >= 0], axis=1,
-              out=flags[:, 1:])
+    code_scattered = np.array([Interaction.DIFFUSE_SCATTER.value in code for code in paths.codes], dtype=bool)
+    flags = np.zeros((2, len(paths) + 1), dtype=np.int64)
+    np.cumsum([paths.direct, code_scattered[paths.code_index]], axis=1, out=flags[:, 1:])
     direct, scattered = flags[:, offsets[1:]] - flags[:, offsets[:-1]]
     counts = np.diff(offsets)
     return np.array(list(Condition), dtype=object)[np.select([counts == 0, direct > 0, scattered == counts], [3, 0, 2], 1)]
@@ -233,13 +238,21 @@ class LinkBudget:
 
     @classmethod
     def from_dict(cls, d: dict) -> LinkBudget:
-        """The sidecar's ``link_budget`` object; an unknown key is a DatasetFormatError."""
+        """The sidecar's ``link_budget`` object; an unknown key or a value that
+        is not a JSON number is a DatasetFormatError."""
         if not isinstance(d, dict):
             raise TypeError(f"link_budget must be a JSON object, got {d!r}")
-        for key in d:
+        for key, value in d.items():
             if key not in cls.__dataclass_fields__:
                 raise DatasetFormatError(f"unknown key link_budget.{key}")
+            if not _is_number(value):
+                raise DatasetFormatError(f"link_budget.{key} must be a number, got {value!r}")
         return cls(**d)
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +290,7 @@ class ScenarioDataset:
             i = int(np.argmin(good))
             raise DatasetValidationError(f"rx {ids[i]}: TX-RX distance {distances[i]} is not positive and finite")
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        columns = (positions, counts, distances, offsets, _conditions(self.paths.interactions, offsets))
+        columns = (positions, counts, distances, offsets, _conditions(self.paths, offsets))
         for name, column in zip(("positions", "counts", "distances", "offsets", "conditions"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -320,7 +333,7 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
                 fh.write(head + "-INF,0.0,0.0,0.0,0.0,0.0,\n")
                 continue
             columns = [map(repr, getattr(paths, name)[lo:hi].tolist()) for name in FLOAT_COLUMNS]
-            rows = map(",".join, zip(*columns, paths.interactions[lo:hi].tolist()))
+            rows = map(",".join, zip(*columns, map(paths.codes.__getitem__, paths.code_index[lo:hi].tolist())))
             fh.write(head + ("\n" + head).join(rows) + "\n")
     meta = {
         "scenario_name": ds.scenario_name,
@@ -374,13 +387,17 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
         meta = json.loads(mpath.read_text())
         if not isinstance(meta, dict):
             raise TypeError("expected a JSON object")
-        scenario_name = str(meta["scenario_name"])
-        tx = tuple(float(v) for v in meta["tx_position_m"])
+        scenario_name, tx = meta["scenario_name"], meta["tx_position_m"]
+        if not isinstance(scenario_name, str):
+            raise TypeError(f"scenario_name must be a string, got {scenario_name!r}")
+        if not (isinstance(tx, list) and len(tx) == 3 and all(map(_is_number, tx))):
+            raise TypeError(f"tx_position_m must be a list of 3 numbers, got {tx!r}")
+        tx = tuple(map(float, tx))
         budget = LinkBudget.from_dict(meta.get("link_budget", {}))
         provenance = Provenance(meta.get("provenance", "Ingested"))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DatasetFormatError(f"{mpath.name}: {exc}") from None
-    if len(tx) != 3 or not all(map(math.isfinite, tx)):
+    if not all(map(math.isfinite, tx)):
         raise DatasetFormatError(f"{mpath.name}: tx_position_m must be 3 finite numbers, got {tx}")
 
     ids, positions, counts, columns, where = _load_rows(path, tx)
@@ -445,13 +462,14 @@ def _csv_chunks(file_lines, line: int):
 def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
     """Parse and check the CSV rows, in chunks; no receiver may sit on the TX.
 
-    Returns the records' rx ids, positions and path counts, the table columns
-    with the path rows grouped by record (file order within a record), and a
-    function naming the line and rx of a table row.
+    Returns the records' rx ids, positions and path counts, the table's columns,
+    codes and code index with the path rows grouped by record (file order within
+    a record), and a function naming the line and rx of a table row.
     """
     ncol = len(CSV_COLUMNS)
     lines, rx_ids, is_path = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, bool)]
-    tags: list[str] = []
+    codes: dict[str, int] = {}  # each distinct tag cell, numbered in order of first appearance
+    tags = [np.empty(0, dtype=np.uint8)]  # the number of each row's tag cell
     numbers = [np.empty((9, 0))]  # x, y, z, power, then path fields, which outage rows leave NaN
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -478,7 +496,8 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
                 numbers.append(block)
                 lines.append(np.array(chunk_lines))
                 is_path.append(has_path)
-                tags += cols[10]
+                tags.append(np.array(_parse_repeated(cols[10], lambda code: codes.setdefault(code, len(codes)),
+                                                     CSV_COLUMNS[10], chunk_lines), np.min_scalar_type(len(codes))))
         except csv.Error as exc:  # in the header; _chunks names the line of a row's error
             raise DatasetFormatError(f"line 1: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -486,7 +505,7 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
     x, y, z, power, *values = np.concatenate(numbers, axis=1)
     del numbers
     # rx ids too large for int64 make an object array of Python ints
-    lines, rx_ids, is_path = map(np.concatenate, (lines, rx_ids, is_path))
+    lines, rx_ids, is_path, tags = map(np.concatenate, (lines, rx_ids, is_path, tags))
 
     def reject(bad: np.ndarray, error: type, message: str) -> None:
         """Raise for the first flagged row, named by its line and rx id."""
@@ -511,6 +530,6 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
 
     rows = np.flatnonzero(is_path)
     rows = rows[np.argsort(rec[rows], kind="stable")]
-    columns = [power[rows], *(v[rows] for v in values), [tags[i] for i in rows.tolist()]]
+    columns = [power[rows], *(v[rows] for v in values), tuple(codes), tags[rows]]
     return (ids, pos[first_row], counts, columns,
             lambda k: f"line {lines[rows[k]]}: rx {rx_ids[rows[k]]}")

@@ -40,7 +40,6 @@ from .pathdata import (
     PathTable,
     Provenance,
     ScenarioDataset,
-    interaction_code,
 )
 
 
@@ -261,7 +260,8 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     box_max = np.array([b.max_m for b in scene.blockers], dtype=float).reshape(-1, 3)
     clusters = box_clusters(box_min, box_max) if len(scene.blockers) > 0 else None
     seqs = reflection_sequences(scene.max_reflections)
-    codes = np.array([interaction_code([Interaction.REFLECT] * len(seq) or [Interaction.DIRECT]) for seq in seqs])
+    codes = ["+".join([Interaction.REFLECT.value] * k) or Interaction.DIRECT.value
+             for k in range(scene.max_reflections + 1)]  # indexed by a path's reflection count
 
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
     for s, seq in enumerate(seqs):
@@ -298,7 +298,9 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     owner, seq_idx, *columns = [np.concatenate(col) for col in zip(*found)]
     order = np.lexsort((seq_idx, owner))
     owner = owner[order]
-    return owner, PathTable(*(col[order] for col in columns), codes[seq_idx[order]], lambda k: f"rx {owner[k]}")
+    reflections = np.array([len(seq) for seq in seqs], dtype=np.uint8)
+    return owner, PathTable(*(col[order] for col in columns), codes, reflections[seq_idx[order]],
+                            lambda k: f"rx {owner[k]}")
 
 
 def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:

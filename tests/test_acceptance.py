@@ -144,7 +144,8 @@ def test_criterion_3_fit_recovery():
         # one direct path per receiver, at the power its distance and shadow fade give
         power = [budget.tx_power_dbm - (a_true + 10.0 * b_true * math.log10(d[i]) + noise[i]) for i in range(2400)]
         zeros = np.zeros(2400)
-        paths = PathTable(power, np.full(2400, 10.0), zeros, zeros, zeros, zeros, [Interaction.DIRECT.value] * 2400)
+        paths = PathTable(power, np.full(2400, 10.0), zeros, zeros, zeros, zeros, (Interaction.DIRECT.value,),
+                          np.zeros(2400, dtype=np.uint8))
         ds = ScenarioDataset("fit", tx, budget, range(2400), [(d[i], 0.0, 1.0) for i in range(2400)], paths,
                              [1] * 2400, Provenance.SYNTHETIC)
         fit = fit_path_loss(ds, Condition.LOS)

@@ -331,8 +331,18 @@ class TestIngestSidecar:
         (tmp_path / "in.meta.json").write_text(json.dumps(meta))
         return p
 
-    def test_budget_number_as_string_extracts(self, tmp_path):
+    def test_budget_number_as_string_rejected_by_extract(self, tmp_path):
         p = self.write(tmp_path, {"tx_power_dbm": "20"})
+        out = tmp_path / "params.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(tracer.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "idschan.cli", "extract", "--in", str(p), "--out", str(out)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2 and "Traceback" not in run.stderr
+        assert "in.meta.json: link_budget.tx_power_dbm must be a number, got '20'" in run.stderr
+        assert not out.exists()
+
+    def test_budget_integer_extracts(self, tmp_path):
+        p = self.write(tmp_path, {"tx_power_dbm": 20})
         out = tmp_path / "params.csv"
         assert main(["extract", "--in", str(p), "--out", str(out)]) == 0
         label, a_db = read_rows(out)[1][:2]
@@ -636,3 +646,60 @@ def test_scripts_exit_2_naming_the_rejection(tmp_path, script, args, message):
     assert run.returncode == 2
     assert message in run.stderr and "Traceback" not in run.stderr
     assert not (tmp_path / "out").exists()
+
+
+# --------------------------------------------------------------------------
+# extract, rssi and ber bytes do not depend on numpy's CPU dispatch level
+# --------------------------------------------------------------------------
+
+# numpy's dispatch targets above AVX2. gen and trace write other bytes without them, so their
+# outputs are written once, natively, and only the commands that read them are compared.
+CPU_FEATURES_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+# The path-loss fit takes np.log10 of the TX-RX distances, which numpy computes with SVML under
+# AVX-512 and with the C library below it, so on an AVX-512 CPU a traced dataset's fit rows differ
+# in the last digit (A_dB 59.48177775261607 and 59.481777752616075 for CV at order 1). gen's
+# receivers share one distance and have no fit. Every other row and file must be equal.
+_FIT_ROWS = ("A_dB", "B", "sigma_SF_dB")
+_RUN_ALL = ("import json, sys; from idschan.cli import main; "
+            "sys.exit(0 if all(main(argv) == 0 for argv in json.loads(sys.argv[1])) else 1)")
+
+
+def test_outputs_byte_identical_without_avx512_dispatch(tmp_path):
+    native = {**os.environ, "PYTHONPATH": str(Path(tracer.__file__).resolve().parents[1])}
+    native.pop("NPY_DISABLE_CPU_FEATURES", None)
+    reduced = {**native, "NPY_DISABLE_CPU_FEATURES": CPU_FEATURES_OFF}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=reduced, capture_output=True, text=True,
+                           timeout=120)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not import with NPY_DISABLE_CPU_FEATURES={CPU_FEATURES_OFF!r}: "
+                    f"{probe.stderr.strip().splitlines()[-1:]}")
+    inputs = {
+        "gen_LOS": ["gen", "--preset", "BL", "--cond", "LOS", "--count", "200", "--seed", "3"],
+        "gen_NLOS": ["gen", "--preset", "BL", "--cond", "NLOS", "--count", "200", "--seed", "3"],
+        "trace_CV_1": ["trace", "--preset", "CV", "--max-reflections", "1"],
+    }
+    writes = [[*argv, "--out", str(tmp_path / f"{name}.csv")] for name, argv in inputs.items()]
+
+    def compared(out):
+        argvs = [["ber", "--presets", "BL,3GPP-InO", "--ebn0", "0:4:20", "--bits", "20000", "--seed", "3",
+                  "--threads", "2", "--out", str(out / "ber.csv")]]
+        for name in inputs:
+            argvs.append(["extract", "--in", str(tmp_path / f"{name}.csv"), "--out", str(out / f"{name}_params.csv")])
+            argvs.append(["rssi", "--in", str(tmp_path / f"{name}.csv"), "--out", str(out / f"{name}_rssi.csv")])
+        return argvs
+
+    for name, env, argvs in (("native", native, writes + compared(tmp_path / "native")),
+                             ("reduced", reduced, compared(tmp_path / "reduced"))):
+        (tmp_path / name).mkdir()
+        run = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)], env=env, capture_output=True,
+                             text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in (tmp_path / "native").iterdir())
+    assert len(names) == 10  # ber, and each input's parameters, condition ratios and RSSI map
+    for name in names:
+        a, b = ((tmp_path / run / name).read_bytes() for run in ("native", "reduced"))
+        if name.endswith("_params.csv"):  # the header, then one row per parameter, each ending in a newline
+            a, b = ([row for row in text.split(b"\n") if row.split(b",")[0].decode() not in _FIT_ROWS]
+                    for text in (a, b))
+            assert len(a) == 1 + 15 - len(_FIT_ROWS) + 1, name
+        assert a == b, name

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import idschan
 from dataset_builder import (PathRow, classify_per_record, dataset_from_records, path_loss_per_record, records_of,
-                             record_from_rows)
+                             record_from_rows, table_from_codes)
 from idschan.cli import main
 from idschan.extract import (
     ANGLE_FIELDS,
@@ -38,7 +38,6 @@ from idschan.pathdata import (
     DatasetFormatError,
     DatasetValidationError,
     Interaction,
-    PathTable,
     Provenance,
     ScenarioDataset,
     load_dataset,
@@ -393,7 +392,7 @@ def mixed_dataset(counts, los, seed, positions=None):
     for first, n, direct in zip(firsts, counts, los):
         if direct and n:
             tags[first] = "L"
-    paths = PathTable(
+    paths = table_from_codes(
         rng.uniform(-150.0, 30.0, total), rng.uniform(0.5, 500.0, total),
         180.0 - rng.uniform(0.0, 360.0, total), rng.uniform(-90.0, 90.0, total),
         180.0 - rng.uniform(0.0, 360.0, total), rng.uniform(-90.0, 90.0, total), tags,

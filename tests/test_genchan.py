@@ -260,7 +260,7 @@ class TestDatasetExport:
         reals = draw_realizations(BL, Condition.NLOS, 20, range(5))
         ds = realizations_to_dataset(reals, "BL-NLOS", LinkBudget())
         assert ds.conditions.tolist() == [Condition.NLOS] * 5
-        assert set(ds.paths.interactions.tolist()) == {"R"}
+        assert ds.paths.codes == ("R",) and not ds.paths.direct.any()
 
     def test_delays_strictly_positive(self):
         ds = realizations_to_dataset(draw_realization(BL, Condition.LOS, rng_seed=1), "x", LinkBudget())

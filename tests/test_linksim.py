@@ -1,8 +1,12 @@
 import dataclasses
+import gc
+import importlib.util
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from dataset_builder import PathRow, dataset_from_records, record_from_rows
+from dataset_builder import PathRow, dataset_from_records, record_from_rows, table_from_codes
 
 from idschan import linksim
 from idschan.linksim import (
@@ -28,6 +32,9 @@ from idschan.pathdata import (
     Condition,
     Interaction,
     Provenance,
+    ScenarioDataset,
+    load_dataset,
+    save_dataset,
 )
 from idschan.tracer import ScenarioPreset, CabinLayout, build_scenario, trace_scenario
 
@@ -350,6 +357,52 @@ class TestBerMemory:
         finally:
             tracemalloc.stop()
         assert peak < 14 * 2**20
+
+
+class TestDatasetMemory:
+    """What a loaded dataset holds and what loading it peaks at, per path. A table holds six float64
+    columns (48 B/path) and one code index of 1 or 2 B/path; each distinct code is held once. It held
+    70.7 B/path on the ingest input and 88.2 B/path on an order-5 trace (peaks 279 and 319 B/path)
+    when it kept one numpy string per path and the loader one Python string per row."""
+
+    @staticmethod
+    def held_and_peak_per_path(path):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held / len(ds.paths), peak / len(ds.paths)
+
+    def test_ingest_input(self, tmp_path, monkeypatch):
+        # the benchmark's seeded third-party dataset: 2400 receivers, 90,411 paths with L/R/D/S codes
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", Path(__file__).resolve().parents[1]
+                                                      / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
+        spec.loader.exec_module(workloads)
+        workloads.write_ingest_input(workloads.DEFAULT_SEED, 2400, tmp_path / "ingest.csv")
+        held, peak = self.held_and_peak_per_path(tmp_path / "ingest.csv")
+        assert held <= 60 and peak <= 240
+
+    def test_order_5_codes(self, tmp_path):
+        # 2400 receivers of 24 paths, coded as an order-5 trace codes them: L, then R up to R+R+R+R+R
+        rng = np.random.default_rng(5)
+        n = 2400 * 24
+        codes = np.array(["+".join("R" * k) for k in range(1, 6)], dtype=object)[rng.integers(0, 5, n)]
+        codes[::48] = "L"
+        zeros = np.zeros(n)
+        paths = table_from_codes(rng.uniform(-120.0, -30.0, n), rng.uniform(1.0, 100.0, n), zeros, zeros, zeros,
+                                 zeros, codes.tolist())
+        ds = ScenarioDataset("order-5", (0.0, 0.0, 2.0), LinkBudget(), range(2400),
+                             rng.uniform((0.3, 0.1, 0.5), (13.2, 3.9, 1.3), (2400, 3)), paths, [24] * 2400,
+                             Provenance.SYNTHETIC)
+        save_dataset(ds, tmp_path / "order5.csv")
+        del ds, paths, codes
+        held, peak = self.held_and_peak_per_path(tmp_path / "order5.csv")
+        assert held <= 60 and peak <= 240
 
 
 class TestIsotonic:

@@ -3,14 +3,15 @@ import io
 import json
 import math
 import re
-from itertools import repeat
+from itertools import islice, product, repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataset_builder import PathRow, classify_per_record, dataset_from_records, path_rows, record_from_rows
+from dataset_builder import (PathRow, classify_per_record, dataset_from_records, path_codes, path_rows, record_from_rows,
+                             table_from_codes)
 
 from idschan import pathdata
 from idschan.linksim import LinkBudget
@@ -133,13 +134,13 @@ class TestComponentValidation:
     def test_error_names_first_bad_row(self):
         zeros = [0.0, 0.0, 0.0]
         with pytest.raises(DatasetValidationError, match=r"path 1: delay_ns=-2\.0"):
-            PathTable([-50.0] * 3, [5.0, -2.0, 5.0], zeros, zeros, zeros, [0.0, 0.0, 91.0], ["R"] * 3)
+            table_from_codes([-50.0] * 3, [5.0, -2.0, 5.0], zeros, zeros, zeros, [0.0, 0.0, 91.0], ["R"] * 3)
 
     @pytest.mark.parametrize("code, tag", [("R\0", "R\0"), ("L\0\0", "L\0\0"), ("R+S\0", "S\0")])
     def test_nul_in_a_code_is_an_unknown_tag(self, code, tag):
         zeros = [0.0, 0.0]
         with pytest.raises(DatasetFormatError) as info:
-            PathTable([-50.0] * 2, [5.0] * 2, zeros, zeros, zeros, zeros, ["R", code])
+            table_from_codes([-50.0] * 2, [5.0] * 2, zeros, zeros, zeros, zeros, ["R", code])
         assert str(info.value) == f"path 1: unknown interaction tag {tag!r}"
 
     @pytest.mark.parametrize("codes, error, message", [
@@ -151,14 +152,14 @@ class TestComponentValidation:
     def test_tag_error_names_first_bad_row(self, codes, error, message, as_array):
         zeros = [0.0] * len(codes)
         with pytest.raises(error) as info:
-            PathTable([-50.0] * len(codes), [5.0] * len(codes), zeros, zeros, zeros, zeros,
-                      np.array(codes) if as_array else codes)
+            table_from_codes([-50.0] * len(codes), [5.0] * len(codes), zeros, zeros, zeros, zeros,
+                             np.array(codes) if as_array else codes)
         assert str(info.value) == message
 
     def test_codes_canonical_and_rows_round_trip(self):
-        t = PathTable([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-                      [0.0, 0.0], [" R + S", "L"])
-        assert t.interactions.tolist() == ["R+S", "L"]
+        t = table_from_codes([-50.0, -60.0], [5.0, 6.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                             [0.0, 0.0], [" R + S", "L"])
+        assert path_codes(t) == ["R+S", "L"]
         assert path_rows(t) == [comp([R, S], power=-50.0, delay=5.0, aod_az_deg=0.0, aod_el_deg=0.0,
                                      aoa_az_deg=0.0, aoa_el_deg=0.0),
                                 comp([L], power=-60.0, delay=6.0, aod_az_deg=0.0, aod_el_deg=0.0,
@@ -170,6 +171,56 @@ class TestComponentValidation:
         for view in (t, t[1:], t[::-1]):
             with pytest.raises(ValueError):
                 view.delay_ns[0] = 1.0
+
+
+def distinct_codes(n):
+    """``n`` distinct valid codes: the R, D and S sequences of one to five tags, shortest first."""
+    return ["+".join(tags) for tags in islice((p for k in range(1, 6) for p in product("RDS", repeat=k)), n)]
+
+
+class TestCodeIndex:
+    """A table holds each distinct code once, in the order its rows first use them, and one index per path."""
+
+    def test_codes_canonical_distinct_and_in_first_use_order(self):
+        zeros = [0.0] * 4
+        t = PathTable([-50.0] * 4, [5.0] * 4, zeros, zeros, zeros, zeros, ("L", " R + S", "Q", "R+S", "R"), [4, 1, 3, 0])
+        assert t.codes == ("R", "R+S", "L")  # "Q" is used by no row, so it is neither kept nor checked
+        assert t.code_index.tolist() == [0, 1, 1, 2] and t.code_index.dtype == np.uint8
+        assert t.direct.tolist() == [False, False, False, True]
+        assert t == table_from_codes([-50.0] * 4, [5.0] * 4, zeros, zeros, zeros, zeros, ["R", "R+S", "R+S", "L"])
+        assert not t.code_index.flags.writeable
+
+    def test_views_keep_their_tables_codes(self):
+        zeros = [0.0] * 3
+        t = table_from_codes([-50.0] * 3, [5.0] * 3, zeros, zeros, zeros, zeros, ["L", "R", "R+S"])
+        assert t[1:].codes == ("L", "R", "R+S") and path_codes(t[1:]) == ["R", "R+S"]
+        assert t[1:].direct.tolist() == [False, False]
+        # equal rows are equal whatever order their tables first used the codes in
+        same_rows = table_from_codes([-50.0] * 2, [5.0] * 2, zeros[:2], zeros[:2], zeros[:2], zeros[:2], ["R", "R+S"])
+        assert t[1:] == same_rows and same_rows == t[1:]
+        assert t[1:] != t[:2] and t[:2] != t[1:] and t[1:] != t[1:2]
+
+    @pytest.mark.parametrize("index", [[1], [-1]])
+    def test_index_outside_the_codes_rejected(self, index):
+        with pytest.raises(ValueError, match="code_index must be from 0 to 0"):
+            PathTable([-50.0], [5.0], [0.0], [0.0], [0.0], [0.0], ("R",), index)
+
+    @pytest.mark.parametrize("n_codes, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_index_width_follows_the_code_count_and_round_trips(self, tmp_path, n_codes, dtype):
+        codes = distinct_codes(n_codes)
+        per_path = [codes[(37 * i) % n_codes] for i in range(2 * n_codes)]  # 37 is prime to each count
+        rng = np.random.default_rng(n_codes)
+        zeros = np.zeros(len(per_path))
+        paths = table_from_codes(rng.uniform(-120.0, -30.0, len(per_path)), rng.uniform(1.0, 100.0, len(per_path)),
+                                 zeros, zeros, zeros, zeros, per_path)
+        ds = ScenarioDataset("codes", (0.0, 0.0, 1.0), LinkBudget(), range(n_codes),
+                             [(1.0 + i, 0.0, 1.0) for i in range(n_codes)], paths, [2] * n_codes, Provenance.INGESTED)
+        assert len(ds.paths.codes) == n_codes and ds.paths.code_index.dtype == dtype
+        save_dataset(ds, tmp_path / "a.csv")
+        back = load_dataset(tmp_path / "a.csv")
+        assert back.paths.code_index.dtype == dtype and back.paths == ds.paths
+        save_dataset(back, tmp_path / "b.csv")
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def small_dataset():
@@ -260,7 +311,7 @@ def csv_writer_save(ds, path):
                 continue
             columns = [map(format_float, getattr(rec.paths, name).tolist()) for name in FLOAT_COLUMNS]
             w.writerows(zip(repeat(rec.rx_id), repeat(x), repeat(y), repeat(z), *columns,
-                            rec.paths.interactions.tolist()))
+                            path_codes(rec.paths)))
 
 
 def assert_csv_matches_oracle(ds, directory):
@@ -460,12 +511,35 @@ class TestLoaderErrors:
         with pytest.raises(DatasetFormatError, match="bad.meta.json"):
             load_dataset(p)
 
-    def test_budget_numbers_as_strings_coerced(self, tmp_path):
-        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1],
-                "link_budget": {"tx_power_dbm": "20", "bandwidth_hz": "1e9"}}
-        budget = load_dataset(self.sidecar(tmp_path, meta)).link_budget
-        assert budget == LinkBudget()
-        assert type(budget.tx_power_dbm) is float
+    # A sidecar number must be a JSON number: strings and booleans used to be converted with float(),
+    # and the scenario name with str(), so "123" loaded as a TX at (1, 2, 3).
+    @pytest.mark.parametrize("key, value, message", [
+        ("tx_position_m", "123", "tx_position_m must be a list of 3 numbers, got '123'"),
+        ("link_budget", {"tx_power_dbm": "20"}, "link_budget.tx_power_dbm must be a number, got '20'"),
+        ("link_budget", {"tx_power_dbm": True}, "link_budget.tx_power_dbm must be a number, got True"),
+        ("link_budget", {"bandwidth_hz": "1e9"}, "link_budget.bandwidth_hz must be a number, got '1e9'"),
+        ("scenario_name", 7, "scenario_name must be a string, got 7"),
+        ("scenario_name", {"a": 1}, "scenario_name must be a string, got {'a': 1}"),
+    ], ids=["tx-string", "power-string", "power-bool", "bandwidth-string", "name-int", "name-object"])
+    def test_sidecar_value_of_wrong_type_rejected(self, tmp_path, key, value, message):
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], key: value}
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(self.sidecar(tmp_path, meta))
+        assert str(info.value) == f"bad.meta.json: {message}"
+
+    def test_sidecar_integers_are_numbers(self, tmp_path):
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {"tx_power_dbm": 20}}
+        ds = load_dataset(self.sidecar(tmp_path, meta))
+        assert ds.link_budget == LinkBudget() and type(ds.link_budget.tx_power_dbm) is float
+        assert ds.tx_position_m == (0.0, 0.0, 1.0) and type(ds.tx_position_m[0]) is float
+
+    @pytest.mark.parametrize("meta", [
+        {"scenario_name": "x", "tx_position_m": [0, 0, 10**400]},
+        {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {"gain_rx_dbi": -10**400}},
+    ])
+    def test_sidecar_integer_beyond_a_float_names_sidecar(self, tmp_path, meta):
+        with pytest.raises(DatasetFormatError, match="^bad.meta.json: "):
+            load_dataset(self.sidecar(tmp_path, meta))
 
     @pytest.mark.parametrize("budget", [
         {"bandwidth_hz": float("nan")},
@@ -495,6 +569,16 @@ class TestLoaderErrors:
         save_dataset(small_dataset(), path)
         records = load_dataset(path).records
         assert len({id(r.paths.delay_ns.base) for r in records if len(r.paths)}) == 1
+
+    def test_bad_code_named_at_its_first_row_in_table_order(self, tmp_path):
+        # rx 1's rows are lines 2 and 4, so the table holds line 4 before line 3, the first file row of "Q"
+        body = (
+            "1,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+            "2,2.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,Q\n"
+            "1,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,Q\n"
+        )
+        with pytest.raises(DatasetFormatError, match="^line 4: rx 1: unknown interaction tag 'Q'$"):
+            load_dataset(self.write(tmp_path, body))
 
     def test_rows_of_one_rx_need_not_be_adjacent(self, tmp_path):
         body = (
@@ -576,11 +660,11 @@ class TestLoaderErrors:
 
     def test_extra_columns_ignored_on_any_row(self, tmp_path):
         ds = self.load_lines(tmp_path, 4200, {10: self.GOOD + ",LOS", 3000: self.GOOD + ",x,y"})
-        assert ds.records[0].paths.interactions.tolist() == ["R"] * 4199
+        assert path_codes(ds.records[0].paths) == ["R"] * 4199
 
     def test_newline_in_quoted_cell_loads(self, tmp_path):
         ds = self.load_lines(tmp_path, 4200, {2100: self.NEWLINE_IN_CELL, 3000: ""})
-        codes = ds.records[0].paths.interactions.tolist()
+        codes = path_codes(ds.records[0].paths)
         assert len(codes) == 4198 and codes[2098] == "R+S"
         assert codes.count("R") == 4197
 
@@ -664,7 +748,7 @@ def test_power_mw_is_the_per_value_conversion_on_every_read():
     rng = np.random.default_rng(5)
     power = np.concatenate([rng.uniform(-2999.9, 2999.9, 5000), [-2999.9999999999995, 2999.9999999999995, -0.0]])
     zeros = np.zeros(len(power))
-    t = PathTable(power, np.ones(len(power)), zeros, zeros, zeros, zeros, ["R"] * len(power))
+    t = PathTable(power, np.ones(len(power)), zeros, zeros, zeros, zeros, ("R",), np.zeros(len(power), np.uint8))
     assert "power_mw" not in PathTable.__slots__
     for view in (t, t[17:4000], t[::3]):
         want = np.array([dbm_to_mw(p) for p in view.power_dbm.tolist()])

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_geometry import dense_hits
 
-from dataset_builder import records_of, trace_one_rx
+from dataset_builder import path_codes, records_of, trace_one_rx
 
 from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
@@ -536,7 +536,7 @@ class TestBlockerOracle:
                            for j in range(len(seq) + 1)):
                     want[i].append((code, lengths[i] / SPEED_OF_LIGHT * 1e9))
         ds = trace_scenario(scene, LinkBudget(sensitivity_dbm=-1000.0))  # no PEC path is this weak
-        got = [list(zip(r.paths.interactions.tolist(), r.paths.delay_ns.tolist())) for r in ds.records]
+        got = [list(zip(path_codes(r.paths), r.paths.delay_ns.tolist())) for r in ds.records]
         assert got == want
 
 
