@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -104,6 +106,9 @@ class PathTable:
         cols = [np.array(c, dtype=float) for c in
                 (power_dbm, delay_ns, aod_az_deg, aod_el_deg, aoa_az_deg, aoa_el_deg)]
         index = np.asarray(code_index) if len(code_index) else np.empty(0, dtype=np.uint8)
+        if index.ndim != 1 or index.dtype.kind not in "iu" or any(c.shape != index.shape for c in cols):
+            raise ValueError(f"columns must be 1-D and code_index integers, all of one length: got shapes "
+                             f"{[c.shape for c in cols]} and code_index {index.shape} {index.dtype}")
         if index.size and (index.min() < 0 or index.max() >= len(codes)):
             raise ValueError(f"code_index must be from 0 to {len(codes) - 1}")
         # each given code's first row, len(index) if unused: in that order, the first bad code has the first bad row
@@ -236,23 +241,70 @@ class LinkBudget:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> LinkBudget:
-        """The sidecar's ``link_budget`` object; an unknown key or a value that
-        is not a JSON number is a DatasetFormatError."""
-        if not isinstance(d, dict):
-            raise TypeError(f"link_budget must be a JSON object, got {d!r}")
-        for key, value in d.items():
-            if key not in cls.__dataclass_fields__:
-                raise DatasetFormatError(f"unknown key link_budget.{key}")
-            if not _is_number(value):
-                raise DatasetFormatError(f"link_budget.{key} must be a number, got {value!r}")
-        return cls(**d)
+
+# The one reader of JSON values, for both documents: the scene config and the dataset sidecar.
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+               list: "a list", tuple: "a non-empty list of finite numbers", 3: "a list of 3 finite numbers"}
+_LINK_BUDGET_KEYS = frozenset(f.name for f in fields(LinkBudget))
 
 
-def _is_number(value) -> bool:
-    """Whether a JSON value is a number: an int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _coerce(value, kind, where: str):
+    """A JSON value as ``kind``: int, float (finite), bool, str, list, tuple (a
+    non-empty list of finite floats), 3 (a list of three), or a set of the keys
+    an object may have (dict: any keys). A ValueError names ``where``, which is
+    "" for the document itself."""
+    if isinstance(kind, frozenset) or kind is dict:
+        ok = isinstance(value, dict)
+        for key in value if ok and kind is not dict else ():
+            if key not in kind:
+                raise ValueError(f"unknown key {_at(where, key)}")
+    elif kind in (tuple, 3):
+        ok = isinstance(value, (list, tuple)) and len(value) > 0 and kind in (tuple, len(value))
+        value = tuple(_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(value)) if ok else value
+    elif kind in (int, float):
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and (
+            kind is int or -sys.float_info.max <= value <= sys.float_info.max)
+        value = kind(value) if ok else value
+    else:
+        ok = isinstance(value, (list, tuple) if kind is list else kind)
+    if not ok:
+        raise ValueError(f"{where or 'the document'} must be {_KIND_NAMES.get(kind, 'an object')}, got {value!r}")
+    return value
+
+
+def _json_get(obj: dict, where: str, key: str, kind, default=...):
+    """``obj[key]`` as ``kind``, or ``default`` when absent; required without a default."""
+    if key in obj:
+        return _coerce(obj[key], kind, _at(where, key))
+    if default is ...:
+        raise ValueError(f"{_at(where, key)} is missing")
+    return default
+
+
+@contextmanager
+def _located(where: str, error: type[ValueError] = ValueError):
+    """Raise a rejection, by a constructor or on reading a document, as ``error``, prefixed
+    with ``where`` unless that is "". Reading fails with an OSError, a RecursionError (nesting
+    too deep) or a ValueError (JSON syntax, bytes that are not UTF-8, an integer too long)."""
+    try:
+        yield
+    except (ValueError, OSError, RecursionError) as exc:
+        raise error(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _read_json(path: str | Path):
+    """The JSON document in the UTF-8 file at ``path``; raises what ``_located`` catches."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _budget_from_json(obj: dict, where: str) -> LinkBudget:
+    """A LinkBudget from the LinkBudget keys of a JSON object, each a finite number; a key
+    that is absent keeps its default, and the object's other keys are not read."""
+    return LinkBudget(**{f.name: _json_get(obj, where, f.name, float) for f in fields(LinkBudget) if f.name in obj})
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,22 +435,12 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
     mpath = meta_path(path)
     if not mpath.exists():
         raise DatasetFormatError(f"missing sidecar {mpath.name} next to {path.name}")
-    try:
-        meta = json.loads(mpath.read_text())
-        if not isinstance(meta, dict):
-            raise TypeError("expected a JSON object")
-        scenario_name, tx = meta["scenario_name"], meta["tx_position_m"]
-        if not isinstance(scenario_name, str):
-            raise TypeError(f"scenario_name must be a string, got {scenario_name!r}")
-        if not (isinstance(tx, list) and len(tx) == 3 and all(map(_is_number, tx))):
-            raise TypeError(f"tx_position_m must be a list of 3 numbers, got {tx!r}")
-        tx = tuple(map(float, tx))
-        budget = LinkBudget.from_dict(meta.get("link_budget", {}))
-        provenance = Provenance(meta.get("provenance", "Ingested"))
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise DatasetFormatError(f"{mpath.name}: {exc}") from None
-    if not all(map(math.isfinite, tx)):
-        raise DatasetFormatError(f"{mpath.name}: tx_position_m must be 3 finite numbers, got {tx}")
+    with _located(mpath.name, DatasetFormatError):
+        meta = _coerce(_read_json(mpath), dict, "")  # other top-level keys are not read
+        scenario_name = _json_get(meta, "", "scenario_name", str)
+        tx = _json_get(meta, "", "tx_position_m", 3)
+        budget = _budget_from_json(_json_get(meta, "", "link_budget", _LINK_BUDGET_KEYS, {}), "link_budget")
+        provenance = Provenance(_json_get(meta, "", "provenance", str, Provenance.INGESTED.value))
 
     ids, positions, counts, columns, where = _load_rows(path, tx)
     paths = PathTable(*columns, where)

@@ -15,10 +15,7 @@ comparison are synthesized.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -40,6 +37,12 @@ from .pathdata import (
     PathTable,
     Provenance,
     ScenarioDataset,
+    _at,
+    _budget_from_json,
+    _coerce,
+    _json_get,
+    _located,
+    _read_json,
 )
 
 
@@ -138,7 +141,7 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "rx_grid", np.atleast_2d(np.asarray(self.rx_grid, dtype=float)))
         order = self.max_reflections
-        if not isinstance(order, (int, np.integer)) or not (0 <= order <= MAX_REFLECTIONS):
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not 0 <= order <= MAX_REFLECTIONS:
             raise GeometryError(f"max_reflections must be an integer from 0 to {MAX_REFLECTIONS}, got {order!r}")
         if set(self.wall_materials) != set(FACES):
             raise GeometryError(f"wall_materials must name exactly the faces {FACES}")
@@ -263,8 +266,8 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
     codes = ["+".join([Interaction.REFLECT.value] * k) or Interaction.DIRECT.value
              for k in range(scene.max_reflections + 1)]  # indexed by a path's reflection count
 
-    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 6]  # typed even when empty
-    for s, seq in enumerate(seqs):
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8)) + (np.empty(0),) * 6]  # typed even when empty
+    for seq in seqs:
         rows, lengths, points = _trace_sequence(scene, rx, seq)
         # drop paths whose segment j crosses a blocker, RX side first: the receivers sit among the
         # seats, so most blocked paths drop at the first test
@@ -293,14 +296,14 @@ def _trace_batch(scene: Scene, budget: LinkBudget) -> tuple[np.ndarray, PathTabl
         rows, lengths, points, power_dbm = rows[heard], lengths[heard], points[heard], power_dbm[heard]
         aod_az, aod_el = spherical_angles_deg(points[:, 1, :] - points[:, 0, :])
         aoa_az, aoa_el = spherical_angles_deg(points[:, -2, :] - points[:, -1, :])
-        found.append((rows, np.full(rows.size, s), power_dbm, lengths / SPEED_OF_LIGHT * 1e9,
+        found.append((rows, np.full(rows.size, len(seq), np.uint8), power_dbm, lengths / SPEED_OF_LIGHT * 1e9,
                       wrap_azimuth_deg(aod_az), aod_el, wrap_azimuth_deg(aoa_az), aoa_el))
-    owner, seq_idx, *columns = [np.concatenate(col) for col in zip(*found)]
-    order = np.lexsort((seq_idx, owner))
+    # blocks come in sequence order and hold at most one row per receiver, so a stable sort by
+    # receiver leaves each receiver's paths in sequence order
+    owner, reflections, *columns = [np.concatenate(col) for col in zip(*found)]
+    order = np.argsort(owner, kind="stable")
     owner = owner[order]
-    reflections = np.array([len(seq) for seq in seqs], dtype=np.uint8)
-    return owner, PathTable(*(col[order] for col in columns), codes, reflections[seq_idx[order]],
-                            lambda k: f"rx {owner[k]}")
+    return owner, PathTable(*(col[order] for col in columns), codes, reflections[order], lambda k: f"rx {owner[k]}")
 
 
 def trace_scenario(scene: Scene, budget: LinkBudget) -> ScenarioDataset:
@@ -451,10 +454,10 @@ def build_scenario(
 # JSON scene config
 # --------------------------------------------------------------------------
 
-# keys accepted in the config, in a material entry, in a blocker entry and in walls
-_BUDGET_KEYS = ("carrier_hz", "sensitivity_dbm")  # the LinkBudget fields a config may set
+# keys accepted in the config (carrier_hz and sensitivity_dbm are the LinkBudget fields it may set),
+# in a material entry, in a blocker entry and in walls
 _SCENE_KEYS = frozenset({"name", "cabin_dims_m", "materials", "walls", "tx_m", "rx_grid", "blockers",
-                         "max_reflections", *_BUDGET_KEYS})
+                         "max_reflections", "carrier_hz", "sensitivity_dbm"})
 _MATERIAL_KEYS = frozenset({"pec", "eps_re", "eps_im", "thickness_cm"})
 _BLOCKER_KEYS = frozenset({"min_m", "max_m", "material", "label"})
 _WALL_KEYS = frozenset({"all", *FACES})
@@ -463,54 +466,6 @@ _RX_GRID_FIELDS = {"rows": "rows", "heights_m": "rx_heights_m", "lateral_step_m"
                    "lateral_margin_m": "rx_lateral_margin_m", "first_row_x_m": "first_row_x_m",
                    "row_pitch_m": "row_pitch_m", "rx_offset_m": "rx_offset_m"}
 _LAYOUT_TYPES = {f.name: type(f.default) for f in fields(CabinLayout)}
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
-               list: "a list", tuple: "a non-empty list of finite numbers", 3: "a list of 3 finite numbers"}
-
-
-def _at(where: str, key) -> str:
-    return f"{where}.{key}" if where else str(key)
-
-
-def _coerce(value, kind, where: str):
-    """A JSON value as ``kind``: int, float (finite), bool, str, list, tuple (a
-    non-empty list of finite floats), 3 (a list of three), or a set of the keys
-    an object may have (dict: any keys). Errors name ``where``."""
-    if isinstance(kind, frozenset) or kind is dict:
-        ok = isinstance(value, dict)
-        for key in value if ok and kind is not dict else ():
-            if key not in kind:
-                raise GeometryError(f"unknown key {_at(where, key)} in scene config")
-    elif kind in (tuple, 3):
-        ok = isinstance(value, (list, tuple)) and len(value) > 0 and kind in (tuple, len(value))
-        value = tuple(_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(value)) if ok else value
-    elif kind in (int, float):
-        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and (
-            kind is int or -sys.float_info.max <= value <= sys.float_info.max)
-        value = kind(value) if ok else value
-    else:
-        ok = isinstance(value, (list, tuple) if kind is list else kind)
-    if not ok:
-        raise GeometryError(f"{where or 'scene config'} must be {_KIND_NAMES.get(kind, 'an object')}, "
-                            f"got {value!r}")
-    return value
-
-
-def _json_get(obj: dict, where: str, key: str, kind, default=...):
-    """``obj[key]`` as ``kind``, or ``default`` when absent; required without a default."""
-    if key in obj:
-        return _coerce(obj[key], kind, _at(where, key))
-    if default is ...:
-        raise GeometryError(f"{_at(where, key)} is missing")
-    return default
-
-
-@contextmanager
-def _located(where: str):
-    """Prefix a rejection, by a constructor or on reading the file, with the location it came from."""
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise GeometryError(f"{where}: {exc}") from None
 
 
 def _material_from_json(entry, name: str) -> Material:
@@ -529,48 +484,49 @@ def scene_from_json(source: str | Path | dict) -> tuple[Scene, LinkBudget]:
 
     ``carrier_hz`` and ``sensitivity_dbm`` fill the budget; its other fields
     keep their defaults. Unknown keys and malformed values raise GeometryError
-    naming their location, e.g. ``blockers[0].min_m``.
+    naming their location, e.g. ``blockers[0].min_m``; a file that cannot be
+    read as JSON raises GeometryError naming the file.
     """
-    if isinstance(source, (str, Path)):
-        with _located(str(source)):
-            source = json.loads(Path(source).read_text())
-    cfg = _coerce(source, _SCENE_KEYS, "")
-    materials = dict(MATERIALS)
-    for mname, entry in _json_get(cfg, "", "materials", dict, {}).items():
-        materials[mname] = _material_from_json(entry, mname)
+    with _located("", GeometryError):  # rejections below are ValueErrors naming their location
+        if isinstance(source, (str, Path)):
+            with _located(str(source)):
+                source = _read_json(source)
+        cfg = _coerce(source, _SCENE_KEYS, "")
+        materials = dict(MATERIALS)
+        for mname, entry in _json_get(cfg, "", "materials", dict, {}).items():
+            materials[mname] = _material_from_json(entry, mname)
 
-    def material(obj: dict, where: str, key: str, default: Material) -> Material:
-        mname = _json_get(obj, where, key, str, None)
-        if mname is not None and mname not in materials:
-            raise GeometryError(f"unknown material {mname!r} at {_at(where, key)} in scene config")
-        return default if mname is None else materials[mname]
+        def material(obj: dict, where: str, key: str, default: Material) -> Material:
+            mname = _json_get(obj, where, key, str, None)
+            if mname is not None and mname not in materials:
+                raise GeometryError(f"unknown material {mname!r} at {_at(where, key)} in scene config")
+            return default if mname is None else materials[mname]
 
-    rx_cfg = _json_get(cfg, "", "rx_grid", frozenset(_RX_GRID_FIELDS), {})
-    layout_kwargs = {field: _json_get(rx_cfg, "rx_grid", key, _LAYOUT_TYPES[field])
-                     for key, field in _RX_GRID_FIELDS.items() if key in rx_cfg}
-    if "cabin_dims_m" in cfg:
-        layout_kwargs["cabin_dims_m"] = _json_get(cfg, "", "cabin_dims_m", 3)
-    with _located("rx_grid"):
-        layout = CabinLayout(**layout_kwargs)
+        rx_cfg = _json_get(cfg, "", "rx_grid", frozenset(_RX_GRID_FIELDS), {})
+        layout_kwargs = {field: _json_get(rx_cfg, "rx_grid", key, _LAYOUT_TYPES[field])
+                         for key, field in _RX_GRID_FIELDS.items() if key in rx_cfg}
+        if "cabin_dims_m" in cfg:
+            layout_kwargs["cabin_dims_m"] = _json_get(cfg, "", "cabin_dims_m", 3)
+        with _located("rx_grid"):
+            layout = CabinLayout(**layout_kwargs)
 
-    blockers = []
-    for i, entry in enumerate(_json_get(cfg, "", "blockers", list, [])):
-        where = f"blockers[{i}]"
-        entry = _coerce(entry, _BLOCKER_KEYS, where)
-        corners = _json_get(entry, where, "min_m", 3), _json_get(entry, where, "max_m", 3)
-        mat, label = material(entry, where, "material", NYLON), _json_get(entry, where, "label", str, "Seat")
-        with _located(where):
-            blockers.append(Blocker(*corners, mat, label))
+        blockers = []
+        for i, entry in enumerate(_json_get(cfg, "", "blockers", list, [])):
+            where = f"blockers[{i}]"
+            entry = _coerce(entry, _BLOCKER_KEYS, where)
+            corners = _json_get(entry, where, "min_m", 3), _json_get(entry, where, "max_m", 3)
+            mat, label = material(entry, where, "material", NYLON), _json_get(entry, where, "label", str, "Seat")
+            with _located(where):
+                blockers.append(Blocker(*corners, mat, label))
 
-    walls = _json_get(cfg, "", "walls", _WALL_KEYS, {})
-    default_wall = material(walls, "walls", "all", PEC_METAL)
-    scene = _layout_scene(
-        layout,
-        tx_m=_json_get(cfg, "", "tx_m", 3, None),
-        name=_json_get(cfg, "", "name", str, "custom"),
-        wall_materials={f: material(walls, "walls", f, default_wall) for f in FACES},
-        blockers=tuple(blockers),
-        max_reflections=_json_get(cfg, "", "max_reflections", int, 3),
-    )
-    with _located("scene config"):
-        return scene, LinkBudget(**{k: _json_get(cfg, "", k, float) for k in _BUDGET_KEYS if k in cfg})
+        walls = _json_get(cfg, "", "walls", _WALL_KEYS, {})
+        default_wall = material(walls, "walls", "all", PEC_METAL)
+        scene = _layout_scene(
+            layout,
+            tx_m=_json_get(cfg, "", "tx_m", 3, None),
+            name=_json_get(cfg, "", "name", str, "custom"),
+            wall_materials={f: material(walls, "walls", f, default_wall) for f in FACES},
+            blockers=tuple(blockers),
+            max_reflections=_json_get(cfg, "", "max_reflections", int, 3),
+        )
+        return scene, _budget_from_json(cfg, "")

@@ -6,9 +6,10 @@ import importlib
 import pytest
 
 import idschan
-from idschan.pathdata import PathTable, RxRecord
+from idschan.pathdata import LinkBudget, PathTable, RxRecord
 
-DELETED = ("MultipathComponent", "make_record", "classify", "trace_link", "path_loss_of", "interaction_code")
+DELETED = ("MultipathComponent", "make_record", "classify", "trace_link", "path_loss_of", "interaction_code",
+           "_is_number")
 
 
 def test_star_import_binds_every_exported_name():
@@ -32,6 +33,7 @@ def test_deleted_record_members_are_gone():
     assert not hasattr(PathTable, "__iter__")
     assert not hasattr(RxRecord, "total_power_mw")
     assert "interactions" not in PathTable.__slots__  # one code per distinct tag string, plus a per-path index
+    assert not hasattr(LinkBudget, "from_dict")  # both JSON documents read a budget with one function
 
 
 def test_a_table_takes_slices_only():

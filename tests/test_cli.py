@@ -338,7 +338,7 @@ class TestIngestSidecar:
         run = subprocess.run([sys.executable, "-m", "idschan.cli", "extract", "--in", str(p), "--out", str(out)],
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 2 and "Traceback" not in run.stderr
-        assert "in.meta.json: link_budget.tx_power_dbm must be a number, got '20'" in run.stderr
+        assert "in.meta.json: link_budget.tx_power_dbm must be a finite number, got '20'" in run.stderr
         assert not out.exists()
 
     def test_budget_integer_extracts(self, tmp_path):

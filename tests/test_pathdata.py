@@ -205,6 +205,21 @@ class TestCodeIndex:
         with pytest.raises(ValueError, match="code_index must be from 0 to 0"):
             PathTable([-50.0], [5.0], [0.0], [0.0], [0.0], [0.0], ("R",), index)
 
+    # 3 paths with 2 indices used to build a table of len 3 with 2 codes, and (1, 3) columns one of 1 path
+    @pytest.mark.parametrize("columns, index", [
+        ([[-50.0, -60.0, -70.0]] + [[5.0, 6.0, 7.0]] * 5, [0, 0]),
+        ([[-50.0, -60.0]] + [[5.0, 6.0]] * 5, [0, 0, 0]),
+        ([[-50.0], [-60.0, -70.0]] + [[5.0, 6.0]] * 4, [0, 0]),
+        ([[[-50.0, -60.0, -70.0]]] + [[[5.0, 6.0, 7.0]]] * 5, [0]),
+        ([[-50.0, -60.0]] + [[5.0, 6.0]] * 5, [[0, 0]]),
+        ([[-50.0, -60.0]] + [[5.0, 6.0]] * 5, [0.0, 0.0]),
+        ([[-50.0, -60.0]] + [[5.0, 6.0]] * 5, [False, False]),
+    ], ids=["index-short", "index-long", "columns-of-two-lengths", "columns-2d", "index-2d", "index-float",
+            "index-bool"])
+    def test_columns_1d_of_one_length_and_integer_index_required(self, columns, index):
+        with pytest.raises(ValueError, match="must be 1-D and code_index integers, all of one length"):
+            PathTable(*columns, ("R",), index)
+
     @pytest.mark.parametrize("n_codes, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_index_width_follows_the_code_count_and_round_trips(self, tmp_path, n_codes, dtype):
         codes = distinct_codes(n_codes)
@@ -514,10 +529,10 @@ class TestLoaderErrors:
     # A sidecar number must be a JSON number: strings and booleans used to be converted with float(),
     # and the scenario name with str(), so "123" loaded as a TX at (1, 2, 3).
     @pytest.mark.parametrize("key, value, message", [
-        ("tx_position_m", "123", "tx_position_m must be a list of 3 numbers, got '123'"),
-        ("link_budget", {"tx_power_dbm": "20"}, "link_budget.tx_power_dbm must be a number, got '20'"),
-        ("link_budget", {"tx_power_dbm": True}, "link_budget.tx_power_dbm must be a number, got True"),
-        ("link_budget", {"bandwidth_hz": "1e9"}, "link_budget.bandwidth_hz must be a number, got '1e9'"),
+        ("tx_position_m", "123", "tx_position_m must be a list of 3 finite numbers, got '123'"),
+        ("link_budget", {"tx_power_dbm": "20"}, "link_budget.tx_power_dbm must be a finite number, got '20'"),
+        ("link_budget", {"tx_power_dbm": True}, "link_budget.tx_power_dbm must be a finite number, got True"),
+        ("link_budget", {"bandwidth_hz": "1e9"}, "link_budget.bandwidth_hz must be a finite number, got '1e9'"),
         ("scenario_name", 7, "scenario_name must be a string, got 7"),
         ("scenario_name", {"a": 1}, "scenario_name must be a string, got {'a': 1}"),
     ], ids=["tx-string", "power-string", "power-bool", "bandwidth-string", "name-int", "name-object"])
@@ -538,7 +553,8 @@ class TestLoaderErrors:
         {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {"gain_rx_dbi": -10**400}},
     ])
     def test_sidecar_integer_beyond_a_float_names_sidecar(self, tmp_path, meta):
-        with pytest.raises(DatasetFormatError, match="^bad.meta.json: "):
+        with pytest.raises(DatasetFormatError, match=r"^bad\.meta\.json: (tx_position_m\[2\]|link_budget\.gain_rx_dbi) "
+                                                     r"must be a finite number, got -?10{400}$"):
             load_dataset(self.sidecar(tmp_path, meta))
 
     @pytest.mark.parametrize("budget", [

@@ -20,7 +20,7 @@ from dataset_builder import path_codes, records_of, trace_one_rx
 
 from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
-from idschan.pathdata import Condition, Interaction
+from idschan.pathdata import CSV_COLUMNS, Condition, DatasetFormatError, Interaction, load_dataset
 from idschan.tracer import (
     _T_EPS,
     FACES,
@@ -739,6 +739,7 @@ class TestSceneValidationRejects:
         (dict(rx_grid=[(2.0, 2.0)]), "rx_grid"),
         (dict(rx_grid=[(2.0, 2.0, 1.5), (2.0, math.inf, 1.5)]), "RX 1"),
         (dict(max_reflections=MAX_REFLECTIONS + 1), "max_reflections"),
+        (dict(max_reflections=True), "max_reflections"),  # a bool, as the JSON reader and the flag reject it
     ])
     def test_rejected(self, kwargs, match):
         # the carrier is a field of the link budget, the rest are fields of the scene
@@ -996,3 +997,68 @@ def test_scene_json_fuzz_rejects_typed_and_accepts_only_finite(data):
     except GeometryError:
         return
     _assert_finite_scene(scene, budget)
+
+
+# --------------------------------------------------------------------------
+# the scene config and the dataset sidecar: one JSON reader
+# --------------------------------------------------------------------------
+
+_TINY_CFG = {"rx_grid": {"rows": 1, "heights_m": [1.0], "lateral_step_m": 1.0, "lateral_margin_m": 1.0}}  # 3 rx
+_BUDGET_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([0, -0.0, 5e-324, 10**308, 2**1024, 10**400, -(10**400), True, False, None, "28e9", ""]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(-5.0, 5.0), st.integers()), max_size=3),
+    st.dictionaries(st.sampled_from(["carrier_hz", "x", ""]), st.floats(-5.0, 5.0), max_size=2),
+)
+
+
+def _write_dataset_csv(folder: Path) -> Path:
+    """A one-path dataset CSV, ``ds.csv``, without its sidecar ``ds.meta.json``."""
+    path = folder / "ds.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n0,1.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n")
+    return path
+
+
+@given(key=st.sampled_from(["carrier_hz", "sensitivity_dbm"]), value=_BUDGET_VALUE)
+def test_budget_value_read_alike_in_scene_config_and_sidecar(tmp_path_factory, key, value):
+    """A JSON value for a link budget key gives the same float in the scene config and in the
+    sidecar's link_budget, or both reject it and name the key."""
+    try:
+        _, budget = scene_from_json({**_TINY_CFG, key: value})
+        from_scene = getattr(budget, key)
+    except GeometryError as exc:
+        from_scene = str(exc)
+    path = _write_dataset_csv(tmp_path_factory.mktemp("budget"))
+    meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {key: value}}
+    path.with_name("ds.meta.json").write_text(json.dumps(meta))
+    try:
+        from_sidecar = getattr(load_dataset(path).link_budget, key)
+    except DatasetFormatError as exc:
+        from_sidecar = str(exc)
+    if isinstance(from_scene, float):
+        assert type(from_sidecar) is float and repr(from_sidecar) == repr(from_scene)
+    else:
+        assert isinstance(from_sidecar, str) and from_sidecar.startswith("ds.meta.json: ")
+        assert key in from_scene and key in from_sidecar
+
+
+# a document nested too deep for the parser, a directory, and bytes that are not UTF-8
+_UNREADABLE = {
+    "deep": lambda path: path.write_text("[" * 200_000 + "]" * 200_000),
+    "directory": Path.mkdir,
+    "not-utf8": lambda path: path.write_bytes(b'{"name": "\xff", "scenario_name": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("write", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_document_raises_its_typed_error_naming_the_file(tmp_path, write):
+    scene = tmp_path / "scene.json"
+    write(scene)
+    with pytest.raises(GeometryError, match=f"^{re.escape(str(scene))}: "):
+        scene_from_json(scene)
+    dataset = _write_dataset_csv(tmp_path)
+    write(tmp_path / "ds.meta.json")
+    with pytest.raises(DatasetFormatError, match=r"^ds\.meta\.json: "):
+        load_dataset(dataset)
