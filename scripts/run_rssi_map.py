@@ -25,13 +25,13 @@ def main():
     scene = build_scenario(ScenarioPreset(args.preset), layout=layout,
                            max_reflections=args.max_reflections)
     ds = trace_scenario(scene, LinkBudget())
-    points = rssi_map(ds)
+    rssi_dbm = rssi_map(ds)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_rssi_csv(points, out)
-    covered = [p for p in points if p.rssi_dbm > float("-inf")]
-    print(f"{args.preset} at z={args.height} m: {len(covered)}/{len(points)} receivers covered")
+    write_rssi_csv(ds, rssi_dbm, out)
+    covered = int((rssi_dbm > float("-inf")).sum())
+    print(f"{args.preset} at z={args.height} m: {covered}/{len(rssi_dbm)} receivers covered")
     print(f"wrote {out}")
 
 

@@ -133,9 +133,9 @@ def cmd_gen(args) -> int:
 
 def cmd_rssi(args) -> int:
     ds = pathdata.load_dataset(args.infile)
-    points = linksim.rssi_map(ds)
-    linksim.write_rssi_csv(points, args.out)
-    print(f"wrote {len(points)} rows to {args.out}")
+    rssi_dbm = linksim.rssi_map(ds)
+    linksim.write_rssi_csv(ds, rssi_dbm, args.out)
+    print(f"wrote {len(rssi_dbm)} rows to {args.out}")
     return 0
 
 
@@ -244,8 +244,8 @@ def run_command(func, *args) -> int | None:
     try:
         return func(*args)
     except (KeyError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        # an OSError's args[0] is its errno; its text names the file and the cause
-        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
+        # a KeyError's text quotes its message; every other error's text is the message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,9 @@ angular spreads via the power-weighted linear mean, wrapped deviation and
 power-weighted RMS, computed in radians and reported in degrees.
 
 ``summarize`` aggregates these over a dataset into a ChannelParamSet plus the
-LOS/NLOS/DS/Outage share vector from the dataset's columns, converting its
-milliwatts once. A non-finite spread, K-factor or fit output raises
-DatasetValidationError naming the rx; no numpy warning escapes.
+LOS/NLOS/DS/Outage share vector from the dataset's columns, its milliwatts
+and per-receiver totals among them. A non-finite spread, K-factor or fit
+output raises DatasetValidationError naming the rx; no numpy warning escapes.
 
 The delay and angular spreads are block kernels over C-contiguous (R, n)
 power and value arrays, one row per record: ``summarize`` groups a
@@ -31,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pathdata import (Condition, DatasetValidationError, LinkBudget, RxRecord, ScenarioDataset,
-                       total_powers_mw)
+from .pathdata import Condition, DatasetValidationError, LinkBudget, RxRecord, ScenarioDataset
 from .params import ChannelParamSet, ConditionParams
 
 
@@ -63,24 +62,18 @@ class PathLossFit:
     n_points: int
 
 
-def _path_loss_db(total_power_mw: float, budget: LinkBudget) -> float:
-    return budget.lossless_rx_dbm - 10.0 * math.log10(total_power_mw)
+def _path_loss_db(total_mw: float, budget: LinkBudget) -> float:
+    return budget.lossless_rx_dbm - 10.0 * math.log10(total_mw)
 
 
-# No command calls it (summarize calls _fit_path_loss); kept as the benchmark's patch point (ROADMAP item 10).
 def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
-    """Ordinary least squares of PL over 10 log10(d), against the dataset's own
-    link budget; shadow fading is the sample standard deviation (n-1
-    denominator) of the residuals."""
-    return _fit_path_loss(ds, condition, total_powers_mw(ds.paths.power_mw, ds.offsets))
-
-
-def _fit_path_loss(ds: ScenarioDataset, condition: Condition, total_power_mw: list[float]) -> PathLossFit:
-    """``fit_path_loss`` given each receiver's summed power in mW."""
+    """Ordinary least squares of PL, against each receiver's total power and the
+    dataset's own link budget, over 10 log10(d); shadow fading is the sample
+    standard deviation (n-1 denominator) of the residuals."""
     rows = np.flatnonzero(ds.conditions == condition)
     if len(rows) < 2:
         raise FitError(f"need >= 2 {condition.value} records, have {len(rows)}")
-    pl = np.array([_path_loss_db(total_power_mw[i], ds.link_budget) for i in rows.tolist()])
+    pl = np.array([_path_loss_db(total, ds.link_budget) for total in ds.total_power_mw[rows].tolist()])
     x = 10.0 * np.log10(ds.distances[rows])
     if np.ptp(x) < 1e-12:
         raise FitError(f"all {condition.value} records share one distance; fit is singular")
@@ -93,13 +86,13 @@ def _fit_path_loss(ds: ScenarioDataset, condition: Condition, total_power_mw: li
     return PathLossFit(a_db=a, b=b, sigma_sf_db=sigma, condition=condition, n_points=len(rows))
 
 
-def _k_factor_db(power_mw: list[float], ref: int) -> float:
+def _k_factor_db(powers: list[float], ref: int) -> float:
     """K-factor in dB of one record's powers with the direct path at ``ref``;
     +inf without other paths, -inf when the ratio underflows to zero."""
-    rest = math.fsum(power_mw[:ref] + power_mw[ref + 1:])
+    rest = math.fsum(powers[:ref] + powers[ref + 1:])
     if rest == 0.0:
         return math.inf
-    ratio = power_mw[ref] / rest
+    ratio = powers[ref] / rest
     return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
 
 
@@ -116,17 +109,17 @@ def k_factor(record: RxRecord) -> float | None:
     return _k_factor_db(record.paths.power_mw.tolist(), int(direct[0]))
 
 
-def rms_delay_spreads(power_mw: np.ndarray, delay_ns: np.ndarray) -> np.ndarray:
+def rms_delay_spreads(power: np.ndarray, delay_ns: np.ndarray) -> np.ndarray:
     """Power-weighted RMS spread of the path delays, in ns, of each row of
-    (R, n) power and delay blocks."""
-    psum = power_mw.sum(axis=1)
-    m1 = np.sum(delay_ns * power_mw, axis=1) / psum
-    m2 = np.sum(delay_ns**2 * power_mw, axis=1) / psum
+    (R, n) power (mW) and delay blocks."""
+    psum = power.sum(axis=1)
+    m1 = np.sum(delay_ns * power, axis=1) / psum
+    m2 = np.sum(delay_ns**2 * power, axis=1) / psum
     m1_sq = np.array([m**2 for m in m1])  # scalar pow per element, not the array's x*x
     return np.sqrt(np.maximum(m2 - m1_sq, 0.0))
 
 
-def angular_spreads(power_mw: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
+def angular_spreads(power: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
     """RMS angular spread in degrees of each row of (R, n) power and angle blocks.
 
     Three steps on linear power weights: mean angle as the power-weighted
@@ -136,10 +129,10 @@ def angular_spreads(power_mw: np.ndarray, angle_deg: np.ndarray) -> np.ndarray:
     the +-180 degree seam for azimuth data that straddles it.
     """
     theta = np.radians(angle_deg)
-    psum = power_mw.sum(axis=1)
-    nu = np.sum(theta * power_mw, axis=1) / psum
+    psum = power.sum(axis=1)
+    nu = np.sum(theta * power, axis=1) / psum
     dev = np.mod(theta - nu[:, None] + np.pi, 2.0 * np.pi) - np.pi
-    return np.degrees(np.sqrt(np.sum(dev**2 * power_mw, axis=1) / psum))
+    return np.degrees(np.sqrt(np.sum(dev**2 * power, axis=1) / psum))
 
 
 # Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).
@@ -186,7 +179,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-def _spreads(ds: ScenarioDataset, rows: np.ndarray, power_mw: np.ndarray) -> np.ndarray:
+def _spreads(ds: ScenarioDataset, rows: np.ndarray) -> np.ndarray:
     """(5, R) array: the RMS delay spread, then the angular spreads in
     ``ANGLE_FIELDS`` order, of each receiver in ``rows``, with one kernel call
     per statistic and path count on blocks taken by one fancy index."""
@@ -195,7 +188,7 @@ def _spreads(ds: ScenarioDataset, rows: np.ndarray, power_mw: np.ndarray) -> np.
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         index = starts[group, None] + np.arange(counts[group[0]])
-        power = power_mw[index]
+        power = ds.power_mw[index]
         spreads[0, group] = rms_delay_spreads(power, ds.paths.delay_ns[index])
         for k, column in enumerate(ANGLE_FIELDS.values(), 1):
             spreads[k, group] = angular_spreads(power, getattr(ds.paths, column)[index])
@@ -215,8 +208,7 @@ def _require_finite(values: np.ndarray, names: Sequence[str], rows: np.ndarray, 
 _SPREAD_NAMES = ("RMS delay spread", *(f"{kind} angular spread" for kind in ANGLE_FIELDS))
 
 
-def _condition_block(ds: ScenarioDataset, condition: Condition, power_mw: np.ndarray,
-                     total_power_mw: list[float]) -> ConditionParams | None:
+def _condition_block(ds: ScenarioDataset, condition: Condition) -> ConditionParams | None:
     """The condition's statistics, built positionally: ConditionParams' field
     order (fit, K-factor, then the mean and std of each spread) is the table's."""
     rows = np.flatnonzero(ds.conditions == condition)
@@ -224,11 +216,11 @@ def _condition_block(ds: ScenarioDataset, condition: Condition, power_mw: np.nda
         return None
     with np.errstate(all="ignore"):
         try:
-            fit = _fit_path_loss(ds, condition, total_power_mw)
+            fit = fit_path_loss(ds, condition)
             fit_out = [fit.a_db, fit.b, fit.sigma_sf_db]
         except FitError:
             fit_out = [None] * 3
-        spreads = _spreads(ds, rows, power_mw)
+        spreads = _spreads(ds, rows)
     if None not in fit_out and not all(map(math.isfinite, fit_out)):
         raise DatasetValidationError(f"{condition.value} path-loss fit (A, B, sigma_SF) = {fit_out} is not finite")
 
@@ -238,7 +230,7 @@ def _condition_block(ds: ScenarioDataset, condition: Condition, power_mw: np.nda
         starts, ends = ds.offsets[multi].tolist(), ds.offsets[multi + 1].tolist()
         direct = np.flatnonzero(ds.paths.direct)
         refs = direct[np.searchsorted(direct, starts)].tolist()
-        kfs = np.array([[_k_factor_db(power_mw[lo:hi].tolist(), ref - lo) for lo, hi, ref in zip(starts, ends, refs)]])
+        kfs = np.array([[_k_factor_db(ds.power_mw[lo:hi].tolist(), ref - lo) for lo, hi, ref in zip(starts, ends, refs)]])
         _require_finite(kfs, ["K-factor"], multi, ds)
         if multi.size:
             mu_kf, sigma_kf = _mean_std(kfs[0].tolist())
@@ -261,11 +253,9 @@ def summarize(ds: ScenarioDataset) -> DatasetSummary:
     if not total:
         raise ValueError("cannot summarize an empty dataset")
     ratios = {c: int(np.count_nonzero(ds.conditions == c)) / total for c in Condition}
-    power_mw = ds.paths.power_mw
-    totals = total_powers_mw(power_mw, ds.offsets)
     params = ChannelParamSet(
         name=ds.scenario_name,
-        los=_condition_block(ds, Condition.LOS, power_mw, totals),
-        nlos=_condition_block(ds, Condition.NLOS, power_mw, totals),
+        los=_condition_block(ds, Condition.LOS),
+        nlos=_condition_block(ds, Condition.NLOS),
     )
     return DatasetSummary(params=params, ratios=ratios)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .genchan import _require_params, draw_fades
 from .params import ChannelParamSet
-from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, total_powers_mw, write_rows
+from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, write_rows
 
 
 def noise_floor(budget: LinkBudget) -> float:
@@ -30,32 +30,18 @@ def noise_floor(budget: LinkBudget) -> float:
     return -174.0 + 10.0 * math.log10(budget.bandwidth_hz) + budget.noise_figure_db
 
 
-@dataclass(frozen=True)
-class RssiPoint:
-    rx_id: int
-    position_m: tuple[float, float, float]
-    condition: Condition
-    rssi_dbm: float
-    snr_db: float
+def rssi_map(ds: ScenarioDataset) -> np.ndarray:
+    """The RSSI column: each receiver's total received power in dBm, in receiver order; -inf for an outage."""
+    return np.array([mw_to_dbm(total) for total in ds.total_power_mw.tolist()], dtype=float)
 
 
-def rssi_map(ds: ScenarioDataset) -> list[RssiPoint]:
-    """Total received power and SNR per receiver; outage maps to -inf."""
+def write_rssi_csv(ds: ScenarioDataset, rssi_dbm: np.ndarray, path: str | Path) -> None:
+    """Plot-ready RSSI/SNR table, one row per receiver: the RSSI column beside the dataset's rx ids,
+    positions and conditions, with SNR the RSSI less the noise floor."""
     nf = noise_floor(ds.link_budget)
-    totals = total_powers_mw(ds.paths.power_mw, ds.offsets)
-    out = []
-    for rx_id, position, condition, total in zip(ds.rx_ids, ds.positions.tolist(), ds.conditions, totals):
-        rssi = mw_to_dbm(total)
-        out.append(RssiPoint(rx_id, tuple(position), condition, rssi, rssi - nf))
-    return out
-
-
-def write_rssi_csv(points: Sequence[RssiPoint], path: str | Path) -> None:
-    """Plot-ready RSSI/SNR table, one row per receiver."""
     write_rows(path, [["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"]] + [
-        [p.rx_id, *map(format_float, p.position_m), p.condition.value,
-         format_float(p.rssi_dbm), format_float(p.snr_db)]
-        for p in points
+        [rx_id, *map(format_float, position), condition.value, format_float(rssi), format_float(rssi - nf)]
+        for rx_id, position, condition, rssi in zip(ds.rx_ids, ds.positions.tolist(), ds.conditions, rssi_dbm.tolist())
     ])
 
 

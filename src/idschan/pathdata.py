@@ -5,7 +5,8 @@ A dataset is a CSV with one row per (receiver, path) plus a JSON sidecar
 provenance. Receivers with no paths (outage) appear as a single row with an
 empty interaction field and ``power_dbm = -INF``. In memory, a dataset is one
 :class:`PathTable` plus per-receiver columns, conditions among them, classified
-once from the code column; :class:`RxRecord` views are built only on demand.
+once from the code column; milliwatt columns and :class:`RxRecord` views are built
+on first read. Every file is UTF-8 with ``\n`` line ends, whatever the locale.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -64,8 +66,8 @@ def format_float(x: float) -> str:
 
 
 def write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Write a table of cells as CSV with Unix line ends, as every table writer does."""
-    with open(path, "w", newline="\n") as fh:
+    """Write a table of cells as UTF-8 CSV with Unix line ends, as every table writer does."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
@@ -204,12 +206,6 @@ class RxRecord:
     condition: Condition
 
 
-def total_powers_mw(power_mw: np.ndarray, offsets: np.ndarray) -> list[float]:
-    """``math.fsum`` of each record's powers ``power_mw[offsets[i]:offsets[i + 1]]``; 0.0 for an outage."""
-    ends = offsets.tolist()
-    return [math.fsum(power_mw[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])]
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """The radio link of a dataset, as finite floats; defaults are the 28 GHz cabin setup.
@@ -253,10 +249,10 @@ def _at(where: str, key) -> str:
 
 
 def _coerce(value, kind, where: str):
-    """A JSON value as ``kind``: int, float (finite), bool, str, list, tuple (a
-    non-empty list of finite floats), 3 (a list of three), or a set of the keys
-    an object may have (dict: any keys). A ValueError names ``where``, which is
-    "" for the document itself."""
+    """A JSON value as ``kind``: int, float (finite), bool, str (UTF-8 encodable), list, tuple
+    (a non-empty list of finite floats), 3 (a list of three), or a set of the keys an object may
+    have (dict: any keys). A ValueError names ``where``, which is "" for the document itself, and
+    quotes the value cut short by ``reprlib``."""
     if isinstance(kind, frozenset) or kind is dict:
         ok = isinstance(value, dict)
         for key in value if ok and kind is not dict else ():
@@ -271,8 +267,11 @@ def _coerce(value, kind, where: str):
         value = kind(value) if ok else value
     else:
         ok = isinstance(value, (list, tuple) if kind is list else kind)
+        if ok and kind is str and value != value.encode("utf-8", "replace").decode("utf-8"):  # a lone surrogate
+            raise ValueError(f"{where or 'the document'} must be a string UTF-8 can encode, got {reprlib.repr(value)}")
     if not ok:
-        raise ValueError(f"{where or 'the document'} must be {_KIND_NAMES.get(kind, 'an object')}, got {value!r}")
+        raise ValueError(f"{where or 'the document'} must be {_KIND_NAMES.get(kind, 'an object')}, "
+                         f"got {reprlib.repr(value)}")
     return value
 
 
@@ -313,7 +312,7 @@ class ScenarioDataset:
 
     Receiver ``i`` is ``rx_ids[i]`` at ``positions[i]``; its ``counts[i]`` paths are rows
     ``offsets[i]:offsets[i + 1]`` of ``paths``. Its distance to the TX and its condition are
-    derived once per dataset, and ``records`` are views built on first read.
+    derived once per dataset; ``power_mw``, ``total_power_mw`` and ``records`` on first read.
     """
 
     scenario_name: str
@@ -348,6 +347,21 @@ class ScenarioDataset:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "rx_ids", ids)
 
+    @cached_property
+    def power_mw(self) -> np.ndarray:
+        """Each path's milliwatts, ``paths.power_mw`` read once."""
+        column = self.paths.power_mw
+        column.flags.writeable = False
+        return column
+
+    @cached_property
+    def total_power_mw(self) -> np.ndarray:
+        """Each receiver's ``math.fsum`` of its paths' milliwatts; 0.0 for an outage."""
+        ends, power_mw = self.offsets.tolist(), self.power_mw
+        column = np.array([math.fsum(power_mw[lo:hi].tolist()) for lo, hi in zip(ends, ends[1:])], dtype=float)
+        column.flags.writeable = False
+        return column
+
     # Kept only because the benchmark's per-layer mode reads it (ROADMAP item 10).
     @cached_property
     def records(self) -> tuple[RxRecord, ...]:
@@ -376,7 +390,7 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
     """
     path = Path(path)
     paths, ends = ds.paths, ds.offsets.tolist()
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rx_id, position, lo, hi in zip(ds.rx_ids, ds.positions.tolist(), ends, ends[1:]):
             x, y, z = map(format_float, position)
@@ -393,7 +407,7 @@ def save_dataset(ds: ScenarioDataset, path: str | Path) -> None:
         "link_budget": ds.link_budget.to_dict(),
         "provenance": ds.provenance.value,
     }
-    with open(meta_path(path), "w") as fh:
+    with open(meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
@@ -513,7 +527,9 @@ def _load_rows(path: Path, tx_position_m: tuple[float, float, float]):
     codes: dict[str, int] = {}  # each distinct tag cell, numbered in order of first appearance
     tags = [np.empty(0, dtype=np.uint8)]  # the number of each row's tag cell
     numbers = [np.empty((9, 0))]  # x, y, z, power, then path fields, which outage rows leave NaN
-    with open(path, newline="") as fh:
+    with _located(path.name, DatasetFormatError):  # a directory, say, or no permission to read
+        fh = open(path, encoding="utf-8", newline="")
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -126,6 +126,9 @@ class Blocker:
             raise GeometryError(f"blocker min {self.min_m} not finite and strictly below max {self.max_m}")
 
 
+_CHECK_PAIRS = 2**20  # point-blocker pairs a scene check tests at once; a preset grid fits one block
+
+
 @dataclass(frozen=True)
 class Scene:
     """Cabin geometry, materials, blockers and the receiver grid to trace."""
@@ -159,7 +162,8 @@ class Scene:
 
     def _check_points(self, points: np.ndarray, who: str) -> None:
         """Require every (N, 3) point strictly inside the cabin and outside every
-        blocker's closed box; ``who.format(i)`` names point i in the error."""
+        blocker's closed box, in blocks of ``_CHECK_PAIRS`` point-blocker pairs;
+        ``who.format(i)`` names the first bad point i, and the first blocker holding it."""
         dims = np.asarray(self.cabin_dims_m, dtype=float)
         outside = ~(np.all(points > 0.0, axis=1) & np.all(points < dims, axis=1))
         if outside.any():
@@ -168,12 +172,15 @@ class Scene:
                                 f"inside the cabin {tuple(dims.tolist())}")
         if self.blockers:
             boxes = np.array([(b.min_m, b.max_m) for b in self.blockers])  # (M, 2, 3)
-            contained = np.all(points[:, None] >= boxes[:, 0], axis=2) & np.all(points[:, None] <= boxes[:, 1], axis=2)
-            if contained.any():
-                i, j = map(int, np.argwhere(contained)[0])
-                b = self.blockers[j]
-                raise GeometryError(f"{who.format(i)} at {tuple(points[i].tolist())} lies inside "
-                                    f"blocker {b.label} {b.min_m}")
+            step = max(1, _CHECK_PAIRS // len(boxes))
+            for lo in range(0, len(points), step):
+                block = points[lo:lo + step, None]
+                contained = np.all(block >= boxes[:, 0], axis=2) & np.all(block <= boxes[:, 1], axis=2)
+                if contained.any():
+                    i, j = map(int, np.argwhere(contained)[0])
+                    b = self.blockers[j]
+                    raise GeometryError(f"{who.format(lo + i)} at {tuple(points[lo + i].tolist())} lies inside "
+                                        f"blocker {b.label} {b.min_m}")
 
 
 def fspl_db(distance_m: float | np.ndarray, wavelength_m: float):

@@ -13,7 +13,7 @@ from idschan.extract import _path_loss_db
 from idschan.genchan import RX_DISTANCE_M
 from idschan.geometry import SPEED_OF_LIGHT
 from idschan.pathdata import (FLOAT_COLUMNS, Condition, Interaction, PathTable, Provenance, RxRecord,
-                              ScenarioDataset, mw_to_dbm, total_powers_mw)
+                              ScenarioDataset, mw_to_dbm)
 from idschan.tracer import trace_scenario
 
 
@@ -78,8 +78,7 @@ def trace_one_rx(scene, rx, budget):
 
 def path_loss_per_record(record, budget):
     """One record's loss in dB against its summed power, by the functions the path-loss fit uses."""
-    (total_mw,) = total_powers_mw(record.paths.power_mw, np.array([0, len(record.paths)]))
-    return _path_loss_db(total_mw, budget)
+    return _path_loss_db(math.fsum(record.paths.power_mw.tolist()), budget)
 
 
 def classify_per_record(paths):

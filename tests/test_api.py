@@ -2,14 +2,17 @@
 ``__all__`` resolves, and the per-record layer that no command calls is gone."""
 
 import importlib
+import inspect
 
 import pytest
 
 import idschan
+from idschan import extract
 from idschan.pathdata import LinkBudget, PathTable, RxRecord
 
+# the RSSI map, the path-loss fit and the totals are reductions of the dataset's columns
 DELETED = ("MultipathComponent", "make_record", "classify", "trace_link", "path_loss_of", "interaction_code",
-           "_is_number")
+           "_is_number", "RssiPoint", "total_powers_mw", "_fit_path_loss")
 
 
 def test_star_import_binds_every_exported_name():
@@ -24,9 +27,18 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-@pytest.mark.parametrize("module", ["idschan", "idschan.pathdata", "idschan.tracer", "idschan.extract"])
+@pytest.mark.parametrize("module", ["idschan", "idschan.pathdata", "idschan.tracer", "idschan.extract",
+                                    "idschan.linksim"])
 def test_deleted_names_are_gone(module):
     assert [name for name in DELETED if hasattr(importlib.import_module(module), name)] == []
+
+
+def test_extract_takes_milliwatts_from_the_dataset_only():
+    """Each statistic reads ``ds.power_mw`` and ``ds.total_power_mw``; none is handed them."""
+    takers = [name for name, func in inspect.getmembers(extract, inspect.isfunction)
+              if func.__module__ == extract.__name__
+              and {"power_mw", "total_power_mw"} & set(inspect.signature(func).parameters)]
+    assert takers == []
 
 
 def test_deleted_record_members_are_gone():

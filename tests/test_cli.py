@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idschan import genchan, linksim, tracer
-from idschan.cli import MAX_EBN0_POINTS, MAX_THREADS, build_parser, main, _parse_ebn0
+from idschan.cli import MAX_EBN0_POINTS, MAX_THREADS, build_parser, main, run_command, _parse_ebn0
 from idschan.linksim import LinkBudget
 from idschan.pathdata import Condition, load_dataset
 from idschan.tracer import scene_from_json, trace_scenario
@@ -703,3 +703,57 @@ def test_outputs_byte_identical_without_avx512_dispatch(tmp_path):
                     for text in (a, b))
             assert len(a) == 1 + 15 - len(_FIT_ROWS) + 1, name
         assert a == b, name
+
+
+# --------------------------------------------------------------------------
+# every file is UTF-8 whatever the locale, and a name no file can hold is rejected
+# --------------------------------------------------------------------------
+
+
+def _gen_named(tmp_path, name, ensure_ascii):
+    """A 50-draw gen dataset whose sidecar names the scenario ``name``."""
+    dataset = tmp_path / "ds.csv"
+    assert main(["gen", "--preset", "BL", "--count", "50", "--seed", "2", "--out", str(dataset)]) == 0
+    sidecar = dataset.with_suffix(".meta.json")
+    meta = {**json.loads(sidecar.read_text(encoding="utf-8")), "scenario_name": name}
+    sidecar.write_text(json.dumps(meta, ensure_ascii=ensure_ascii), encoding="utf-8")
+    return dataset
+
+
+def test_extract_and_rssi_write_the_same_bytes_under_an_ascii_locale(tmp_path):
+    dataset = _gen_named(tmp_path, "Kabine-ä€", ensure_ascii=False)
+    default = {**os.environ, "PYTHONPATH": str(Path(tracer.__file__).resolve().parents[1])}
+    ascii_locale = {**default, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    for name, env, flags in (("default", default, []), ("ascii", ascii_locale, ["-X", "utf8=0"])):
+        (tmp_path / name).mkdir()
+        for command in ("extract", "rssi"):
+            argv = [command, "--in", str(dataset), "--out", str(tmp_path / name / f"{command}.csv")]
+            run = subprocess.run([sys.executable, *flags, "-m", "idschan.cli", *argv], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == ["extract.csv", "extract.ratios.csv", "rssi.csv"]
+    for name in names:
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+    assert (tmp_path / "ascii" / "extract.csv").read_text(encoding="utf-8").startswith("param,Kabine-ä€:LOS,")
+
+
+def test_extract_rejects_a_name_no_file_can_hold(tmp_path, capsys):
+    dataset = _gen_named(tmp_path, "cabin-\ud800", ensure_ascii=True)  # a lone surrogate, escaped in the JSON
+    out = tmp_path / "params.csv"
+    capsys.readouterr()
+    assert main(["extract", "--in", str(dataset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: ds.meta.json: scenario_name must be a string UTF-8 can encode, "
+                                       "got 'cabin-\\ud800'\n")
+    assert not out.exists()
+
+
+def test_run_command_prints_the_text_of_every_error_but_a_key_error(capsys):
+    def encode():
+        "cabin-\ud800".encode("utf-8")
+
+    assert run_command(encode) == 2  # a UnicodeError's first argument is only the codec's name
+    assert capsys.readouterr().err == ("error: 'utf-8' codec can't encode character '\\ud800' in position 6: "
+                                       "surrogates not allowed\n")
+    assert run_command(lambda: {}["no such key"]) == 2  # a KeyError's text would quote its message
+    assert capsys.readouterr().err == "error: no such key\n"

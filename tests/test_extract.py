@@ -30,7 +30,7 @@ from idschan.extract import (
     summarize,
 )
 from idschan.genchan import draw_realizations, realizations_to_dataset
-from idschan.linksim import LinkBudget, rssi_map
+from idschan.linksim import LinkBudget, noise_floor, rssi_map
 from idschan.params import BL, ChannelParamSet, write_params_csv
 from idschan.pathdata import (
     CSV_COLUMNS,
@@ -38,6 +38,7 @@ from idschan.pathdata import (
     DatasetFormatError,
     DatasetValidationError,
     Interaction,
+    PathTable,
     Provenance,
     ScenarioDataset,
     load_dataset,
@@ -537,7 +538,7 @@ class TestColumnOracles:
         assert s.params.nlos == per_record_block(s.params.nlos, records_of(ds, Condition.NLOS))
         assert s.ratios == {c: len(records_of(ds, c)) / len(ds.records) for c in Condition}
         totals_mw = [math.fsum(r.paths.power_mw.tolist()) for r in ds.records]
-        assert [p.rssi_dbm for p in rssi_map(ds)] == [mw_to_dbm(total) for total in totals_mw]
+        assert rssi_map(ds).tolist() == [mw_to_dbm(total) for total in totals_mw]
 
 
 @pytest.mark.parametrize("make", ["traced", "gen", "ingest-style"])
@@ -554,8 +555,25 @@ def test_summary_in_memory_equals_summary_after_a_save(tmp_path, make):
     save_dataset(ds, tmp_path / "ds.csv")
     back = load_dataset(tmp_path / "ds.csv")
     assert summarize(back) == summarize(ds)
-    assert rssi_map(back) == rssi_map(ds)
+    assert rssi_map(back).tolist() == rssi_map(ds).tolist()
     assert back.records == ds.records
+
+
+def test_summarize_then_rssi_map_convert_the_milliwatts_once(tmp_path, monkeypatch):
+    """The dataset's ``power_mw`` and ``total_power_mw`` columns are filled on first read and
+    shared, so a fresh dataset's paths are converted once for both commands' statistics."""
+    dataset = tmp_path / "ds.csv"
+    _ingest_style_csv(dataset)
+    reads, convert = [], PathTable.power_mw.fget
+    monkeypatch.setattr(PathTable, "power_mw", property(lambda paths: reads.append(len(paths)) or convert(paths)))
+    ds = load_dataset(dataset)
+    assert reads == []  # loading builds neither column
+    summary, rssi_dbm = summarize(ds), rssi_map(ds)
+    assert reads == [len(ds.paths)]
+    assert summary.params.los is not None and summary.params.nlos is not None
+    assert ds.power_mw.tolist() == convert(ds.paths).tolist() and not ds.power_mw.flags.writeable
+    totals = [math.fsum(convert(r.paths).tolist()) for r in ds.records]
+    assert ds.total_power_mw.tolist() == totals and rssi_dbm.tolist() == list(map(mw_to_dbm, totals))
 
 
 def test_extract_and_rssi_do_not_import_numpy_ma(tmp_path):
@@ -655,9 +673,10 @@ def test_domain_edges_give_finite_statistics_or_name_the_record(tmp_path_factory
     except (DatasetFormatError, DatasetValidationError) as exc:
         _assert_names_a_record(exc)
         return
-    for p, rec in zip(rssi_map(ds), ds.records):
-        assert math.isfinite(p.rssi_dbm) or (p.rssi_dbm == -math.inf and rec.condition is Condition.OUTAGE)
-        assert math.isfinite(p.snr_db) or p.snr_db == -math.inf
+    nf = noise_floor(ds.link_budget)
+    for rssi, rec in zip(rssi_map(ds).tolist(), ds.records):
+        assert math.isfinite(rssi) or (rssi == -math.inf and rec.condition is Condition.OUTAGE)
+        assert math.isfinite(rssi - nf) or rssi - nf == -math.inf
     try:
         s = summarize(ds)
     except DatasetValidationError as exc:

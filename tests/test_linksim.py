@@ -114,25 +114,34 @@ class TestNoiseFloor:
                 LinkBudget(**{field: value})
 
 
+def rssi_rows(ds, rssi_dbm, path):
+    """The cells of the RSSI table ``write_rssi_csv`` writes, header first."""
+    linksim.write_rssi_csv(ds, rssi_dbm, path)
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 class TestRssiMap:
-    def test_single_path_snr(self):
+    def test_single_path_snr(self, tmp_path):
         tx = (0.0, 0.0, 1.0)
         rec = record_from_rows(0, (1.0, 0.0, 1.0), tx, [
             PathRow(-41.4, 3.3, 0.0, 0.0, 180.0, 0.0, (Interaction.DIRECT,))
         ])
         ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
-        (pt,) = rssi_map(ds)
-        assert math.isclose(pt.rssi_dbm, -41.4, abs_tol=1e-9)
-        assert math.isclose(pt.snr_db, -41.4 + 74.0, abs_tol=1e-9)
-        assert pt.condition is Condition.LOS
+        rssi_dbm = rssi_map(ds)
+        (rssi,) = rssi_dbm.tolist()
+        assert math.isclose(rssi, -41.4, abs_tol=1e-9)
+        header, (rx_id, x, y, z, condition, rssi_cell, snr_cell) = rssi_rows(ds, rssi_dbm, tmp_path / "rssi.csv")
+        assert header == ["rx_id", "x", "y", "z", "condition", "rssi_dbm", "snr_db"]
+        assert [rx_id, x, y, z, condition, float(rssi_cell)] == ["0", "1.0", "0.0", "1.0", "LOS", rssi]
+        assert math.isclose(float(snr_cell), -41.4 + 74.0, abs_tol=1e-9)
 
-    def test_outage_is_minus_inf(self):
+    def test_outage_is_minus_inf(self, tmp_path):
         tx = (0.0, 0.0, 1.0)
         rec = record_from_rows(0, (1.0, 0.0, 1.0), tx, [])
         ds = dataset_from_records("r", tx, LinkBudget(), (rec,), Provenance.SYNTHETIC)
-        (pt,) = rssi_map(ds)
-        assert pt.rssi_dbm == -math.inf
-        assert pt.snr_db == -math.inf
+        rssi_dbm = rssi_map(ds)
+        assert rssi_dbm.tolist() == [-math.inf]
+        assert rssi_rows(ds, rssi_dbm, tmp_path / "rssi.csv")[1][4:] == ["Outage", "-INF", "-INF"]
 
     def test_los_median_exceeds_nlos_in_composite_cabin(self):
         layout = CabinLayout(
@@ -140,9 +149,9 @@ class TestRssiMap:
         )
         scene = build_scenario(ScenarioPreset.CV, layout=layout, max_reflections=2)
         ds = trace_scenario(scene, LinkBudget())
-        points = rssi_map(ds)
-        los = [p.rssi_dbm for p in points if p.condition is Condition.LOS]
-        nlos = [p.rssi_dbm for p in points if p.condition is Condition.NLOS]
+        rssi_dbm = rssi_map(ds)
+        los = rssi_dbm[ds.conditions == Condition.LOS]
+        nlos = rssi_dbm[ds.conditions == Condition.NLOS]
         assert len(los) > 5 and len(nlos) > 5
         assert np.median(los) - np.median(nlos) >= 5.0
 

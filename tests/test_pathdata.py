@@ -554,7 +554,7 @@ class TestLoaderErrors:
     ])
     def test_sidecar_integer_beyond_a_float_names_sidecar(self, tmp_path, meta):
         with pytest.raises(DatasetFormatError, match=r"^bad\.meta\.json: (tx_position_m\[2\]|link_budget\.gain_rx_dbi) "
-                                                     r"must be a finite number, got -?10{400}$"):
+                                                     r"must be a finite number, got (10{17}|-10{16})\.\.\.0{19}$"):
             load_dataset(self.sidecar(tmp_path, meta))
 
     @pytest.mark.parametrize("budget", [
@@ -575,6 +575,33 @@ class TestLoaderErrors:
         meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], "link_budget": {"tx_power_dBm": 30}}
         with pytest.raises(DatasetFormatError, match=r"bad\.meta\.json: .*link_budget\.tx_power_dBm"):
             load_dataset(self.sidecar(tmp_path, meta))
+
+    def test_csv_that_cannot_be_opened_names_the_file(self, tmp_path):
+        (tmp_path / "bad.csv").mkdir()
+        (tmp_path / "bad.meta.json").write_text('{"scenario_name": "x", "tx_position_m": [0, 0, 1]}')
+        with pytest.raises(DatasetFormatError, match=r"^bad\.csv: \[Errno \d+\] Is a directory: "):
+            load_dataset(tmp_path / "bad.csv")
+
+    def test_missing_csv_and_sidecar_keep_their_messages(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="^no such dataset file: "):
+            load_dataset(tmp_path / "none.csv")
+        with pytest.raises(DatasetFormatError, match=r"^missing sidecar bad\.meta\.json next to bad\.csv$"):
+            load_dataset(self.write(tmp_path, "", meta=False))
+
+    def test_name_no_file_can_hold_is_rejected_naming_the_key(self, tmp_path):
+        # a lone surrogate is valid JSON, but UTF-8 cannot encode it, so no table could be written
+        meta = {"scenario_name": "cabin-\ud800", "tx_position_m": [0, 0, 1]}
+        with pytest.raises(DatasetFormatError, match=r"^bad\.meta\.json: scenario_name must be a string UTF-8 "
+                                                     r"can encode, got 'cabin-\\ud800'$"):
+            load_dataset(self.sidecar(tmp_path, meta))
+
+    @pytest.mark.parametrize("key", ["tx_position_m", "scenario_name"])
+    def test_long_rejected_value_is_quoted_short(self, tmp_path, key):
+        value = [0.5] * 99_999 + ["x"] if key == "tx_position_m" else list(range(100_000))
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], key: value}
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(self.sidecar(tmp_path, meta))
+        assert str(info.value).startswith(f"bad.meta.json: {key} must be ") and len(str(info.value)) < 200
 
     def test_sidecar_not_an_object(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="bad.meta.json"):

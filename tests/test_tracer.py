@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from collections import namedtuple
 from functools import reduce
 from operator import getitem
@@ -18,6 +19,7 @@ from test_geometry import dense_hits
 
 from dataset_builder import path_codes, records_of, trace_one_rx
 
+from idschan import tracer
 from idschan.geometry import SPEED_OF_LIGHT, mirror_point
 from idschan.linksim import LinkBudget
 from idschan.pathdata import CSV_COLUMNS, Condition, DatasetFormatError, Interaction, load_dataset
@@ -716,6 +718,12 @@ class TestSceneValidation:
         assert MATERIALS["glass_carbon_composite"].permittivity == 4.50 - 0.05j
 
 
+@pytest.fixture(scope="module")
+def many_blockers():
+    """20,000 thin blockers in a ceiling corner of the BL cabin, clear of its receivers."""
+    return tuple(Blocker((0.01 + 1e-5 * k, 0.01, 2.0), (0.01 + 1e-5 * k + 1e-6, 0.02, 2.01)) for k in range(20_000))
+
+
 class TestSceneValidationRejects:
     """Scene, Blocker and LinkBudget reject non-finite and wrongly shaped inputs, NaN included."""
 
@@ -755,6 +763,33 @@ class TestSceneValidationRejects:
     def test_tx_inside_blocker_rejected(self):
         with pytest.raises(GeometryError, match="TX .* inside blocker"):
             self.scene(blockers=(Blocker((0.5, 1.5, 1.0), (1.5, 2.5, 2.0)),))
+
+    def test_check_of_many_blockers_in_bounded_memory(self, many_blockers):
+        base = build_scenario(ScenarioPreset.BL)
+        assert base.rx_grid.shape == (2400, 3)
+        tracemalloc.start()
+        try:
+            dataclasses.replace(base, blockers=many_blockers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2400, 20000, 3) comparison at once peaked at 241 MB
+        assert peak <= 16 * 2**20, f"building the scene peaked at {peak / 2**20:.1f} MB"
+
+    def test_check_names_the_first_bad_point_and_the_first_blocker_holding_it(self, many_blockers, monkeypatch):
+        base = build_scenario(ScenarioPreset.BL)
+        step = tracer._CHECK_PAIRS // len(many_blockers)  # 52 points a block
+        first, later = 3 * step + 5, 30 * step + 1  # in the 4th and the 31st block
+        blockers = list(many_blockers)
+        # point ``later`` lies in blocker 3, point ``first`` in blockers 15000 and 19999
+        for j, point in ((3, later), (15_000, first), (19_999, first)):
+            blockers[j] = Blocker(tuple(base.rx_grid[point] - 0.01), tuple(base.rx_grid[point] + 0.01), label=f"B{j}")
+        at = tuple(base.rx_grid[first].tolist())
+        message = f"^RX {first} at {re.escape(str(at))} lies inside blocker B15000 "
+        for pairs in (1, 3 * len(blockers) - 1, tracer._CHECK_PAIRS, 2**40):  # 1, 2, 52 points a block, or all
+            monkeypatch.setattr(tracer, "_CHECK_PAIRS", pairs)
+            with pytest.raises(GeometryError, match=message):
+                dataclasses.replace(base, blockers=tuple(blockers))
 
     @pytest.mark.parametrize("lo, hi", [
         ((math.nan, 1.0, 0.0), (2.0, 2.0, 1.0)),
@@ -840,6 +875,10 @@ class TestSceneJsonRejects:
     def test_rejected_with_location(self, cfg, location):
         with pytest.raises(GeometryError, match=location):
             scene_from_json(cfg)
+
+    def test_long_rejected_value_is_quoted_short(self):
+        with pytest.raises(GeometryError, match=r"^tx_m must be a list of 3 finite numbers, got \[0\.5, .*\.\.\.\]$"):
+            scene_from_json(_cfg(tx_m=[0.5] * 100_000))
 
     def test_file_with_nan_literal_rejected(self, tmp_path):
         p = tmp_path / "scene.json"
