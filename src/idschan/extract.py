@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pathdata import Condition, DatasetValidationError, LinkBudget, RxRecord, ScenarioDataset
+from .pathdata import Condition, DatasetValidationError, LinkBudget, RxRecord, ScenarioDataset, mw_to_dbm
 from .params import ChannelParamSet, ConditionParams
 
 
@@ -63,7 +63,7 @@ class PathLossFit:
 
 
 def _path_loss_db(total_mw: float, budget: LinkBudget) -> float:
-    return budget.lossless_rx_dbm - 10.0 * math.log10(total_mw)
+    return budget.lossless_rx_dbm - mw_to_dbm(total_mw)
 
 
 def fit_path_loss(ds: ScenarioDataset, condition: Condition) -> PathLossFit:
@@ -92,8 +92,7 @@ def _k_factor_db(powers: list[float], ref: int) -> float:
     rest = math.fsum(powers[:ref] + powers[ref + 1:])
     if rest == 0.0:
         return math.inf
-    ratio = powers[ref] / rest
-    return 10.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+    return mw_to_dbm(powers[ref] / rest)
 
 
 # Kept only as a patch point of the benchmark's per-layer mode (ROADMAP item 10).

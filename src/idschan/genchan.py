@@ -19,9 +19,9 @@ a fixed order, so a seed pins the result bit-for-bit):
 realization. It makes every generator call per realization, in this order,
 and then runs the arithmetic of steps 2-6 once on the blocks: every operation
 there is elementwise or a row sum, which is bit-identical to the same
-operation on the row alone. The linear K stays a Python float ``**`` per
-value. ``realizations_to_dataset`` ravels the block into a dataset with
-``n_taps`` paths per receiver.
+operation on the row alone. The linear K stays a per-value ``dbm_to_mw``
+(a Python float ``**``). ``realizations_to_dataset`` ravels the block into a
+dataset with ``n_taps`` paths per receiver.
 
 Negative sigma_KF preset entries are used via their absolute value. The
 spread-of-spreads across realizations is not reproduced for the angular
@@ -44,6 +44,7 @@ from .pathdata import (
     PathTable,
     Provenance,
     ScenarioDataset,
+    dbm_to_mw,
     mw_to_dbm,
 )
 
@@ -145,7 +146,7 @@ def draw_realizations(
     delays[:, 1:] = np.sort(excess, axis=1)
     weights = np.exp(-delays / target)
     if is_los:
-        k_lin = np.array([10.0 ** (kf_db / 10.0) for kf_db in kf_dbs])[:, None]
+        k_lin = np.array([dbm_to_mw(kf_db) for kf_db in kf_dbs])[:, None]
         powers = np.empty_like(weights)
         powers[:, :1] = k_lin / (1.0 + k_lin)
         powers[:, 1:] = weights[:, 1:] / weights[:, 1:].sum(axis=1, keepdims=True) * (1.0 / (1.0 + k_lin))

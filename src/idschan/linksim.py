@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from .genchan import _require_params, draw_fades
 from .params import ChannelParamSet
-from .pathdata import Condition, LinkBudget, ScenarioDataset, format_float, mw_to_dbm, write_rows
+from .pathdata import Condition, LinkBudget, ScenarioDataset, dbm_to_mw, format_float, mw_to_dbm, write_rows
 
 
 def noise_floor(budget: LinkBudget) -> float:
@@ -101,15 +100,15 @@ def _noise_buffers(n: int) -> list[np.ndarray]:
     return [np.empty(min(_CHUNK_BITS, n - lo)) for lo in range(0, n, _CHUNK_BITS)]
 
 
-# The buffer set a ``ber_sweep`` point lends to the ``ber_bpsk`` call it makes, so that every point
-# still runs through ``ber_bpsk`` and reuses a set the sweep allocated on its calling thread.
+# The buffer set a ``ber_sweep`` pool worker holds for its whole life, so that each point runs through
+# ``ber_bpsk``, called through the module, and reuses a set the sweep allocated on its calling thread.
 _lent = threading.local()
 
 
-def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
+def _batch_samples(chan, amp: float, block_bits: int, n: int,
                    rng: np.random.Generator, reals: list[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the decision statistic and the bits sent of one batch, ``n`` bits over ``n_blocks``
-    fades, one chunk of at most ``_CHUNK_BITS`` bits at a time.
+    """Yield the decision statistic and the bits sent of one batch, ``n`` bits over one fade per
+    ``block_bits`` bits (the last block may be short), one chunk of at most ``_CHUNK_BITS`` bits at a time.
 
     The draws keep the order that fixes the random stream: the fades, the ``n`` bits, the ``n``
     real parts of the noise, then its ``n`` imaginary parts. The generator keeps no state between
@@ -124,7 +123,7 @@ def _batch_samples(chan, amp: float, n_blocks: int, block_bits: int, n: int,
     Elementwise operations commute with ``np.repeat`` and with slicing, so the scaling and the
     derotation run once per block.
     """
-    fades = _block_fades(chan, n_blocks, rng)
+    fades = _block_fades(chan, -(-n // block_bits), rng)
     starts = range(0, n, _CHUNK_BITS)
     bits = np.empty(n, dtype=bool)
     for lo in starts:
@@ -172,32 +171,31 @@ def ber_bpsk(
 
     ``channel`` is "awgn" or a (ChannelParamSet, condition) pair, whose LOS
     block needs a finite ``mu_kf_db`` and ``sigma_kf_db``. A fade is
-    held for ``block_bits`` bits, at most 1,000,000. Batches own seeds derived
-    from the root seed and run one after another. Errors are counted per chunk
-    of a batch against its bool bits and summed; a batch holds one byte of bits
-    per bit, plus one chunk. The real parts of the noise go into one set of
-    chunk-sized float64 buffers (8 bytes a bit of the largest batch), which
-    every batch of the call reuses: the call allocates the set, unless it runs
-    inside ``ber_sweep``, which lends it one. The confidence half-width is the
-    normal approximation of the binomial at 95%.
+    held for ``block_bits`` bits, at most 1,000,000. The bits are cut, in order, into batches
+    of whole blocks, at most 10,000 blocks and 1,000,000 bits each; batches own seeds derived
+    from the root seed and run one after another. Errors are counted per chunk of a batch
+    against its bool bits and summed; a batch holds one byte of bits per bit, plus one chunk.
+    The real parts of the noise go into one set of chunk-sized float64 buffers (8 bytes a bit
+    of the largest batch), which every batch of the call reuses: the call allocates the set,
+    unless it runs on a ``ber_sweep`` pool worker, which holds one. The confidence half-width
+    is the normal approximation of the binomial at 95%.
     """
     _check_bits(n_bits, block_bits)
     _check_ebn0(ebn0_db)
     chan = _normalize_channel(channel)
-    amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
+    amp = math.sqrt(dbm_to_mw(ebn0_db))  # 0.0 at -inf dB
 
-    n_blocks_total = -(-n_bits // block_bits)
     seed_seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    batch_blocks = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits)
+    # a batch's bits: B whole blocks of b bits, so there are ceil(n/(b*B)) = ceil(ceil(n/b)/B) batches
+    batch_bits = min(_BATCH_BLOCKS, _BATCH_BITS // block_bits) * block_bits
     reals = getattr(_lent, "reals", None) or _noise_buffers(min(n_bits, _BATCH_BITS))
     errors = 0
-    for batch in range(-(-n_blocks_total // batch_blocks)):
+    for batch, lo in enumerate(range(0, n_bits, batch_bits)):
         # child ``batch`` of seed_seq.spawn(), derived on demand without advancing seed_seq
         child = np.random.SeedSequence(seed_seq.entropy, spawn_key=seed_seq.spawn_key + (batch,),
                                        pool_size=seed_seq.pool_size)
-        blocks = min(batch_blocks, n_blocks_total - batch * batch_blocks)
-        batch_bits = min(blocks * block_bits, n_bits - batch * batch_blocks * block_bits)
-        for z, bits in _batch_samples(chan, amp, blocks, block_bits, batch_bits, np.random.default_rng(child), reals):
+        n = min(batch_bits, n_bits - lo)
+        for z, bits in _batch_samples(chan, amp, block_bits, n, np.random.default_rng(child), reals):
             errors += int(np.count_nonzero((z > 0) != bits))
     ber = errors / n_bits
     ci95 = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
@@ -273,11 +271,11 @@ def ber_sweep(
     sweep is deterministic and independent of evaluation order. A repeated
     preset name (the curves are keyed by name), or a preset, grid value, bit
     count or block size that ``ber_bpsk`` rejects, is rejected before any
-    point runs. With ``threads`` > 1 the points run on one thread pool, and the
-    curves are the same for any thread count. Every point runs through
-    ``ber_bpsk``. The real-part buffer sets, one per point that can run at
-    once, are allocated on the calling thread before any point runs; a point
-    borrows a set, lends it to its ``ber_bpsk`` call and hands it back.
+    point runs. The points run through ``ber_bpsk`` on one thread pool of ``threads`` workers
+    (one when ``threads`` is None or at most 1, no more than the points), and the curves are
+    the same for any thread count. The real-part buffer sets, one per worker, are allocated on
+    the calling thread before any point runs; the pool's initializer gives each worker one set
+    for its whole life, and its ``ber_bpsk`` calls reuse it.
     """
     if len(ebn0_grid) == 0:
         raise ValueError("ebn0_grid must not be empty")
@@ -295,25 +293,18 @@ def ber_sweep(
 
     points = list(itertools.product(enumerate(presets), enumerate(ebn0_grid)))
     workers = min(threads, len(points)) if threads is not None and threads > 1 else 1
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(_noise_buffers(min(n_bits, _BATCH_BITS)))
+    sets = [_noise_buffers(min(n_bits, _BATCH_BITS)) for _ in range(workers)]
+
+    def lend() -> None:
+        _lent.reals = sets.pop()  # the pool starts at most ``workers`` threads
 
     def run_point(point) -> BerPoint:
         (pi, ps), (gi, ebn0) = point
-        seed = np.random.SeedSequence(rng_seed, spawn_key=(pi, gi))
-        _lent.reals = free.get()
-        try:
-            return ber_bpsk((ps, condition), ebn0, n_bits, seed, block_bits)
-        finally:
-            free.put(_lent.reals)
-            _lent.reals = None
+        return ber_bpsk((ps, condition), ebn0, n_bits, np.random.SeedSequence(rng_seed, spawn_key=(pi, gi)),
+                        block_bits)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = list(map(run_point, points))
+    with ThreadPoolExecutor(max_workers=workers, initializer=lend) as pool:
+        results = list(pool.map(run_point, points))
     n_grid = len(ebn0_grid)
     return BerSweep(condition, {ps.name: tuple(results[pi * n_grid:(pi + 1) * n_grid])
                                 for pi, ps in enumerate(presets)})

@@ -121,7 +121,8 @@ class PathTable:
             tags = [t.strip() for t in codes[j].split("+")] if codes[j].strip() else []
             unknown = [t for t in tags if t not in _TAG_CODES]
             if unknown:
-                raise DatasetFormatError(f"{where(int(first[j]))}: unknown interaction tag {unknown[0]!r}")
+                raise DatasetFormatError(
+                    f"{where(int(first[j]))}: unknown interaction tag {reprlib.repr(unknown[0])}")
             if not tags or (_DIRECT in tags and tags != [_DIRECT]):
                 raise DatasetValidationError(f"{where(int(first[j]))}: interactions must be non-empty, Direct alone")
             lut[j] = canonical.setdefault("+".join(tags), len(canonical))
@@ -245,7 +246,11 @@ _LINK_BUDGET_KEYS = frozenset(f.name for f in fields(LinkBudget))
 
 
 def _at(where: str, key) -> str:
-    return f"{where}.{key}" if where else str(key)
+    """The place of ``key`` in ``where`` ("" at the top). A key stays unquoted, cut to its first 40
+    characters and "..." when longer, so that no place holds unbounded user text."""
+    key = str(key)
+    key = key if len(key) <= 40 else key[:40] + "..."
+    return f"{where}.{key}" if where else key
 
 
 def _coerce(value, kind, where: str):
@@ -421,7 +426,7 @@ def _parse_column(tokens: Sequence[str], kind: type, name: str, lines: Sequence[
             try:
                 kind(token)
             except ValueError:
-                raise DatasetFormatError(f"line {line}: bad {name} value {token!r}") from None
+                raise DatasetFormatError(f"line {line}: bad {name} value {reprlib.repr(token)}") from None
         raise
 
 
@@ -454,12 +459,14 @@ def load_dataset(path: str | Path) -> ScenarioDataset:
         scenario_name = _json_get(meta, "", "scenario_name", str)
         tx = _json_get(meta, "", "tx_position_m", 3)
         budget = _budget_from_json(_json_get(meta, "", "link_budget", _LINK_BUDGET_KEYS, {}), "link_budget")
-        provenance = Provenance(_json_get(meta, "", "provenance", str, Provenance.INGESTED.value))
+        provenance = _json_get(meta, "", "provenance", str, Provenance.INGESTED.value)
+        if provenance not in (known := [p.value for p in Provenance]):
+            raise ValueError(f"provenance must be one of {known}, got {reprlib.repr(provenance)}")
 
     ids, positions, counts, columns, where = _load_rows(path, tx)
     paths = PathTable(*columns, where)
     del columns  # the table holds its own copies; free these before the per-receiver columns are derived
-    return ScenarioDataset(scenario_name, tx, budget, ids, positions, paths, counts, provenance)
+    return ScenarioDataset(scenario_name, tx, budget, ids, positions, paths, counts, Provenance(provenance))
 
 
 def _chunks(fh, line: int):

@@ -16,6 +16,7 @@ comparison are synthesized.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -67,9 +68,9 @@ class Material:
     def __post_init__(self):
         if not self.is_pec:
             if not (1.0 <= self.permittivity.real < math.inf):
-                raise ValueError(f"{self.name}: Re(eps) must be finite and >= 1 for a dielectric")
+                raise ValueError(f"{_at('', self.name)}: Re(eps) must be finite and >= 1 for a dielectric")
             if not (-math.inf < self.permittivity.imag <= 0.0):
-                raise ValueError(f"{self.name}: loss must be stored as a finite negative imaginary part")
+                raise ValueError(f"{_at('', self.name)}: loss must be stored as a finite negative imaginary part")
 
 
 PEC_METAL = Material("metal_pec", 1.0 + 0.0j, 0.0, is_pec=True)
@@ -476,7 +477,7 @@ _LAYOUT_TYPES = {f.name: type(f.default) for f in fields(CabinLayout)}
 
 
 def _material_from_json(entry, name: str) -> Material:
-    where = f"materials.{name}"
+    where = _at("materials", name)
     entry = _coerce(entry, _MATERIAL_KEYS, where)
     pec = _json_get(entry, where, "pec", bool, False)
     eps = 1.0 + 0.0j if pec else complex(
@@ -506,7 +507,7 @@ def scene_from_json(source: str | Path | dict) -> tuple[Scene, LinkBudget]:
         def material(obj: dict, where: str, key: str, default: Material) -> Material:
             mname = _json_get(obj, where, key, str, None)
             if mname is not None and mname not in materials:
-                raise GeometryError(f"unknown material {mname!r} at {_at(where, key)} in scene config")
+                raise GeometryError(f"unknown material {reprlib.repr(mname)} at {_at(where, key)} in scene config")
             return default if mname is None else materials[mname]
 
         rx_cfg = _json_get(cfg, "", "rx_grid", frozenset(_RX_GRID_FIELDS), {})

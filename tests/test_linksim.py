@@ -81,7 +81,7 @@ def assert_batch_matches_oracle(channel, ebn0_db, n, block_bits, seed, reals=Non
     amp = math.sqrt(10.0 ** (ebn0_db / 10.0)) if ebn0_db != -math.inf else 0.0
     n_blocks = -(-n // block_bits)
     reals = linksim._noise_buffers(n) if reals is None else reals
-    chunks = list(linksim._batch_samples(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed), reals))
+    chunks = list(linksim._batch_samples(chan, amp, block_bits, n, np.random.default_rng(seed), reals))
     z, bits = (np.concatenate(parts) for parts in zip(*chunks))
     z_ref, s_ref = per_bit_batch(chan, amp, n_blocks, block_bits, n, np.random.default_rng(seed))
     assert np.array_equal(bits * 2 - 1, s_ref)
@@ -326,8 +326,7 @@ class TestPerBitOracle:
         monkeypatch.setattr(linksim, "_CHUNK_BITS", 256)
         chan, n = linksim._normalize_channel((BL, Condition.LOS)), 3 * 256 + 1
         for block_bits in (1, 100, 1000):
-            chunks = linksim._batch_samples(chan, 1.0, -(-n // block_bits), block_bits, n, np.random.default_rng(0),
-                                            linksim._noise_buffers(n))
+            chunks = linksim._batch_samples(chan, 1.0, block_bits, n, np.random.default_rng(0), linksim._noise_buffers(n))
             assert [len(z) for z, _ in chunks] == [256, 256, 256, 1]
 
 
@@ -515,6 +514,23 @@ class TestBerSweep:
             == sweep.curves["BL"][0]
         assert ber_bpsk("awgn", 0.0, 300, rng_seed=1).n_bits == 300
         assert made == [(threading.get_ident(), 1000), (threading.get_ident(), 300)]
+
+    @pytest.mark.parametrize("threads", [None, 1, 2, 5])
+    def test_points_run_on_pool_workers_that_each_hold_one_set(self, monkeypatch, threads):
+        calls, bpsk = [], linksim.ber_bpsk
+
+        def recorded(*args, **kwargs):
+            calls.append((threading.get_ident(), id(linksim._lent.reals)))
+            return bpsk(*args, **kwargs)
+
+        monkeypatch.setattr(linksim, "ber_bpsk", recorded)
+        ber_sweep([BL, GPP_INO], Condition.LOS, [0.0, 6.0, 12.0], 2500, rng_seed=3, threads=threads)
+        sets_of = {thread: {s for t, s in calls if t == thread} for thread, _ in calls}
+        assert len(calls) == 6 and threading.get_ident() not in sets_of
+        assert 1 <= len(sets_of) <= (threads or 1)
+        assert all(len(sets) == 1 for sets in sets_of.values())  # one set for all of a worker's points
+        assert len(set.union(*sets_of.values())) == len(sets_of)  # and no two workers share one
+        assert getattr(linksim._lent, "reals", None) is None
 
     @pytest.mark.parametrize("n_bits, block_bits", [(0, 100), (1000, 0), (1000, 1_000_001)])
     def test_bad_bits_rejected_before_any_point_runs(self, monkeypatch, n_bits, block_bits):

@@ -603,6 +603,20 @@ class TestLoaderErrors:
             load_dataset(self.sidecar(tmp_path, meta))
         assert str(info.value).startswith(f"bad.meta.json: {key} must be ") and len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("tags, delay, meta, start", [
+        ("Q" * 100_000, "5.0", {}, "line 2: rx 0: unknown interaction tag 'QQQQQQQQQQQQ...QQQQQQQQQQQQQ'"),
+        ("R", "x" * 100_000, {}, "line 2: bad delay_ns value 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        ("R", "5.0", {"link_budget": {"k" * 1_000_000: 1}}, f"bad.meta.json: unknown key link_budget.{'k' * 40}..."),
+        ("R", "5.0", {"provenance": "p" * 200_000}, "bad.meta.json: provenance must be one of "),
+    ], ids=["tag", "delay_ns", "link_budget_key", "provenance"])
+    def test_long_cell_key_or_name_gives_a_short_message_naming_its_place(self, tmp_path, tags, delay, meta, start):
+        p = self.write(tmp_path, f"0,1.0,0.0,1.0,-50.0,{delay},0.0,0.0,0.0,0.0,{tags}\n", meta=False)
+        meta = {"scenario_name": "x", "tx_position_m": [0, 0, 1], **meta}
+        (tmp_path / "bad.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(p)
+        assert str(info.value).startswith(start) and len(str(info.value)) < 300
+
     def test_sidecar_not_an_object(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="bad.meta.json"):
             load_dataset(self.sidecar(tmp_path, ["x", [0, 0, 1]]))

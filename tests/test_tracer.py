@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -652,6 +653,19 @@ class TestTraceScenario:
         assert back.records == ds.records
         assert back.link_budget == ds.link_budget
 
+    def test_memory_per_kept_path_at_order_4(self):
+        # What the dataset holds and what tracing peaks at, per kept path, like TestDatasetMemory's
+        # bounds on a load. Measured on BL at order 4 (37,604 paths): 57.5 B held, 243.4 B peak.
+        scene = build_scenario(ScenarioPreset.BL, max_reflections=4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ds = trace_scenario(scene, LinkBudget())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(ds.paths) <= 70 and peak / len(ds.paths) <= 300
+
 
 class TestSceneJson:
     CFG = {
@@ -879,6 +893,23 @@ class TestSceneJsonRejects:
     def test_long_rejected_value_is_quoted_short(self):
         with pytest.raises(GeometryError, match=r"^tx_m must be a list of 3 finite numbers, got \[0\.5, .*\.\.\.\]$"):
             scene_from_json(_cfg(tx_m=[0.5] * 100_000))
+
+    # A key in a location is cut to 40 characters and "..."; a name in a message is quoted by reprlib.
+    LONG, CUT = "m" * 200_000, "m" * 40 + "..."
+
+    @pytest.mark.parametrize("cfg, start", [
+        (_cfg(**{LONG: 1}), f"unknown key {CUT}"),
+        (_edited(("walls", "all"), LONG), "unknown material 'mmmmmmmmmmmm...mmmmmmmmmmmmm' at walls.all "),
+        (_edited(("blockers", 0, "material"), LONG),
+         "unknown material 'mmmmmmmmmmmm...mmmmmmmmmmmmm' at blockers[0].material "),
+        (_cfg(materials={LONG: {"eps_re": "x", "eps_im": 0}}), f"materials.{CUT}.eps_re must be a finite number"),
+        (_cfg(materials={LONG: {LONG: 1}}), f"unknown key materials.{CUT}.{CUT}"),
+        (_cfg(materials={LONG: {"eps_re": 0.5, "eps_im": 0}}), f"materials.{CUT}: {CUT}: Re(eps) must be finite"),
+    ])
+    def test_long_key_or_name_gives_a_short_message_naming_its_place(self, cfg, start):
+        with pytest.raises(GeometryError) as info:
+            scene_from_json(cfg)
+        assert str(info.value).startswith(start) and len(str(info.value)) < 300
 
     def test_file_with_nan_literal_rejected(self, tmp_path):
         p = tmp_path / "scene.json"
