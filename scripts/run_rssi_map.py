@@ -5,16 +5,15 @@ Writes a plot-ready CSV (rx_id, x, y, z, condition, rssi_dbm, snr_db); feed
 it to any heatmap tool pivoted on (x, y).
 """
 
-import argparse
 from pathlib import Path
 
-from idschan.cli import _number_flag, run_command
+from idschan.cli import _number_flag, _Parser, run_command
 from idschan.linksim import LinkBudget, rssi_map, write_rssi_csv
 from idschan.tracer import MAX_REFLECTIONS, CabinLayout, ScenarioPreset, build_scenario, trace_scenario
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--preset", default="CV", choices=[p.value for p in ScenarioPreset])
     ap.add_argument("--height", type=float, default=0.7)
     ap.add_argument("--out", default="out/rssi_map.csv")

@@ -6,11 +6,10 @@ Outputs (in --outdir): <scenario>.csv datasets, scenario_params.csv,
 scenario_ratios.csv.
 """
 
-import argparse
 import time
 from pathlib import Path
 
-from idschan.cli import _number_flag, run_command
+from idschan.cli import _number_flag, _Parser, run_command
 from idschan.extract import summarize
 from idschan.linksim import LinkBudget
 from idschan.params import write_params_csv, write_ratios_csv
@@ -19,7 +18,7 @@ from idschan.tracer import MAX_REFLECTIONS, CabinLayout, ScenarioPreset, build_s
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--outdir", default="out/scenarios")
     ap.add_argument("--max-reflections", type=_number_flag("--max-reflections", int, 0, MAX_REFLECTIONS), default=3)
     ap.add_argument("--quick", action="store_true",

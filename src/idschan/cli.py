@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import reprlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,12 +23,27 @@ DEFAULT_SEED = 12345
 MAX_EBN0_POINTS = 10_000
 # Larger --threads values are rejected, so a pool never starts more threads than this.
 MAX_THREADS = 256
+# A path in a message keeps its first and last characters, this many in all, so that no message
+# holds a whole long path; a value is quoted cut short by reprlib.repr.
+_PATHS = reprlib.Repr()
+_PATHS.maxstring = 160
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose invalid-choice message quotes the value cut short by ``reprlib``;
+    its subcommand parsers are of this class too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {reprlib.repr(value)} (choose from {choices})")
 
 
 def _number_flag(flag: str, kind: type, lo: float, hi: float = math.inf, domain: str | None = None):
     """argparse ``type=``: a ``kind`` (int or float) from lo to hi, both included. The callable
     carries ``kind``, ``lo`` and ``hi``, so the parser is the one table of flag domains. A
-    rejection names the flag, the value and ``domain`` (by default, the integers from lo to hi)."""
+    rejection names the flag, the value (quoted by ``reprlib``) and ``domain`` (by default, the
+    integers from lo to hi)."""
     if domain is None:
         domain = f"an integer from {lo} to {hi}" if hi < math.inf else f"an integer >= {lo}"
 
@@ -37,7 +53,7 @@ def _number_flag(flag: str, kind: type, lo: float, hi: float = math.inf, domain:
         except ValueError:
             value = math.nan
         if not lo <= value <= hi:  # NaN fails both comparisons
-            raise argparse.ArgumentTypeError(f"{flag}={text} is not {domain}")
+            raise argparse.ArgumentTypeError(f"{flag}={reprlib.repr(text)} is not {domain}")
         return value
 
     parse.kind, parse.lo, parse.hi = kind, lo, hi
@@ -58,10 +74,10 @@ def _parse_ebn0(text: str) -> list[float]:
 
     Either form holds 1 to MAX_EBN0_POINTS values, none NaN and none above
     ``linksim.MAX_EBN0_DB``; ``-inf`` (noise only) may appear in a comma list.
-    A rejection names the flag and the value."""
+    A rejection names the flag and the value, quoted by ``reprlib``."""
 
     def reject(why: str) -> argparse.ArgumentTypeError:
-        return argparse.ArgumentTypeError(f"--ebn0={text} {why}")
+        return argparse.ArgumentTypeError(f"--ebn0={reprlib.repr(text)} {why}")
 
     is_range = ":" in text
     try:
@@ -172,7 +188,7 @@ def cmd_presets(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idschan",
         description="Cabin mmWave multipath toolkit: synthesize, ingest, extract, generate, simulate.",
     )
@@ -244,8 +260,12 @@ def run_command(func, *args) -> int | None:
     try:
         return func(*args)
     except (KeyError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        # a KeyError's text quotes its message; every other error's text is the message
+        # a KeyError's text quotes its message, and an OSError's holds its paths whole; every
+        # other error's text is the message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            names = (name for name in (exc.filename, exc.filename2) if name is not None)
+            msg = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(map(_PATHS.repr, names))}"
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

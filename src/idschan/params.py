@@ -11,6 +11,7 @@ the generator for how those are consumed).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -123,10 +124,11 @@ _ALIASES = {
 
 
 def preset(name: str) -> ChannelParamSet:
-    """Look up a built-in parameter set by (case-insensitive) name or alias."""
+    """Look up a built-in parameter set by (case-insensitive) name or alias; an unknown name is
+    quoted cut short by ``reprlib``."""
     key = _ALIASES.get(name.strip().lower())
     if key is None:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        raise KeyError(f"unknown preset {reprlib.repr(name)}; choose from {sorted(PRESETS)}")
     return PRESETS[key]
 
 

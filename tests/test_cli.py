@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import reprlib
 import string
 import subprocess
 import sys
@@ -62,7 +64,7 @@ class TestParseEbn0:
 
     @pytest.mark.parametrize("text", ["5:1:4.5", "5:1:0", "-2:0.5:-3"])
     def test_stop_below_start_rejected(self, text):
-        with pytest.raises(argparse.ArgumentTypeError, match=f"--ebn0={text} is a range with its stop below"):
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(f"--ebn0={text!r} is a range with its stop below")):
             _parse_ebn0(text)
 
     def test_bad_step(self):
@@ -101,7 +103,7 @@ class TestParseEbn0:
 
     @pytest.mark.parametrize("text", ["x", "0,2,x", "0:1", "0::6", "1:2:3:4", "0:2:x"])
     def test_malformed_rejected(self, text):
-        with pytest.raises(argparse.ArgumentTypeError, match=f"--ebn0={text} is not start:step:stop"):
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(f"--ebn0={text!r} is not start:step:stop")):
             _parse_ebn0(text)
 
 
@@ -235,7 +237,7 @@ class TestBer:
                   "--out", str(out)])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "Traceback" not in err
-        assert "argument --block-bits: --block-bits=1000001 is not an integer from 1 to 1000000" in err
+        assert "argument --block-bits: --block-bits='1000001' is not an integer from 1 to 1000000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("presets, named", [
@@ -263,7 +265,7 @@ class TestBer:
             # joined with '=', so that a value starting with '-' is read as the flag's value
             main(["ber", "--presets", "BL", f"--ebn0={ebn0}", "--bits", "1", "--out", str(out)])
         err = capsys.readouterr().err
-        assert exc.value.code == 2 and f"argument --ebn0: --ebn0={ebn0} " in err and "Traceback" not in err
+        assert exc.value.code == 2 and f"argument --ebn0: --ebn0={reprlib.repr(ebn0)} " in err and "Traceback" not in err
         assert not out.exists()
 
     def test_descending_ebn0_range_is_an_error(self, tmp_path, capsys):
@@ -271,7 +273,7 @@ class TestBer:
         with pytest.raises(SystemExit) as exc:
             main(["ber", "--presets", "BL", "--ebn0", "5:1:0", "--bits", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert "--ebn0=5:1:0 is a range with its stop below its start" in capsys.readouterr().err
+        assert "--ebn0='5:1:0' is a range with its stop below its start" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gap_from_minus_inf_unavailable(self, tmp_path, capsys):
@@ -378,7 +380,7 @@ class TestFlagBounds:
             main(argv)
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert f"argument {flag}: {flag}={value} " in err and "Traceback" not in err
+        assert f"argument {flag}: {flag}={str(value)!r} " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "0.7", "inf", "x"])
     def test_target_ber_outside_zero_to_half(self, tmp_path, capsys, value):
@@ -404,7 +406,7 @@ class TestFlagBounds:
         monkeypatch.setenv("IDS_CHAN_SEED", "-1")
         out = tmp_path / "x.csv"
         assert main(["gen", "--preset", "BL", "--count", "2", "--out", str(out)]) == 2
-        assert "error: IDS_CHAN_SEED=-1 is not an integer >= 0" in capsys.readouterr().err
+        assert "error: IDS_CHAN_SEED='-1' is not an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["ber", "--presets", "BL"], ["trace", "--preset", "BL"]])
@@ -593,7 +595,7 @@ def test_every_numeric_flag_parses_in_range_and_names_itself_outside(case):
         with pytest.raises(SystemExit) as exc:
             main(argv)
     assert exc.value.code == 2
-    assert f"argument {flag}: {flag}={text} is not " in err.getvalue()
+    assert f"argument {flag}: {flag}={reprlib.repr(text)} is not " in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 
@@ -632,11 +634,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("script, args, message", [
     ("run_rssi_map.py", ["--max-reflections", "9"],
-     "argument --max-reflections: --max-reflections=9 is not an integer from 0 to 6"),
+     "argument --max-reflections: --max-reflections='9' is not an integer from 0 to 6"),
     ("run_scenario_study.py", ["--quick", "--max-reflections", "-1"],
-     "argument --max-reflections: --max-reflections=-1 is not an integer from 0 to 6"),
+     "argument --max-reflections: --max-reflections='-1' is not an integer from 0 to 6"),
     ("run_scenario_study.py", ["--max-reflections=1.5"],
-     "argument --max-reflections: --max-reflections=1.5 is not an integer from 0 to 6"),
+     "argument --max-reflections: --max-reflections='1.5' is not an integer from 0 to 6"),
     ("run_rssi_map.py", ["--height", "5", "--max-reflections", "0"], "error: RX 0 at "),
 ])
 def test_scripts_exit_2_naming_the_rejection(tmp_path, script, args, message):
@@ -757,3 +759,52 @@ def test_run_command_prints_the_text_of_every_error_but_a_key_error(capsys):
                                        "surrogates not allowed\n")
     assert run_command(lambda: {}["no such key"]) == 2  # a KeyError's text would quote its message
     assert capsys.readouterr().err == "error: no such key\n"
+
+
+# --------------------------------------------------------------------------
+# a long command-line value or an unreadable input file gives a short message and exit 2
+# --------------------------------------------------------------------------
+
+_LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--presets", _LONG], ["gen", "--preset", _LONG], ["gen", "--preset", "BL", "--cond", _LONG],
+    ["ber", "--presets", "BL", "--ebn0", _LONG], ["ber", "--presets", "BL", "--bits", _LONG], ["extract", "--in", _LONG],
+], ids=["ber --presets", "gen --preset", "gen --cond", "ber --ebn0", "ber --bits", "extract --in"])
+def test_a_long_command_line_value_gives_a_short_message(tmp_path, capsys, argv):
+    # argparse prints its usage (up to 240 bytes, for ber) ahead of its message; that text is
+    # fixed, and the message from "error: " on is what a value could lengthen
+    out = tmp_path / "out.csv"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and not out.exists()
+    assert len(err[err.index("error: "):].encode()) < 300 and "x" * 100 not in err
+
+
+@pytest.mark.parametrize("kind", ["deep", "directory"])
+def test_an_unreadable_scene_config_or_sidecar_exits_2_naming_it(tmp_path, capsys, kind):
+    # a document nested too deep for the parser, or a directory, as trace's scene config and extract's sidecar
+    dataset, sidecar, scene = tmp_path / "ds.csv", tmp_path / "ds.meta.json", tmp_path / "scene.json"
+    assert main(["gen", "--preset", "BL", "--count", "2", "--out", str(dataset)]) == 0
+    sidecar.unlink()
+    for path in (sidecar, scene):
+        path.write_text("[" * 200_000 + "]" * 200_000) if kind == "deep" else path.mkdir()
+    for argv, name in ((["trace", "--scene", str(scene)], "scene.json"), (["extract", "--in", str(dataset)], "ds.meta.json")):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "rssi"])
+def test_a_dataset_csv_that_is_a_directory_exits_2_naming_it(tmp_path, command):
+    (tmp_path / "ds.csv").mkdir()
+    (tmp_path / "ds.meta.json").write_text(json.dumps({"scenario_name": "x", "tx_position_m": [0, 0, 1]}),
+                                           encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(tracer.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "idschan.cli", command, "--in", str(tmp_path / "ds.csv"),
+                          "--out", str(tmp_path / "out.csv")], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2 and "ds.csv" in run.stderr and "Traceback" not in run.stderr

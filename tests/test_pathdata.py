@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataset_builder import (PathRow, classify_per_record, dataset_from_records, path_codes, path_rows, record_from_rows,
+from dataset_builder import (PathRow, classify_per_record, dataset_from_records, load_rows_reference, path_codes,
+                             path_rows, record_from_rows,
                              table_from_codes)
 
 from idschan import pathdata
@@ -988,3 +989,110 @@ def test_errors_name_the_line_their_row_starts_on(tmp_path_factory, entries, pic
                 fh.write(text)
             with pytest.raises(DatasetFormatError, match=f"^line {line}: {re.escape(_BAD_CELLS[bad][1])}"):
                 load_dataset(d / "ds.csv")
+
+
+# --------------------------------------------------------------------------
+# the one-pass loader against the whole-file loader it replaced
+# --------------------------------------------------------------------------
+
+# A bad row of each kind, as cells replaced in a good row (rx r's rows sit at (1 + r, 1, 1), the TX
+# at (0, 0, 1)) or None for a row cut short. "at the TX" moves every row of the row's rx.
+_BAD_ROWS = {
+    "bad float": {6: "oops"},
+    "short": None,
+    "non-finite": {1: "nan"},
+    "inconsistent": {2: "0.5"},
+    "at the TX": {1: "0.0", 2: "0.0", 3: "1.0"},
+    "outage with a power": {4: "-50.0", 10: ""},
+    "outage among paths": {4: "-INF", 10: ""},
+    "unknown tag": {10: "R+Q"},
+    "direct not alone": {10: "L+R"},
+    "power out of bound": {4: "3000.0"},
+    "delay not positive": {5: "-1.0"},
+    "angle out of range": {8: "180.5"},
+}
+
+
+def _with_bad_rows(rows, bad):
+    """``rows`` with each (row, kind) of ``bad`` made bad as ``_BAD_ROWS`` says."""
+    rows = list(rows)
+    for i, kind in bad:
+        cells = _BAD_ROWS[kind]
+        for j in ([k for k, row in enumerate(rows) if row[0] == rows[i][0]] if kind == "at the TX" else [i]):
+            rows[j] = rows[j][:3] if cells is None else [cells.get(c, cell) for c, cell in enumerate(rows[j])]
+    return rows
+
+
+@st.composite
+def _loader_rows(draw):
+    """Rows of up to four receivers, often not adjacent, some all outage rows, with up to three bad rows."""
+    rxs = draw(st.lists(st.integers(0, 3), max_size=14))
+    outage = draw(st.sets(st.integers(0, 3), max_size=1))
+    rows = []
+    for rx in rxs:
+        row = [str(rx), repr(1.0 + rx), "1.0", "1.0", "-INF", "0.0", "0.0", "0.0", "0.0", "0.0", ""]
+        if rx not in outage:
+            row[4:] = [repr(draw(st.floats(-100.0, -20.0))), repr(draw(st.floats(0.1, 100.0))),
+                       repr(draw(st.floats(-179.0, 180.0))), repr(draw(st.floats(-90.0, 90.0))), "0.0", "0.0",
+                       draw(st.sampled_from(["L", "R", "R+R", " R + S ", "S", "D+S", "R+S"]))]
+        rows.append(row)
+    bad = draw(st.lists(st.tuples(st.integers(0, 13), st.sampled_from(sorted(_BAD_ROWS))), max_size=3))
+    return _with_bad_rows(rows, [(i % len(rows), kind) for i, kind in bad] if rows else [])
+
+
+def _dataset_fields(ds):
+    """Everything a loaded dataset holds, bit for bit, with each column's dtype."""
+    columns = [ds.positions, ds.counts, ds.offsets, ds.distances,
+               *(getattr(ds.paths, name) for name in (*FLOAT_COLUMNS, "code_index"))]
+    return (ds.rx_ids, ds.paths.codes, ds.conditions.tolist(), [(c.dtype.str, c.shape, c.tobytes()) for c in columns])
+
+
+def _assert_loads_as_the_whole_file_loader(d, rows, chunk_rows, quoting=csv.QUOTE_MINIMAL):
+    """Loading ``rows`` from a file in ``d`` in chunks of ``chunk_rows`` gives the dataset the
+    whole-file loader built, or raises the error of the same type and message."""
+    with open(d / "ds.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=quoting, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    (d / "ds.meta.json").write_text(json.dumps(_META), encoding="utf-8")
+    tx = tuple(_META["tx_position_m"])
+
+    def load_reference(path):
+        ids, positions, counts, paths = load_rows_reference(path, tx)
+        return ScenarioDataset("x", tx, LinkBudget(), ids, positions, paths, counts, Provenance.INGESTED)
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathdata, "_CHUNK_ROWS", chunk_rows)
+        for load in (load_dataset, load_reference):
+            try:
+                outcomes.append(_dataset_fields(load(d / "ds.csv")))
+            except (DatasetFormatError, DatasetValidationError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], rows
+
+
+@settings(max_examples=_AT_LEAST_300, deadline=None)
+@given(rows=_loader_rows(), chunk_rows=st.integers(1, 6), quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+def test_one_pass_loader_matches_the_whole_file_loader(tmp_path_factory, rows, chunk_rows, quoting):
+    """Whichever check fails and wherever the chunks (shortened here) end."""
+    _assert_loads_as_the_whole_file_loader(tmp_path_factory.mktemp("oracle"), rows, chunk_rows, quoting)
+
+
+def test_each_pair_of_bad_rows_fails_as_the_whole_file_loader_did(tmp_path):
+    # rx 0 and 1 alternate, so table order is not file order; rx 3 is in outage
+    rows = [[str(rx), repr(1.0 + rx), "1.0", "1.0", "-50.0", repr(1.0 + i), "0.0", "0.0", "0.0", "0.0", "R"]
+            for i, rx in enumerate([0, 1, 0, 2, 1, 0])]
+    rows.append(["3", "4.0", "1.0", "1.0", "-INF", "0.0", "0.0", "0.0", "0.0", "0.0", ""])
+    for first, second in product(sorted(_BAD_ROWS), repeat=2):
+        for (i, j), chunk_rows in product([(2, 4), (4, 5), (5, 1)], [1, 3, 8]):
+            _assert_loads_as_the_whole_file_loader(tmp_path, _with_bad_rows(rows, [(i, first), (j, second)]), chunk_rows)
+
+
+def test_rx_ids_beyond_int64_stay_distinct(tmp_path):
+    # one chunk of ids above 2**63 and below 0 once became one float array, merging the two large ids
+    body = "".join(f"{rx},{x}.0,0.0,1.0,-50.0,5.0,0.0,0.0,0.0,0.0,R\n"
+                   for x, rx in enumerate([2 ** 63, 2 ** 63 + 1, -1, 2 ** 63], start=1))
+    path = tmp_path / "ds.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body.replace("4.0,0.0", "1.0,0.0"), encoding="utf-8")
+    (tmp_path / "ds.meta.json").write_text(json.dumps(_META), encoding="utf-8")
+    ds = load_dataset(path)
+    assert ds.rx_ids == (2 ** 63, 2 ** 63 + 1, -1) and ds.counts.tolist() == [2, 1, 1]
